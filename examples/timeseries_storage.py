@@ -24,7 +24,7 @@ prices = np.round(
 
 path = Path(tempfile.mkdtemp()) / "stocks.alpc"
 start = time.perf_counter()
-api.write(path, prices)  # atomic, checksummed (format v3)
+api.write(path, prices)  # atomic, checksummed (format v4)
 write_seconds = time.perf_counter() - start
 
 raw_mib = prices.nbytes / 2**20

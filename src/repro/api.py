@@ -36,7 +36,7 @@ one-column special case (see docs/TABLES.md for the migration guide)::
     column = api.compress(values)                  # in-memory
     restored = api.decompress(column)
 
-    api.write("col.alpc", values)                  # one-column file (v3)
+    api.write("col.alpc", values)                  # one-column v4 file
     reader = api.open("col.alpc")                  # lazy, verifying reader
     restored = api.read("col.alpc")
 
@@ -44,10 +44,10 @@ one-column special case (see docs/TABLES.md for the migration guide)::
     api.repair("col.alpc", "col.fixed.alpc")       # drop corrupt sections
 
 ``write`` is the single-column wrapper over the table path: it persists
-one non-nullable float64 column (in the v3 single-column encoding every
-reader generation understands), and ``open``/``read`` accept *any*
-generation — v2, v3, or a one-float-column v4 table — through the same
-verified reader surface.
+one non-nullable float64 column, named after the file stem, as a v4
+table.  ``open``/``read`` accept *any* generation — a read-only v2/v3
+column file or a one-float-column v4 table — through the same verified
+reader.
 
 Every knob the layers used to take as drifting per-function keyword
 lists is collected in :class:`CompressionOptions`, accepted uniformly
@@ -72,7 +72,6 @@ from repro.core.compressor import (
 )
 from repro.core.constants import ROWGROUP_VECTORS, VECTOR_SIZE
 from repro.query.table import FilterPredicate
-from repro.storage.columnfile import ColumnFileReader, ColumnFileWriter
 from repro.storage.dataset_dir import DatasetReader
 from repro.storage.errors import (
     CorruptFileError,
@@ -88,11 +87,10 @@ from repro.storage.schema import (
     Schema,
 )
 from repro.storage.tablefile import (
-    FORMAT_VERSION_V4,
     TableColumnReader,
     TableFileReader,
     TableFileWriter,
-    file_format_version,
+    default_column_name,
 )
 from repro.storage.verify import (
     DatasetVerifyReport,
@@ -151,9 +149,6 @@ class CompressionOptions:
         force_scheme: ``"alp"`` or ``"alprd"`` bypasses the adaptive
             ALP-vs-ALP_rd cutoff decision; ``None`` keeps it adaptive.
             Applies to float64 columns table-wide.
-        integrity: write checksummed format v3 with atomic publish (the
-            default); ``False`` writes the legacy v2 layout without
-            checksums.  Table files (v4) are always checksummed.
         column_codecs: per-column codec overrides for
             :func:`write_table` — a mapping (or tuple of pairs) from
             column name to ``"alp"``/``"alprd"`` (float64),
@@ -167,7 +162,6 @@ class CompressionOptions:
     rowgroup_vectors: int = ROWGROUP_VECTORS
     threads: int = 1
     force_scheme: str | None = None
-    integrity: bool = True
     column_codecs: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
@@ -194,7 +188,7 @@ class CompressionOptions:
         object.__setattr__(self, "column_codecs", normalized)
 
 
-#: The default option set (adaptive scheme, integrity on).
+#: The default option set (adaptive scheme).
 DEFAULT_OPTIONS = CompressionOptions()
 
 
@@ -385,7 +379,7 @@ class TableHandle:
         )
         return Table(schema=schema, columns=values, validity=validity)
 
-    def column_reader(self, name: str) -> ColumnFileReader | TableColumnReader:
+    def column_reader(self, name: str) -> TableColumnReader:
         """A single-column reader view (non-nullable float64 columns)."""
         return self._reader.column_reader(name)
 
@@ -527,65 +521,36 @@ def write(
 ) -> None:
     """Compress ``values`` into a column file (atomic, checksummed).
 
-    The one-column special case of :func:`write_table`, kept on the v3
-    single-column encoding: the output carries exactly one non-nullable
-    float64 column and stays readable by every deployed reader
-    generation (and by :func:`open_table`, which presents it as a
-    table).
+    The one-column special case of :func:`write_table`: a v4 file with
+    one non-nullable float64 column named after the file stem.
     """
-    with ColumnFileWriter(path, options=options or DEFAULT_OPTIONS) as writer:
-        writer.write_values(values)
-
-
-def _single_float_column(path: str | os.PathLike) -> str:
-    """The one non-nullable float64 column of a v4 file, or a typed error."""
-    probe = TableFileReader(path)
-    try:
-        schema = probe.schema
-        if len(schema) != 1 or schema.columns[0].type != FLOAT64 or (
-            schema.columns[0].nullable
-        ):
-            raise ValueError(
-                f"{os.fspath(path)}: schema {list(schema.names)} is not a "
-                f"single non-nullable float64 column; use "
-                f"open_table()/read_table() for multi-column tables"
-            )
-        return schema.columns[0].name
-    finally:
-        probe.close()
+    schema = Schema((Column(default_column_name(path)),))
+    with TableFileWriter(path, schema, options=options or DEFAULT_OPTIONS) as writer:
+        writer.write_rows({schema.names[0]: values})
 
 
 def open(
     path: str | os.PathLike, *, degraded: bool = False, mmap: bool = False
-) -> ColumnFileReader | TableColumnReader:
+) -> TableColumnReader:
     """Open a column file for verified random access and scans.
 
-    The one-column wrapper over :func:`open_table`: v2/v3 files get the
-    classic :class:`ColumnFileReader`; a v4 file whose schema is a
-    single non-nullable float64 column gets the equivalent per-column
-    reader view (same methods, zone maps, and quarantine semantics).
+    The one-column wrapper over :func:`open_table`: any file whose
+    schema is a single non-nullable float64 column — every v2/v3 file
+    and everything :func:`write` produces — opens as a
+    :class:`TableColumnReader`.
 
     With ``degraded=True`` bulk reads and range scans *quarantine*
     corrupt row-groups (skip + report via ``scan_report()``) instead of
     raising.
 
     With ``mmap=True`` the file is memory-mapped and payloads decode
-    straight out of the page cache with zero copies (v2 and small
-    files silently fall back to the buffered path).  Mapped readers
-    must be closed, and close refuses — with a typed
-    ``BufferLifetimeError`` — while payload views are still alive; see
-    ``docs/PERFORMANCE.md``, "zero-copy read path".
+    straight out of the page cache with zero copies (small files
+    silently fall back to the buffered path).  Mapped readers must be
+    closed, and close refuses — with a typed ``BufferLifetimeError`` —
+    while payload views are still alive; see ``docs/PERFORMANCE.md``,
+    "zero-copy read path".
     """
-    if file_format_version(path) >= FORMAT_VERSION_V4:
-        name = _single_float_column(path)
-        reader = TableFileReader(path, degraded=degraded, mmap=mmap)
-        try:
-            column = reader.column_reader(name)
-        except BaseException:
-            reader.close()
-            raise
-        return column
-    return ColumnFileReader(path, degraded=degraded, mmap=mmap)
+    return TableColumnReader.open(path, degraded=degraded, mmap=mmap)
 
 
 def read(path: str | os.PathLike, *, degraded: bool = False) -> np.ndarray:

@@ -1,19 +1,22 @@
 """Storage fault-injection sweep: prove corruption is never silent.
 
-``python -m repro.bench.faults`` writes a small multi-row-group column
-file (format v3) and a multi-column table file (format v4), then
-damages **every section** of each — header, each row-group payload /
-per-column chunk, footer, trailer — with single-bit flips at several
-positions plus truncations at every section boundary, and classifies
-what a reader sees:
+``python -m repro.bench.faults`` writes a small multi-row-group v4
+table (float, nullable int and string columns) and damages **every
+section** of it — header, each (row-group, column) chunk, footer,
+trailer — with single-bit flips at several positions plus truncations
+at every section boundary.  ``python -m repro.bench.faults FILE...``
+sweeps a temporary copy of each given ALPC file instead (any format
+version), with the file's pristine read as the reference.  Each fault
+is classified by what :class:`~repro.storage.tablefile.TableFileReader`
+sees:
 
 - ``detected`` — a typed :class:`~repro.storage.errors.IntegrityError`
-  in strict mode, *and* (for row-group damage) the degraded reader
-  quarantining exactly the damaged group while returning every other
-  value bit-exactly;
+  in strict mode, *and* (for chunk damage) the degraded reader
+  quarantining exactly the damaged row-group while returning every
+  other row bit-exactly;
 - ``correct`` — the read still returns bit-identical values (possible
-  only when the flip lands in dead bytes; v3 checksums cover every
-  section, so this does not happen there);
+  only when the flip lands in dead bytes; checksums cover every
+  section of v3/v4 files, so this does not happen there);
 - ``silent-garbage`` — wrong values with no error and no quarantine
   report.  Any occurrence fails the sweep (exit code 1): it would mean
   the checksums have a hole.
@@ -27,14 +30,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.storage.columnfile import ColumnFileReader, ColumnFileWriter
 from repro.storage.errors import IntegrityError
+from repro.storage.schema import FLOAT64, INT64, STRING, Column, Schema
+from repro.storage.tablefile import TableFileReader, TableFileWriter
 
 #: Geometry small enough that the sweep runs in seconds but still has
 #: several row-groups (so per-group quarantine is actually exercised).
@@ -45,12 +50,16 @@ FAULT_VALUE_COUNT = 4 * FAULT_ROWGROUP_VECTORS * FAULT_VECTOR_SIZE
 #: Relative positions probed inside each section by the bit-flip sweep.
 FLIP_POSITIONS = (0.0, 0.25, 0.5, 0.75, 0.999)
 
+#: A table read: ``(values, validity)`` as :meth:`TableFileReader.read_columns`
+#: returns it.
+TableRead = tuple[dict[str, np.ndarray], dict[str, np.ndarray]]
+
 
 @dataclass(frozen=True)
 class Section:
     """One contiguous byte range of the file with a format meaning."""
 
-    name: str  # "header", "rowgroup[i]", "footer", "trailer"
+    name: str  # "header", "chunk[rg,column]", "footer", "trailer"
     offset: int
     length: int
 
@@ -75,185 +84,8 @@ class FaultOutcome:
         }
 
 
-def _make_values() -> np.ndarray:
-    rng = np.random.default_rng(11)
-    return np.round(
-        np.cumsum(rng.normal(0, 0.2, FAULT_VALUE_COUNT)) + 30.0, 2
-    )
-
-
-def write_fault_file(path: str, values: np.ndarray) -> None:
-    """Write the sweep's small multi-row-group v3 file."""
-    with ColumnFileWriter(
-        path,
-        vector_size=FAULT_VECTOR_SIZE,
-        rowgroup_vectors=FAULT_ROWGROUP_VECTORS,
-    ) as writer:
-        writer.write_values(values)
-
-
-def enumerate_sections(path: str) -> list[Section]:
-    """Name every byte range of a column file, in file order."""
-    reader = ColumnFileReader(path)
-    file_size = os.path.getsize(path)
-    sections = [Section("header", 0, reader.header_length)]
-    for index, meta in enumerate(reader.metadata):
-        sections.append(Section(f"rowgroup[{index}]", meta.offset, meta.length))
-    sections.append(
-        Section("footer", reader.footer_offset, reader.footer_length)
-    )
-    trailer_start = reader.footer_offset + reader.footer_length
-    sections.append(Section("trailer", trailer_start, file_size - trailer_start))
-    return sections
-
-
-def _classify_read(
-    path: str, values: np.ndarray, section: Section
-) -> tuple[str, str]:
-    """Read a damaged file strictly and degraded; classify the outcome."""
-    # Strict read: the only acceptable results are a typed integrity
-    # error or bit-identical values.
-    try:
-        restored = ColumnFileReader(path).read_all()
-    except IntegrityError as exc:
-        strict = ("detected", f"strict: {type(exc).__name__}")
-    else:
-        if np.array_equal(
-            restored.view(np.uint64), values.view(np.uint64)
-        ):
-            strict = ("correct", "strict: bit-identical")
-        else:
-            return (
-                "silent-garbage",
-                "strict read returned wrong values without raising",
-            )
-
-    # Degraded read over row-group damage must additionally keep every
-    # *other* value and report the quarantine; header/footer/trailer
-    # damage has no payload to salvage, so a typed error is the answer.
-    if not section.name.startswith("rowgroup"):
-        return strict
-    try:
-        reader = ColumnFileReader(path, degraded=True)
-        restored = reader.read_all()
-        report = reader.scan_report()
-    except IntegrityError as exc:
-        return ("detected", f"degraded: {type(exc).__name__}")
-    if strict[0] == "correct":
-        return strict
-    if report.rowgroups_quarantined == 0:
-        return (
-            "silent-garbage",
-            "degraded read reported nothing for a damaged row-group",
-        )
-    # read_all() in degraded mode is the concatenation of the intact
-    # row-groups — it must match the original values minus exactly the
-    # quarantined slices.
-    quarantined = {q.index for q in report.quarantined}
-    rg_values = FAULT_ROWGROUP_VECTORS * FAULT_VECTOR_SIZE
-    expected = np.concatenate(
-        [
-            values[index * rg_values : (index + 1) * rg_values]
-            for index in range(reader.rowgroup_count)
-            if index not in quarantined
-        ]
-        or [np.empty(0)]
-    )
-    if not np.array_equal(
-        restored.view(np.uint64), expected.view(np.uint64)
-    ):
-        return (
-            "silent-garbage",
-            "degraded read damaged values outside the quarantined group",
-        )
-    return (
-        "detected",
-        f"degraded: quarantined {report.rowgroups_quarantined} group(s), "
-        "rest bit-identical",
-    )
-
-
-def run_bitflip_sweep(
-    path: str, values: np.ndarray, sections: list[Section]
-) -> list[FaultOutcome]:
-    """Flip one bit at several positions of every section."""
-    pristine = open(path, "rb").read()
-    outcomes = []
-    for section in sections:
-        if section.length == 0:
-            continue
-        for rel in FLIP_POSITIONS:
-            pos = section.offset + min(
-                int(section.length * rel), section.length - 1
-            )
-            damaged = bytearray(pristine)
-            damaged[pos] ^= 0x10
-            with open(path, "wb") as handle:
-                handle.write(damaged)
-            outcome, detail = _classify_read(path, values, section)
-            outcomes.append(
-                FaultOutcome(section.name, "bitflip", pos, outcome, detail)
-            )
-    with open(path, "wb") as handle:
-        handle.write(pristine)
-    return outcomes
-
-
-def run_truncation_sweep(
-    path: str, values: np.ndarray, sections: list[Section]
-) -> list[FaultOutcome]:
-    """Truncate the file at (and just past) every section boundary."""
-    pristine = open(path, "rb").read()
-    outcomes = []
-    cut_points = sorted(
-        {s.offset for s in sections}
-        | {s.offset + s.length for s in sections}
-        | {len(pristine) - 1}
-    )
-    for cut in cut_points:
-        if cut >= len(pristine):
-            continue
-        with open(path, "wb") as handle:
-            handle.write(pristine[:cut])
-        try:
-            restored = ColumnFileReader(path).read_all()
-        except IntegrityError as exc:
-            outcome, detail = "detected", f"strict: {type(exc).__name__}"
-        else:
-            if np.array_equal(
-                restored.view(np.uint64), values.view(np.uint64)
-            ):
-                outcome, detail = "correct", "strict: bit-identical"
-            else:
-                outcome, detail = (
-                    "silent-garbage",
-                    "truncated file read back wrong values",
-                )
-        outcomes.append(
-            FaultOutcome("file", "truncate", cut, outcome, detail)
-        )
-    with open(path, "wb") as handle:
-        handle.write(pristine)
-    return outcomes
-
-
-def run_fault_sweep(directory: str | None = None) -> list[FaultOutcome]:
-    """The v3 sweep; returns every outcome (callers check for garbage)."""
-    values = _make_values()
-    with tempfile.TemporaryDirectory(dir=directory) as tmp:
-        path = os.path.join(tmp, "faults.alpc")
-        write_fault_file(path, values)
-        sections = enumerate_sections(path)
-        outcomes = run_bitflip_sweep(path, values, sections)
-        outcomes += run_truncation_sweep(path, values, sections)
-    return outcomes
-
-
-# -- format v4 (multi-column tables) ----------------------------------
-
-
-def _make_table() -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """The v4 sweep's table: float, nullable int, and string columns."""
+def _make_table() -> TableRead:
+    """The default sweep's table: float, nullable int, and string columns."""
     rng = np.random.default_rng(17)
     n = FAULT_VALUE_COUNT
     columns = {
@@ -277,9 +109,6 @@ def write_fault_table(
     validity: dict[str, np.ndarray],
 ) -> None:
     """Write the sweep's small multi-row-group v4 table file."""
-    from repro.storage.schema import FLOAT64, INT64, STRING, Column, Schema
-    from repro.storage.tablefile import TableFileWriter
-
     schema = Schema(
         (
             Column("f", FLOAT64),
@@ -296,10 +125,8 @@ def write_fault_table(
         writer.write_rows(columns, validity=validity)
 
 
-def enumerate_table_sections(path: str) -> list[Section]:
-    """Name every byte range of a v4 table file, in file order."""
-    from repro.storage.tablefile import TableFileReader
-
+def enumerate_sections(path: str) -> list[Section]:
+    """Name every byte range of an ALPC file, in file order."""
     file_size = os.path.getsize(path)
     with TableFileReader(path) as reader:
         sections = [Section("header", 0, reader.header_length)]
@@ -307,9 +134,7 @@ def enumerate_table_sections(path: str) -> list[Section]:
             for name in reader.schema.names:
                 meta = reader.chunk_meta(rg, name)
                 sections.append(
-                    Section(
-                        f"chunk[{rg},{name}]", meta.offset, meta.length
-                    )
+                    Section(f"chunk[{rg},{name}]", meta.offset, meta.length)
                 )
         sections.append(
             Section("footer", reader.footer_offset, reader.footer_length)
@@ -333,10 +158,7 @@ def _column_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.array_equal(a, b))
 
 
-def _table_equal(
-    got: tuple[dict[str, np.ndarray], dict[str, np.ndarray]],
-    want: tuple[dict[str, np.ndarray], dict[str, np.ndarray]],
-) -> bool:
+def _table_equal(got: TableRead, want: TableRead) -> bool:
     got_vals, got_valid = got
     want_vals, want_valid = want
     if set(got_vals) != set(want_vals) or set(got_valid) != set(want_valid):
@@ -348,18 +170,15 @@ def _table_equal(
     )
 
 
-def _expected_minus_rowgroups(
-    columns: dict[str, np.ndarray],
-    validity: dict[str, np.ndarray],
-    dropped: set[int],
-    rowgroup_count: int,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+def _minus_rowgroups(
+    reference: TableRead, rows: list[int], dropped: set[int]
+) -> TableRead:
     """The table minus whole row-groups (the quarantine unit: a corrupt
     chunk removes its row-group's *rows* from every column)."""
-    rg_rows = FAULT_ROWGROUP_VECTORS * FAULT_VECTOR_SIZE
+    bounds = np.cumsum([0, *rows])
     keep = [
-        slice(rg * rg_rows, (rg + 1) * rg_rows)
-        for rg in range(rowgroup_count)
+        slice(int(bounds[rg]), int(bounds[rg + 1]))
+        for rg in range(len(rows))
         if rg not in dropped
     ]
 
@@ -368,42 +187,41 @@ def _expected_minus_rowgroups(
             return arr[:0]
         return np.concatenate([arr[s] for s in keep])
 
+    values, validity = reference
     return (
-        {k: cut(v) for k, v in columns.items()},
+        {k: cut(v) for k, v in values.items()},
         {k: cut(v) for k, v in validity.items()},
     )
 
 
-def _classify_table_read(
-    path: str,
-    columns: dict[str, np.ndarray],
-    validity: dict[str, np.ndarray],
-    section: Section,
+def _classify_read(
+    path: str, reference: TableRead, rows: list[int], section: Section
 ) -> tuple[str, str]:
-    """Read a damaged v4 table strictly and degraded; classify."""
-    from repro.storage.tablefile import TableFileReader
-
+    """Read a damaged file strictly and degraded; classify the outcome."""
+    # Strict read: the only acceptable results are a typed integrity
+    # error or bit-identical values.
     try:
         with TableFileReader(path) as reader:
             restored = reader.read_columns()
     except IntegrityError as exc:
         strict = ("detected", f"strict: {type(exc).__name__}")
     else:
-        if _table_equal(restored, (columns, validity)):
-            strict = ("correct", "strict: bit-identical")
-        else:
+        if not _table_equal(restored, reference):
             return (
                 "silent-garbage",
-                "strict table read returned wrong values without raising",
+                "strict read returned wrong values without raising",
             )
+        strict = ("correct", "strict: bit-identical")
 
+    # Degraded read over chunk damage must additionally keep every
+    # *other* row and report the quarantine; header/footer/trailer
+    # damage has no payload to salvage, so a typed error is the answer.
     if not section.name.startswith("chunk"):
         return strict
     try:
         with TableFileReader(path, degraded=True) as reader:
             restored = reader.read_columns()
             report = reader.scan_report()
-            rowgroup_count = reader.rowgroup_count
     except IntegrityError as exc:
         return ("detected", f"degraded: {type(exc).__name__}")
     if strict[0] == "correct":
@@ -411,17 +229,13 @@ def _classify_table_read(
     if report.chunks_quarantined == 0:
         return (
             "silent-garbage",
-            "degraded table read reported nothing for a damaged chunk",
+            "degraded read reported nothing for a damaged chunk",
         )
     dropped = {q.rowgroup for q in report.quarantined}
-    expected = _expected_minus_rowgroups(
-        columns, validity, dropped, rowgroup_count
-    )
-    if not _table_equal(restored, expected):
+    if not _table_equal(restored, _minus_rowgroups(reference, rows, dropped)):
         return (
             "silent-garbage",
-            "degraded table read damaged values outside the "
-            "quarantined row-group",
+            "degraded read damaged values outside the quarantined row-group",
         )
     return (
         "detected",
@@ -430,21 +244,29 @@ def _classify_table_read(
     )
 
 
-def run_table_fault_sweep(
-    directory: str | None = None,
-) -> list[FaultOutcome]:
-    """The v4 sweep: bit-flips in every section, truncation at every
-    boundary, zero silent garbage tolerated."""
-    from repro.storage.tablefile import TableFileReader
+def _strict_truncated_read(
+    path: str, reference: TableRead
+) -> tuple[str, str]:
+    try:
+        with TableFileReader(path) as reader:
+            restored = reader.read_columns()
+    except IntegrityError as exc:
+        return "detected", f"strict: {type(exc).__name__}"
+    if _table_equal(restored, reference):
+        return "correct", "strict: bit-identical"
+    return "silent-garbage", "truncated file read back wrong values"
 
-    columns, validity = _make_table()
+
+def sweep_file(path: str, reference: TableRead) -> list[FaultOutcome]:
+    """Bit-flip every section of ``path``, then truncate it at every
+    section boundary; the file is restored afterwards."""
+    sections = enumerate_sections(path)
+    with TableFileReader(path) as reader:
+        rows = [reader.rowgroup_rows(rg) for rg in range(reader.rowgroup_count)]
+    with open(path, "rb") as handle:
+        pristine = handle.read()
     outcomes = []
-    with tempfile.TemporaryDirectory(dir=directory) as tmp:
-        path = os.path.join(tmp, "faults_v4.alpc")
-        write_fault_table(path, columns, validity)
-        sections = enumerate_table_sections(path)
-        pristine = open(path, "rb").read()
-
+    try:
         for section in sections:
             if section.length == 0:
                 continue
@@ -456,15 +278,10 @@ def run_table_fault_sweep(
                 damaged[pos] ^= 0x10
                 with open(path, "wb") as handle:
                     handle.write(damaged)
-                outcome, detail = _classify_table_read(
-                    path, columns, validity, section
-                )
+                outcome, detail = _classify_read(path, reference, rows, section)
                 outcomes.append(
-                    FaultOutcome(
-                        section.name, "bitflip", pos, outcome, detail
-                    )
+                    FaultOutcome(section.name, "bitflip", pos, outcome, detail)
                 )
-
         cut_points = sorted(
             {s.offset for s in sections}
             | {s.offset + s.length for s in sections}
@@ -475,27 +292,35 @@ def run_table_fault_sweep(
                 continue
             with open(path, "wb") as handle:
                 handle.write(pristine[:cut])
-            try:
-                with TableFileReader(path) as reader:
-                    restored = reader.read_columns()
-            except IntegrityError as exc:
-                outcome, detail = (
-                    "detected",
-                    f"strict: {type(exc).__name__}",
-                )
-            else:
-                if _table_equal(restored, (columns, validity)):
-                    outcome, detail = "correct", "strict: bit-identical"
-                else:
-                    outcome, detail = (
-                        "silent-garbage",
-                        "truncated table read back wrong values",
-                    )
-            outcomes.append(
-                FaultOutcome("file", "truncate", cut, outcome, detail)
-            )
+            outcome, detail = _strict_truncated_read(path, reference)
+            outcomes.append(FaultOutcome("file", "truncate", cut, outcome, detail))
+    finally:
         with open(path, "wb") as handle:
             handle.write(pristine)
+    return outcomes
+
+
+def run_fault_sweep(
+    directory: str | None = None, paths: "list[str] | tuple[str, ...]" = ()
+) -> list[FaultOutcome]:
+    """Sweep the default v4 table, or a temp copy of each of ``paths``;
+    returns every outcome (callers check for garbage)."""
+    outcomes: list[FaultOutcome] = []
+    with tempfile.TemporaryDirectory(dir=directory) as tmp:
+        if not paths:
+            reference = _make_table()
+            path = os.path.join(tmp, "faults.alpc")
+            write_fault_table(path, *reference)
+            return sweep_file(path, reference)
+        for i, source in enumerate(paths):
+            # One directory per copy keeps the file name, and with it
+            # the column name of a v2/v3 file.
+            os.mkdir(os.path.join(tmp, str(i)))
+            path = os.path.join(tmp, str(i), os.path.basename(source))
+            shutil.copyfile(source, path)
+            with TableFileReader(path) as reader:
+                reference = reader.read_columns()
+            outcomes += sweep_file(path, reference)
     return outcomes
 
 
@@ -503,28 +328,19 @@ def main(argv: list[str] | None = None) -> int:
     """Run the sweep; exit 1 on any silent-garbage outcome."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.faults",
-        description=(
-            "storage fault-injection sweep over every v3/v4 section"
-        ),
+        description="storage fault-injection sweep over every file section",
+    )
+    parser.add_argument(
+        "paths",
+        nargs="*",
+        help="ALPC files to sweep (a temp copy each); default: a fresh "
+        "multi-column v4 table",
     )
     parser.add_argument(
         "--json", action="store_true", help="emit outcomes as JSON"
     )
-    parser.add_argument(
-        "--format",
-        choices=("v3", "v4", "both"),
-        default="both",
-        help=(
-            "which on-disk format to sweep: the v3 single-column file, "
-            "the v4 multi-column table, or both (default)"
-        ),
-    )
     args = parser.parse_args(argv)
-    outcomes = []
-    if args.format in ("v3", "both"):
-        outcomes += run_fault_sweep()
-    if args.format in ("v4", "both"):
-        outcomes += run_table_fault_sweep()
+    outcomes = run_fault_sweep(paths=args.paths)
     garbage = [o for o in outcomes if o.outcome == "silent-garbage"]
     if args.json:
         print(

@@ -423,9 +423,14 @@ def _bench_io(repeats: int, calibration: float) -> BenchRecord:
         decompress,
     )
     from repro.data import get_dataset
-    from repro.storage.columnfile import ColumnFileReader, ColumnFileWriter
     from repro.storage.integrity import crc32c_reference
+    from repro.storage.schema import Column, Schema
     from repro.storage.serializer import deserialize_rowgroup, empty_stats
+    from repro.storage.tablefile import (
+        TableColumnReader,
+        TableFileReader,
+        TableFileWriter,
+    )
 
     values = get_dataset(
         QUERY_SUM_DATASET, n=KERNEL_VECTORS * KERNEL_VECTOR_SIZE
@@ -433,22 +438,25 @@ def _bench_io(repeats: int, calibration: float) -> BenchRecord:
     tmpdir = tempfile.mkdtemp(prefix="alp-bench-io-")
     path = f"{tmpdir}/io.alpc"
     try:
-        with ColumnFileWriter(path) as writer:
-            writer.write_values(values)
+        with TableFileWriter(path, Schema((Column("io"),))) as writer:
+            writer.write_rows({"io": values})
 
-        probe = ColumnFileReader(path, mmap=True)
+        probe = TableColumnReader.open(path, mmap=True)
         vector_size = probe.vector_size
         file_bits = sum(m.length * 8 for m in probe.metadata)
         probe.close()
 
         def legacy_cold_read() -> np.ndarray:
-            reader = ColumnFileReader(path)
+            reader = TableFileReader(path)
             chunks = []
-            for index, meta in enumerate(reader.metadata):
-                payload = bytes(reader.rowgroup_payload(index))
+            for index in range(reader.rowgroup_count):
+                payload = bytes(reader.chunk_payload(index, "io"))
+                meta = reader.chunk_meta(index, "io")
                 if crc32c_reference(payload) != meta.payload_crc:
                     raise ValueError("checksum mismatch")
-                rowgroup, _ = deserialize_rowgroup(payload, 0)
+                # Past the 6-byte frame of a null-free float chunk:
+                # flags (u8), codec tag (u8), payload length (u32).
+                rowgroup, _ = deserialize_rowgroup(payload, 6)
                 column = CompressedRowGroups(
                     rowgroups=(rowgroup,),
                     count=rowgroup.count,
@@ -462,7 +470,7 @@ def _bench_io(repeats: int, calibration: float) -> BenchRecord:
         target = np.empty(values.size, dtype=np.float64)
 
         def mmap_cold_read() -> np.ndarray:
-            reader = ColumnFileReader(path, mmap=True)
+            reader = TableColumnReader.open(path, mmap=True)
             reader.read_all(out=target)
             reader.close()
             return target
@@ -472,7 +480,7 @@ def _bench_io(repeats: int, calibration: float) -> BenchRecord:
         )
         mmap_mbps = _per_vector_mbps(mmap_cold_read, values.nbytes, repeats)
 
-        warm_reader = ColumnFileReader(path, mmap=True)
+        warm_reader = TableColumnReader.open(path, mmap=True)
         warm_reader.read_all(out=target)  # prime checksum verdicts
         warm_mbps = _per_vector_mbps(
             lambda: warm_reader.read_all(out=target), values.nbytes, repeats

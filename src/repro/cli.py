@@ -5,8 +5,8 @@ Subcommands:
 - ``compress IN.f64 OUT.alpc`` — compress a raw little-endian float64
   file (or ``.npy``) into the ALPC column format,
 - ``decompress IN.alpc OUT.f64`` — decompress back to raw float64,
-- ``inspect FILE.alpc`` — print row-group metadata, zone maps and the
-  per-row-group scheme/size breakdown,
+- ``inspect FILE.alpc`` — print the schema and per-chunk sizes, null
+  counts and zone maps (any format version),
 - ``ratio [--codec ...] [--n N] DATASET...`` — measure bits/value of
   any registered codec on the synthetic paper datasets,
 - ``datasets`` — list the 30 synthetic datasets and their fingerprints,
@@ -15,8 +15,8 @@ Subcommands:
 - ``verify PATH`` — walk a column file or dataset directory and report
   every corrupt section (``--json`` for machine-readable output;
   nonzero exit when damage is found),
-- ``repair IN.alpc OUT.alpc`` — rewrite a damaged file keeping every
-  intact row-group,
+- ``repair IN.alpc OUT.alpc`` — rewrite a damaged file (any version)
+  into a v4 file keeping every intact row-group,
 - ``bench [--out BENCH.json] [--kernels]`` — run the structured
   benchmark sweep (optionally plus the kernel micro-benchmarks) and
   emit the machine-readable ``BENCH_*.json`` record document,
@@ -86,33 +86,6 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    from repro.storage import ColumnFileReader
-    from repro.storage.tablefile import (
-        FORMAT_VERSION_V4,
-        file_format_version,
-    )
-
-    if file_format_version(args.input) >= FORMAT_VERSION_V4:
-        return _inspect_table(args)
-    reader = ColumnFileReader(args.input)
-    print(f"{args.input}: {reader.value_count:,} values in "
-          f"{reader.rowgroup_count} row-groups "
-          f"(vector size {reader.vector_size})")
-    print(f"{'rg':>4} {'scheme':>7} {'values':>9} {'bytes':>10} "
-          f"{'bits/val':>9} {'min':>14} {'max':>14}")
-    for index, meta in enumerate(reader.metadata):
-        rowgroup = reader.read_rowgroup_compressed(index)
-        bits = 8 * meta.length / max(meta.count, 1)
-        print(
-            f"{index:>4} {rowgroup.scheme:>7} {meta.count:>9,} "
-            f"{meta.length:>10,} {bits:>9.2f} "
-            f"{meta.min_value:>14.6g} {meta.max_value:>14.6g}"
-            + ("  [non-finite]" if meta.has_non_finite else "")
-        )
-    return 0
-
-
-def _inspect_table(args: argparse.Namespace) -> int:
     from repro.storage.tablefile import TableFileReader
 
     with TableFileReader(args.input) as reader:
@@ -307,8 +280,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for file_report in file_reports:
         for section in file_report.bad_sections:
             where = (
-                f"row-group {section.index}"
-                if section.section == "rowgroup"
+                f"row-group {section.index} column {section.column!r}"
+                if section.section == "chunk"
                 else section.section
             )
             print(

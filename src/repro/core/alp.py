@@ -242,6 +242,18 @@ def alp_decode_vector_scalar(vector: AlpVector) -> np.ndarray:
     return np.asarray(out, dtype=np.float64)
 
 
+def _exception_sum(values: np.ndarray) -> float:
+    """Pairwise ``np.sum`` of exception doubles.
+
+    ``inf + -inf`` is NaN and ``max + max`` is inf by IEEE rules — the
+    same results the decoded path produces — not errors, so numpy's
+    "invalid value" and "overflow" warnings are silenced here, on the
+    exception branch only.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.sum(values))
+
+
 def alp_sum_vector(vector: AlpVector) -> float:
     """SUM of one vector in the encoded domain (late materialization).
 
@@ -265,9 +277,7 @@ def alp_sum_vector(vector: AlpVector) -> float:
     if vector.count == 0:
         return 0.0
     n_exceptions = vector.exception_count
-    exc_sum = (
-        float(np.sum(vector.exc_values)) if n_exceptions else 0.0
-    )
+    exc_sum = _exception_sum(vector.exc_values) if n_exceptions else 0.0
     if obs.ENABLED:
         obs.metrics.counter_add("alp.vectors_summed_encoded", 1)
     if n_exceptions == vector.count:
@@ -298,9 +308,7 @@ def alp_sum_vector_reference(vector: AlpVector) -> float:
     if vector.count == 0:
         return 0.0
     n_exceptions = vector.exception_count
-    exc_sum = (
-        float(np.sum(vector.exc_values)) if n_exceptions else 0.0
-    )
+    exc_sum = _exception_sum(vector.exc_values) if n_exceptions else 0.0
     if n_exceptions == vector.count:
         return exc_sum
     exclude = (

@@ -20,10 +20,6 @@ SPAN_NAMES: frozenset[str] = frozenset(
         "alprd.decode",
         "alprd.encode",
         "alprd.fit_parameters",
-        "columnfile.open",
-        "columnfile.read_rowgroup",
-        "columnfile.verify",
-        "columnfile.write",
         "compressor.compress",
         "compressor.compress_parallel",
         "compressor.decompress",
@@ -40,6 +36,7 @@ SPAN_NAMES: frozenset[str] = frozenset(
         "shard.scatter",
         "tablefile.open",
         "tablefile.scan",
+        "tablefile.verify",
         "tablefile.write",
     }
 )
@@ -64,18 +61,6 @@ COUNTER_NAMES: frozenset[str] = frozenset(
         "cache.evictions",
         "cache.hits",
         "cache.misses",
-        "columnfile.bytes_mapped",
-        "columnfile.bytes_read",
-        "columnfile.bytes_written",
-        "columnfile.checksum_failures",
-        "columnfile.rowgroups_quarantined",
-        "columnfile.rowgroups_read",
-        "columnfile.rowgroups_scanned",
-        "columnfile.rowgroups_skipped",
-        "columnfile.rowgroups_written",
-        "columnfile.values_quarantined",
-        "columnfile.vectors_decoded",
-        "columnfile.vectors_skipped",
         "compressor.combinations_tried",
         "compressor.compressed_bits",
         "compressor.exceptions_patched",
@@ -99,11 +84,9 @@ COUNTER_NAMES: frozenset[str] = frozenset(
         "query.dispatch_fallback",
         "query.dispatch_fastpath",
         "query.range_queries",
-        "query.rowgroups_pruned",
         "query.sum_encoded",
         "query.sum_queries",
         "query.values_scanned",
-        "query.vectors_pruned",
         "query.vectors_scanned",
         "sampler.candidates_kept",
         "sampler.combinations_tried",

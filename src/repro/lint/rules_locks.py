@@ -1,7 +1,7 @@
 """RL8 — lock discipline: guarded fields, blocking-under-lock, ordering.
 
 PR 5/7 made the serving path concurrent: `DecodedVectorCache`,
-`BufferPool` and `ColumnFileReader` all guard mutable state with a
+`BufferPool` and `TableFileReader` all guard mutable state with a
 `threading.Lock`.  Three hazards survive review by convention only:
 
 1. **Guarded-field consistency.**  A field mutated under ``with

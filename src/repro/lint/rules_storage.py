@@ -2,7 +2,7 @@
 
 The zero-copy read path hands row-group payloads around as
 ``memoryview`` slices of the (possibly mmap-backed) file image:
-:meth:`ColumnFileReader.rowgroup_payload` returns a view, CRC32C runs
+:meth:`TableFileReader.chunk_payload` returns a view, CRC32C runs
 directly over buffers, and ``deserialize_rowgroup`` reads from any
 object supporting the buffer protocol.  One ``bytes(view)`` call
 quietly reintroduces the full-payload copy the whole path exists to

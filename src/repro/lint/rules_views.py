@@ -9,8 +9,8 @@ object or module container, yielded from a generator after the owning
 closure that runs later.  Every one of those is a use-after-close (or a
 refused close) waiting for the right interleaving.
 
-A *view* is a name bound from ``<reader>.rowgroup_payload(...)`` or
-``memoryview(...)`` (slices of a view are views: subscripts of a tracked
+A *view* is a name bound from ``<reader>.rowgroup_payload(...)``,
+``<reader>.chunk_payload(...)`` or ``memoryview(...)`` (slices of a view are views: subscripts of a tracked
 name count too).  Under ``repro/server`` and ``repro/storage`` this rule
 flags:
 
@@ -25,7 +25,7 @@ flags:
 - **closure captures** — a nested ``def``/``lambda`` referencing a view
   name from the enclosing function: it can run after the view dies.
 
-The owner itself (``ColumnFileReader`` binding
+The owner itself (``TableFileReader`` binding
 ``memoryview(self._mmap)`` to ``self._data``) is the one legitimate
 store — it carries a justified ``# reprolint: ignore[RL10]``.
 """
@@ -44,7 +44,10 @@ _CONTAINER_METHODS = frozenset(
 
 def _is_view_source(call: ast.Call) -> bool:
     func = call.func
-    if isinstance(func, ast.Attribute) and func.attr == "rowgroup_payload":
+    if isinstance(func, ast.Attribute) and func.attr in (
+        "rowgroup_payload",
+        "chunk_payload",
+    ):
         return True
     if isinstance(func, ast.Name) and func.id == "memoryview":
         return True

@@ -24,6 +24,7 @@ from typing import Any, Callable, Iterator, Protocol
 import numpy as np
 
 from repro import obs
+from repro.alputil.bits import bits_to_double
 from repro.baselines.registry import get_codec
 from repro.core.alp import AlpVector, alp_decode_vector
 from repro.core.alprd import decode_vector_bits
@@ -31,6 +32,7 @@ from repro.core.compressor import CompressedRowGroups, compress
 from repro.core.constants import VECTOR_SIZE
 from repro.query.dispatch import register
 from repro.query.operators import register_encoded_source
+from repro.storage.tablefile import TableColumnReader
 
 
 @dataclass(frozen=True)
@@ -118,8 +120,6 @@ class AlpSource:
     column: CompressedRowGroups
 
     def vectors(self) -> Iterator[np.ndarray]:
-        from repro.alputil.bits import bits_to_double
-
         for rowgroup in self.column.rowgroups:
             if rowgroup.alp is not None:
                 for vector in rowgroup.alp.vectors:
@@ -144,8 +144,6 @@ class AlpSource:
         (in-memory columns carry no zone maps); per-vector FFOR-header
         rejection inside the encoded operators covers the skipping.
         """
-        from repro.alputil.bits import bits_to_double
-
         del value_range
         for rowgroup in self.column.rowgroups:
             if rowgroup.alp is not None:
@@ -335,14 +333,15 @@ def _split_array(
 
 @dataclass
 class FileColumnSource:
-    """Scan source over an on-disk ALPC column file.
+    """Scan source over one float64 column of an on-disk ALPC file.
 
     Decodes vector-at-a-time directly from the file's row-groups; with
-    ``value_range`` set, vector zone maps prune non-qualifying vectors
-    before any decoding happens (push-down into storage).
+    ``value_range`` set, the reader's zone-map pruning walk drops
+    non-qualifying row-groups and vectors before any decoding happens
+    (push-down into storage).
     """
 
-    reader: object  # repro.storage.columnfile.ColumnFileReader
+    reader: TableColumnReader
     value_range: tuple[float, float] | None = None
     #: Optional decoded-row-group cache (the serving layer's
     #: ``DecodedVectorCache``); full scans reuse decoded values across
@@ -367,10 +366,8 @@ class FileColumnSource:
         skips quarantined ones — the reader's ``scan_report()`` carries
         the structured account of what was dropped.
         """
-        from repro.storage.columnfile import ColumnFileReader
-
         return cls(
-            reader=ColumnFileReader(path, degraded=degraded),
+            reader=TableColumnReader.open(path, degraded=degraded),
             value_range=value_range,
             cache=cache,
         )
@@ -385,9 +382,10 @@ class FileColumnSource:
         rg_start, rg_stop = self._rg_bounds()
         if self.value_range is not None:
             low, high = self.value_range
-            for rg, _, values in self.reader.scan_range_vectors(low, high):
-                if rg_start <= rg < rg_stop:
-                    yield values
+            for _, _, values in self.reader.scan_range_vectors(
+                low, high, rg_start, rg_stop
+            ):
+                yield values
             return
         size = self.reader.vector_size
         for _, rowgroup in self.reader.iter_rowgroups(
@@ -402,57 +400,34 @@ class FileColumnSource:
         """Yield still-compressed batches straight off the file bytes.
 
         Covers the same values as :meth:`vectors`: the source's own
-        ``value_range`` restriction prunes by zone map exactly as the
-        decoded scan does, and a caller-supplied ``value_range`` hint
-        (from a filtered op) prunes further — withheld vectors cannot
-        contain qualifying values, so filtered results are unchanged.
-        Degraded readers quarantine corrupt row-groups on both paths.
+        ``value_range`` and a caller-supplied hint (from a filtered op)
+        are intersected and handed to the pruning walk — withheld
+        vectors cannot contain qualifying values, so filtered results
+        are unchanged.  Degraded readers quarantine corrupt row-groups
+        on both paths.
         """
-        from repro.alputil.bits import bits_to_double
-
-        restrictions = [
-            bounds
-            for bounds in (self.value_range, value_range)
-            if bounds is not None
-        ]
-        rg_start, rg_stop = self._rg_bounds()
-        for _, meta, rowgroup in self.reader.iter_rowgroups_compressed(
-            rg_start, rg_stop
+        ranges = [r for r in (self.value_range, value_range) if r is not None]
+        bounds = (
+            (max(low for low, _ in ranges), min(high for _, high in ranges))
+            if ranges
+            else None
+        )
+        for _, survivors, rowgroup in self.reader.iter_rowgroups_compressed(
+            bounds, *self._rg_bounds()
         ):
-            if any(
-                not meta.may_contain_range(low, high)
-                for low, high in restrictions
-            ):
-                obs.counter_add("query.rowgroups_pruned")
-                continue
-            zones = meta.vector_zones
             if rowgroup.alp is not None:
                 vectors = rowgroup.alp.vectors
-            else:
-                if rowgroup.rd is None:
-                    raise ValueError(
-                        "row-group has neither ALP nor ALP_rd payload"
+                for v in survivors:
+                    yield EncodedBatch(alp=vectors[v])
+                continue
+            parameters = rowgroup.rd.parameters
+            for v in survivors:
+                obs.counter_add("query.batches_fallback")
+                yield EncodedBatch(
+                    values=bits_to_double(
+                        decode_vector_bits(rowgroup.rd.vectors[v], parameters)
                     )
-                vectors = rowgroup.rd.vectors
-            for v_index, vector in enumerate(vectors):
-                zone = zones[v_index] if v_index < len(zones) else None
-                if zone is not None and any(
-                    not zone.may_contain_range(low, high)
-                    for low, high in restrictions
-                ):
-                    obs.counter_add("query.vectors_pruned")
-                    continue
-                if rowgroup.alp is not None:
-                    yield EncodedBatch(alp=vector)
-                else:
-                    obs.counter_add("query.batches_fallback")
-                    yield EncodedBatch(
-                        values=bits_to_double(
-                            decode_vector_bits(
-                                vector, rowgroup.rd.parameters
-                            )
-                        )
-                    )
+                )
 
     def partition(self, parts: int) -> list["FileColumnSource"]:
         # Partitioning a file source would need per-partition row-group
@@ -461,10 +436,8 @@ class FileColumnSource:
 
     @property
     def value_count(self) -> int:
-        if self.rowgroups is None:
-            return self.reader.value_count
-        start, stop = self.rowgroups
-        return sum(m.count for m in self.reader.metadata[start:stop])
+        start, stop = self._rg_bounds()
+        return sum(self.reader.rowgroup_rows(i) for i in range(start, stop))
 
     @property
     def compressed_bits(self) -> int:

@@ -9,7 +9,7 @@ decompression once per resident row-group instead of once per request.
 The cache is deliberately storage-agnostic: :meth:`get_or_load` takes a
 loader callable, so the same instance backs the server's request
 handlers *and* the local query engine
-(``FileColumnSource(cache=...)`` / ``ColumnFileReader`` scans accept a
+(``FileColumnSource(cache=...)`` / ``TableColumnReader`` scans accept a
 cache).  Entries are marked read-only before insertion — every consumer
 sees the same array, so a writable view would let one request corrupt
 another's results.

@@ -1,8 +1,8 @@
 """The served-dataset registry: names -> open, cache-aware column readers.
 
-A server serves what is *registered*: single-column ``.alpc`` files (one
-column, named after the file stem), v4 multi-column table files (one
-served column per non-nullable float64 schema column), or
+A server serves what is *registered*: ``.alpc`` files of any format
+version (one served column per non-nullable float64 schema column; a
+v2/v3 file is one column named after the file stem), or
 ``alpc-dataset`` directories (one column per manifest entry).
 Registration opens readers eagerly —
 header/footer verification happens at startup, not on the first request
@@ -32,19 +32,13 @@ import numpy as np
 from repro.server import protocol
 from repro.server.bufferpool import BufferPool
 from repro.server.cache import DecodedVectorCache
-from repro.storage.columnfile import ColumnFileReader, ScanReport
 from repro.storage.dataset_dir import MANIFEST_NAME, DatasetReader
 from repro.storage.schema import FLOAT64, Column, Schema
 from repro.storage.tablefile import (
-    FORMAT_VERSION_V4,
+    ScanReport,
     TableColumnReader,
     TableFileReader,
-    file_format_version,
 )
-
-#: Any reader a served column may sit on: the classic single-column
-#: reader or the per-column view of a v4 table (identical surface).
-ServedReader = ColumnFileReader | TableColumnReader
 
 
 class ServedColumn:
@@ -61,7 +55,7 @@ class ServedColumn:
         dataset: str,
         column: str,
         path: str,
-        reader: ServedReader,
+        reader: TableColumnReader,
         cache: DecodedVectorCache | None,
         pool: BufferPool | None = None,
     ) -> None:
@@ -207,7 +201,10 @@ class ServedColumn:
             "vector_size": self.reader.vector_size,
             "bits_per_value": self.bits_per_value,
             "format_version": self.reader.format_version,
-            "rowgroup_rows": [m.count for m in self.reader.metadata],
+            "rowgroup_rows": [
+                self.reader.rowgroup_rows(i)
+                for i in range(self.reader.rowgroup_count)
+            ],
         }
 
 
@@ -228,63 +225,44 @@ class DatasetRegistry:
         self.pool = pool
         #: dataset name -> column name -> ServedColumn
         self._datasets: dict[str, dict[str, ServedColumn]] = {}
-        #: dataset name -> schema (synthesized for v2/v3 sources)
+        #: dataset name -> schema (synthesized for dataset directories)
         self._schemas: dict[str, Schema] = {}
 
     def register_file(
         self, path: str | os.PathLike, name: str | None = None
     ) -> str:
-        """Serve one ``.alpc`` file (column file or v4 table) as a dataset.
+        """Serve one ``.alpc`` file (any format version) as a dataset.
 
-        A v2/v3 single-column file serves one column named after the
-        file stem; a v4 table serves every *non-nullable float64*
-        schema column (the float query pipeline's domain — nullable,
-        integer and string columns are visible in the dataset's schema
-        but not servable).
+        Every *non-nullable float64* schema column is served (the float
+        query pipeline's domain — nullable, integer and string columns
+        are visible in the dataset's schema but not servable); a v2/v3
+        file is one such column, named after the file stem.
         """
         file_path = Path(path)
         dataset = name or file_path.stem
         if dataset in self._datasets:
             raise ValueError(f"dataset {dataset!r} is already registered")
-        if file_format_version(file_path) >= FORMAT_VERSION_V4:
-            table = TableFileReader(
-                file_path, degraded=self.degraded, mmap=self.mmap
-            )
-            served = {
-                col.name: ServedColumn(
-                    dataset=dataset,
-                    column=col.name,
-                    path=str(file_path),
-                    reader=table.column_reader(col.name),
-                    cache=self.cache,
-                    pool=self.pool,
-                )
-                for col in table.schema
-                if col.type == FLOAT64 and not col.nullable
-            }
-            if not served:
-                table.close()
-                raise ValueError(
-                    f"{file_path}: no servable (non-nullable float64) "
-                    f"columns in schema {list(table.schema.names)}"
-                )
-            self._datasets[dataset] = served
-            self._schemas[dataset] = table.schema
-            return dataset
-        reader = ColumnFileReader(
-            file_path, degraded=self.degraded, mmap=self.mmap
-        )
-        self._datasets[dataset] = {
-            file_path.stem: ServedColumn(
+        table = TableFileReader(file_path, degraded=self.degraded, mmap=self.mmap)
+        served = {
+            col.name: ServedColumn(
                 dataset=dataset,
-                column=file_path.stem,
+                column=col.name,
                 path=str(file_path),
-                reader=reader,
+                reader=table.column_reader(col.name),
                 cache=self.cache,
                 pool=self.pool,
             )
+            for col in table.schema
+            if col.type == FLOAT64 and not col.nullable
         }
-        self._schemas[dataset] = Schema((Column(file_path.stem),))
+        if not served:
+            table.close()
+            raise ValueError(
+                f"{file_path}: no servable (non-nullable float64) "
+                f"columns in schema {list(table.schema.names)}"
+            )
+        self._datasets[dataset] = served
+        self._schemas[dataset] = table.schema
         return dataset
 
     def register_dataset(
@@ -303,7 +281,7 @@ class DatasetRegistry:
                 dataset=dataset,
                 column=column,
                 path=str(file_path),
-                reader=ColumnFileReader(
+                reader=TableColumnReader.open(
                     file_path, degraded=self.degraded, mmap=self.mmap
                 ),
                 cache=self.cache,
@@ -338,9 +316,9 @@ class DatasetRegistry:
     def schema(self, dataset: str) -> Schema:
         """The schema of a registered dataset.
 
-        v4 tables report their stored schema (including columns that
-        are not servable through the float pipeline); v2/v3 files and
-        dataset directories report a synthesized all-float64 schema.
+        Files report their stored schema (including columns that are
+        not servable through the float pipeline); dataset directories
+        report a synthesized all-float64 schema.
         """
         schema = self._schemas.get(dataset)
         if schema is None:

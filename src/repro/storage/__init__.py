@@ -1,4 +1,4 @@
-"""Columnar storage: serialization and a skippable column-file format.
+"""Columnar storage: serialization and a skippable table-file format.
 
 The paper's central systems argument for lightweight encodings is that —
 unlike block-based general-purpose compression — one can *skip through*
@@ -8,38 +8,30 @@ scans.  This subpackage makes that concrete:
 - :mod:`repro.storage.serializer` — byte-level (de)serialization of
   compressed row-groups (every dataclass in :mod:`repro.core` has an
   exact binary layout here),
-- :mod:`repro.storage.columnfile` — an on-disk column format with
-  per-row-group and per-vector zone maps, offset indexes, and a scan
-  API that skips non-qualifying row-groups/vectors without touching
-  (let alone decompressing) their bytes,
 - :mod:`repro.storage.schema` / :mod:`repro.storage.tablefile` —
-  format v4: schema-described multi-column tables (null bitmaps, int64
-  and string columns, per-column chunk offsets inside each row-group)
-  with typed zone maps; the table reader also opens v2/v3 files as
-  one-column tables,
+  format v4, the one written format: schema-described tables (null
+  bitmaps, int64 and string columns, per-column chunk offsets inside
+  each row-group) with typed per-chunk and per-vector zone maps that
+  let scans skip row-groups/vectors without touching their bytes; the
+  one reader also opens the read-only v2/v3 single-column files,
 - :mod:`repro.storage.integrity` / :mod:`repro.storage.errors` —
-  CRC32C checksums (format v3) and the typed corruption errors the
-  verifying read path raises,
+  CRC32C checksums and the typed corruption errors the verifying read
+  path raises,
 - :mod:`repro.storage.verify` — section-by-section integrity walks and
-  copy-intact-row-groups repair (``alp-repro verify`` / ``repair``).
+  copy-intact-chunks repair (``alp-repro verify`` / ``repair``).
 
-See ``docs/STORAGE.md`` for the v3 byte layout and the quarantine
-semantics of degraded reads.
+See ``docs/FORMAT.md`` for the byte layouts and ``docs/STORAGE.md`` for
+the quarantine semantics of degraded reads.
 """
 
 from repro.storage.dataset_dir import DatasetReader, write_dataset
-from repro.storage.columnfile import (
-    ColumnFileReader,
-    ColumnFileWriter,
-    QuarantinedRowGroup,
-    RowGroupMeta,
-    ScanReport,
-    VectorZone,
-)
 from repro.storage.schema import Column, Schema
 from repro.storage.tablefile import (
+    ChunkMeta,
     ChunkZone,
     QuarantinedChunk,
+    QuarantinedRowGroup,
+    ScanReport,
     TableColumnReader,
     TableFileReader,
     TableFileWriter,
@@ -71,10 +63,9 @@ from repro.storage.serializer_f32 import (
 )
 
 __all__ = [
+    "ChunkMeta",
     "ChunkZone",
     "Column",
-    "ColumnFileReader",
-    "ColumnFileWriter",
     "CorruptFileError",
     "CorruptRowGroupError",
     "DatasetReader",
@@ -84,14 +75,12 @@ __all__ = [
     "QuarantinedChunk",
     "QuarantinedRowGroup",
     "RepairReport",
-    "RowGroupMeta",
     "ScanReport",
     "Schema",
     "TableColumnReader",
     "TableFileReader",
     "TableFileWriter",
     "TableScanReport",
-    "VectorZone",
     "crc32c",
     "deserialize_float_column",
     "deserialize_rowgroup",

@@ -1,8 +1,8 @@
 """A multi-column dataset on disk: one ALPC file per column + manifest.
 
-The single-column ALPC format composes into tables the way columnar
-stores do it: a directory with one compressed file per column and a JSON
-manifest recording names, row counts and file layout.  The reader opens
+One-column ALPC files compose into tables the way columnar stores do
+it: a directory with one compressed file per column and a JSON manifest
+recording names, row counts and file layout.  The reader opens
 columns lazily and can assemble a :class:`~repro.query.table.CompressedTable`
 backed directly by the files, so filtered queries push down into storage
 via the vector zone maps.
@@ -12,7 +12,9 @@ Layout::
     dataset_dir/
       manifest.json     {"format": "alpc-dataset", "version": 1,
                          "rows": N, "columns": {"name": "name.alpc", ...}}
-      <column>.alpc     one per column
+      <column>.alpc     one per column: a v4 file whose one float64
+                        column carries the manifest's column name
+                        (older datasets hold read-only v2/v3 files)
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from repro.core.constants import ROWGROUP_VECTORS, VECTOR_SIZE
-from repro.storage.columnfile import ColumnFileReader, ColumnFileWriter
+from repro.storage.schema import Column, Schema
+from repro.storage.tablefile import TableColumnReader, TableFileWriter
 
 if TYPE_CHECKING:
     from repro.api import CompressionOptions
@@ -54,10 +57,10 @@ def write_dataset(
 ) -> None:
     """Compress a dict of equally-long float64 arrays into a directory.
 
-    Column files are written atomically (temp + rename) and, unless
-    ``options.integrity`` is off, in the checksummed v3 format; the
-    manifest is written last, also atomically, so a crashed write never
-    leaves a directory that parses but points at half-written columns.
+    Column files are written atomically (temp + rename) as one-column
+    v4 files; the manifest is written last, also atomically, so a
+    crashed write never leaves a directory that parses but points at
+    half-written columns.
     """
     if not columns:
         raise ValueError("a dataset needs at least one column")
@@ -74,15 +77,14 @@ def write_dataset(
         if filename in used_names:  # collision after sanitizing
             filename = f"{len(used_names)}_{filename}"
         used_names.add(filename)
-        with ColumnFileWriter(
+        with TableFileWriter(
             path / filename,
+            Schema((Column(name),)),
             vector_size=vector_size,
             rowgroup_vectors=rowgroup_vectors,
             options=options,
         ) as writer:
-            writer.write_values(
-                np.ascontiguousarray(values, dtype=np.float64)
-            )
+            writer.write_rows({name: values})
         manifest_columns[name] = filename
     manifest = {
         "format": FORMAT_NAME,
@@ -100,9 +102,9 @@ class DatasetReader:
 
     With ``degraded=True``, every column reader it opens quarantines
     corrupt row-groups instead of raising (see
-    :meth:`ColumnFileReader.scan_report` per column).  With
+    :meth:`TableColumnReader.scan_report` per column).  With
     ``mmap=True``, every column reader memory-maps its file for
-    zero-copy payload access (small/v2 files fall back to buffered).
+    zero-copy payload access (small files fall back to buffered).
     """
 
     def __init__(
@@ -127,7 +129,7 @@ class DatasetReader:
             )
         self._rows = int(manifest["rows"])
         self._files: dict[str, str] = dict(manifest["columns"])
-        self._readers: dict[str, ColumnFileReader] = {}
+        self._readers: dict[str, TableColumnReader] = {}
 
     @property
     def column_names(self) -> tuple[str, ...]:
@@ -147,13 +149,13 @@ class DatasetReader:
             )
         return self._files[column]
 
-    def _reader(self, column: str) -> ColumnFileReader:
+    def _reader(self, column: str) -> TableColumnReader:
         if column not in self._files:
             raise KeyError(
                 f"unknown column {column!r}; have {sorted(self._files)}"
             )
         if column not in self._readers:
-            self._readers[column] = ColumnFileReader(
+            self._readers[column] = TableColumnReader.open(
                 self._path / self._files[column],
                 degraded=self._degraded,
                 mmap=self._mmap,

@@ -30,7 +30,7 @@ class IntegrityError(ValueError):
 class BufferLifetimeError(RuntimeError):
     """A zero-copy reader was closed while exported views are still live.
 
-    Raised by ``ColumnFileReader.close()`` when payload ``memoryview``
+    Raised by ``TableFileReader.close()`` when payload ``memoryview``
     slices (or numpy arrays borrowing them) still reference the mmap.
     The map stays open and valid; drop the views and close again.
     """

@@ -1,10 +1,9 @@
-"""Multi-column table files — ALPC format version 4.
+"""ALPC table files: the one writer (format v4) and the one reader (v2-v4).
 
-Format v4 generalizes the single-column v3 layout (see
-``columnfile.py`` and docs/FORMAT.md) into a schema-described table:
+Format v4 is a schema-described table (see docs/FORMAT.md):
 
-- the 14-byte header is byte-compatible with v3 (``ALPC`` magic, u16
-  version = 4, u32 vector size, u32 CRC32C of the first 10 bytes);
+- the 14-byte header is ``ALPC`` magic, u16 version = 4, u32 vector
+  size and a u32 CRC32C of the first 10 bytes;
 - the body is a sequence of *row-groups*; inside each row-group every
   column of the schema gets its own independently-addressed **chunk**
   (validity bitmap + codec tag + encoded payload), so a reader seeks
@@ -14,33 +13,49 @@ Format v4 generalizes the single-column v3 layout (see
   both chunk and vector granularity (min/max over *valid* values plus
   a null count) — the zone maps drive predicate push-down that skips
   vectors without touching their payload bytes;
-- the trailer is identical to v3: u32 footer CRC, u64 footer offset,
+- the trailer is a u32 footer CRC, the u64 footer offset and the
   trailing magic.
 
 Codecs per logical type (see :mod:`repro.storage.schema`): float64
-columns store one serialized ALP/ALP_rd row-group per chunk (the exact
-bytes a v3 file would hold), int64 columns store per-vector FFOR or
-delta frames (chosen by encoded size unless pinned), and string
-columns store a sorted dictionary plus bit-packed codes.  Null slots
-are filled with a neutral value before encoding and masked back out by
-the validity bitmap on read.
+columns store one serialized ALP/ALP_rd row-group per chunk, int64
+columns store per-vector FFOR or delta frames (chosen by encoded size
+unless pinned), and string columns store a sorted dictionary plus
+bit-packed codes.  Null slots are filled with a neutral value before
+encoding and masked back out by the validity bitmap on read.
 
-:class:`TableFileReader` also opens v2/v3 files, presenting them as a
-one-column table, so every consumer of the table API reads all three
-format generations through the same entry point.
+The older single-column formats are read-only.  :class:`TableFileReader`
+opens a v3 file (checksummed) or a v2 file (no checksums) as a
+one-column table: its footer fills the same row-count and chunk tables
+the v4 footer does, and each row-group section is a bare serialized
+float row-group — a chunk without the flags/codec framing.  Everything
+above the footer parse is one code path for all three generations.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import mmap as _mmaplib
 import os
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Hashable,
+    Iterator,
+    Protocol,
+    Sequence,
+)
 
 import numpy as np
 
 from repro import obs
+from repro.alputil.bits import bits_to_double
 from repro.concurrency import create_lock
+from repro.core.alp import alp_decode_vector
+from repro.core.alprd import decode_vector_bits
 from repro.core.compressor import (
     CompressedRowGroup,
     CompressedRowGroups,
@@ -52,16 +67,6 @@ from repro.core.constants import ROWGROUP_VECTORS, VECTOR_SIZE
 from repro.encodings.bitpack import bit_width_required, pack_bits, unpack_bits
 from repro.encodings.delta import DeltaEncoded, delta_decode, delta_encode
 from repro.encodings.ffor import FforEncoded, ffor_decode, ffor_encode
-from repro.storage.columnfile import (
-    MAGIC,
-    MMAP_MIN_BYTES,
-    ColumnFileReader,
-    QuarantinedRowGroup,
-    RowGroupMeta,
-    ScanReport,
-    VectorZone,
-    _fsync_directory,
-)
 from repro.storage.errors import (
     BufferLifetimeError,
     CorruptFileError,
@@ -88,22 +93,34 @@ from repro.storage.serializer import (
 
 if TYPE_CHECKING:
     from repro.api import CompressionOptions
-    from repro.storage.columnfile import RowGroupCache
 
-import itertools
-import mmap as _mmaplib
-
+MAGIC = b"ALPC"
+FORMAT_VERSION_V2 = 2
+FORMAT_VERSION_V3 = 3
 FORMAT_VERSION_V4 = 4
+SUPPORTED_VERSIONS = (FORMAT_VERSION_V2, FORMAT_VERSION_V3, FORMAT_VERSION_V4)
 
+#: Files smaller than this stay on the buffered (slurp) read path even
+#: when ``mmap=True`` is requested: mapping cost and page-fault overhead
+#: beat one small sequential read only past a few pages.
+MMAP_MIN_BYTES = 1 << 16
+
+#: Header bytes before the header checksum (absent in v2).
 _HEADER_BODY = struct.calcsize("<4sHI")
-_HEADER_LEN_V4 = _HEADER_BODY + 4
-_TRAILER_LEN_V4 = 16
 
 #: Per-chunk footer entry: offset, length, payload CRC, zone flags,
 #: raw min, raw max (type-tagged 8-byte fields), null count, vectors.
 _CHUNK_ENTRY = struct.Struct("<QQIB8s8sQI")
 #: Per-vector zone entry: zone flags, raw min, raw max, null count.
 _VZONE_ENTRY = struct.Struct("<B8s8sI")
+
+#: v2/v3 footer entry per row-group (offset, length, count, min, max,
+#: non-finite flag, and from v3 on the payload CRC) and per vector.
+_LEGACY_ENTRY = {
+    FORMAT_VERSION_V2: struct.Struct("<QQQddB"),
+    FORMAT_VERSION_V3: struct.Struct("<QQQddBI"),
+}
+_LEGACY_ZONE = struct.Struct("<ddB")
 
 _ZONE_HAS_MINMAX = 1
 _ZONE_NON_FINITE = 2
@@ -132,8 +149,7 @@ def file_format_version(path: str | os.PathLike) -> int:
     """The ALPC format version of ``path`` (2, 3 or 4).
 
     Raises :class:`CorruptFileError` when the file is too short or the
-    magic does not match — version dispatch and corruption detection
-    share one entry point so every caller reports the same error.
+    magic does not match.
     """
     path = os.fspath(path)
     with open(path, "rb") as f:
@@ -141,6 +157,22 @@ def file_format_version(path: str | os.PathLike) -> int:
     if len(head) < _HEADER_BODY or head[:4] != MAGIC:
         raise CorruptFileError(path, "not an ALPC file (bad magic)")
     return int(struct.unpack_from("<H", head, 4)[0])
+
+
+def default_column_name(path: str | os.PathLike) -> str:
+    """The column name of a single-column file: its file stem."""
+    return os.path.splitext(os.path.basename(os.fspath(path)))[0] or "values"
+
+
+class RowGroupCache(Protocol):
+    """The cache contract bulk reads accept (see
+    :class:`repro.server.cache.DecodedVectorCache`): decoded row-group
+    values memoized under a ``(file path, rowgroup index)`` key."""
+
+    def get_or_load(
+        self, key: "Hashable", loader: "Callable[[], np.ndarray]"
+    ) -> np.ndarray:
+        ...
 
 
 def _to_bytes(data: "bytes | memoryview") -> bytes:
@@ -159,6 +191,20 @@ def _bitmap_to_validity(data: "bytes | memoryview", count: int) -> np.ndarray:
         np.frombuffer(data, dtype=np.uint8), count=count, bitorder="little"
     )
     return bits.astype(bool)
+
+
+def _fsync_directory(directory: str) -> None:
+    """Best-effort fsync of a directory entry after a rename."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
 
 
 # -- zone maps --------------------------------------------------------
@@ -232,6 +278,13 @@ def _vector_zones_typed(
     return tuple(zones)
 
 
+def _legacy_zone(low: float, high: float, special: int) -> ChunkZone:
+    """A v2/v3 float zone (NaN bounds meant "no finite value")."""
+    if math.isnan(low) or math.isnan(high):
+        return ChunkZone(None, None, bool(special), 0)
+    return ChunkZone(low, high, bool(special), 0)
+
+
 def _pack_bound(column: Column, value: "float | int | None") -> bytes:
     if value is None:
         return b"\x00" * 8
@@ -259,35 +312,6 @@ def _zone_flags(zone: ChunkZone) -> int:
     return flags
 
 
-def _float_lower(value: "float | int") -> float:
-    """Largest float <= value (conservative zone widening for int64)."""
-    f = float(value)
-    return f if f <= value else float(np.nextafter(f, -np.inf))
-
-
-def _float_upper(value: "float | int") -> float:
-    f = float(value)
-    return f if f >= value else float(np.nextafter(f, np.inf))
-
-
-def _zone_as_vectorzone(zone: ChunkZone) -> VectorZone:
-    """Project a typed chunk zone onto the float-domain VectorZone.
-
-    Integer bounds outside float53 precision are widened outward so the
-    float-domain test stays conservative; a boundless zone maps to the
-    NaN/NaN zone the v3 reader already treats as never-matching.
-    """
-    if zone.min_value is None or zone.max_value is None:
-        return VectorZone(
-            float("nan"), float("nan"), zone.has_non_finite
-        )
-    return VectorZone(
-        _float_lower(zone.min_value),
-        _float_upper(zone.max_value),
-        zone.has_non_finite,
-    )
-
-
 @dataclass(frozen=True)
 class ChunkMeta:
     """Footer entry for one (row-group, column) chunk."""
@@ -297,6 +321,9 @@ class ChunkMeta:
     payload_crc: int
     zone: ChunkZone
     vector_zones: tuple[ChunkZone, ...]
+
+
+# -- quarantine reports -----------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -347,6 +374,53 @@ class TableScanReport:
         }
 
 
+@dataclass(frozen=True)
+class QuarantinedRowGroup:
+    """One corrupt row-group of a single column a degraded reader skipped."""
+
+    index: int
+    offset: int
+    length: int
+    count: int
+    reason: str
+
+    def as_dict(self) -> dict[str, object]:
+        return {
+            "index": self.index,
+            "offset": self.offset,
+            "length": self.length,
+            "count": self.count,
+            "reason": self.reason,
+        }
+
+
+@dataclass(frozen=True)
+class ScanReport:
+    """Per-column quarantine account (the shape the server returns)."""
+
+    path: str
+    format_version: int
+    rowgroups_total: int
+    rowgroups_quarantined: int
+    values_quarantined: int
+    quarantined: tuple[QuarantinedRowGroup, ...]
+
+    @property
+    def clean(self) -> bool:
+        """True when nothing was quarantined."""
+        return self.rowgroups_quarantined == 0
+
+    def as_dict(self) -> dict[str, object]:
+        return {
+            "path": self.path,
+            "format_version": self.format_version,
+            "rowgroups_total": self.rowgroups_total,
+            "rowgroups_quarantined": self.rowgroups_quarantined,
+            "values_quarantined": self.values_quarantined,
+            "quarantined": [entry.as_dict() for entry in self.quarantined],
+        }
+
+
 # -- chunk encoding ---------------------------------------------------
 
 
@@ -374,15 +448,6 @@ def _fill_nulls(
     out = values.copy()
     out[~validity] = ""
     return out
-
-
-def _encode_float_payload(
-    values: np.ndarray, vector_size: int, force_scheme: "str | None"
-) -> bytes:
-    rowgroup, _, _ = compress_rowgroup(
-        values, vector_size=vector_size, force_scheme=force_scheme
-    )
-    return serialize_rowgroup(rowgroup)
 
 
 def _write_delta(w: ByteWriter, enc: DeltaEncoded) -> None:
@@ -470,6 +535,21 @@ def _encode_string_payload(values: np.ndarray) -> bytes:
     return w.getvalue()
 
 
+def chunk_frame(
+    tag: int, payload: "bytes | memoryview", bitmap: "bytes | None" = None
+) -> bytes:
+    """One on-disk chunk: flags, optional validity bitmap, codec tag, payload."""
+    w = ByteWriter()
+    w.u8(0 if bitmap is None else _CHUNK_HAS_NULLS)
+    if bitmap is not None:
+        w.u32(len(bitmap))
+        w.raw(bitmap)
+    w.u8(tag)
+    w.u32(len(payload))
+    w.raw(payload)  # type: ignore[arg-type]
+    return w.getvalue()
+
+
 def _encode_chunk(
     column: Column,
     values: np.ndarray,
@@ -477,41 +557,35 @@ def _encode_chunk(
     vector_size: int,
     codec: "str | None",
 ) -> bytes:
-    """Assemble one on-disk chunk: flags, bitmap, codec tag, payload."""
-    w = ByteWriter()
+    """Encode one column's slice of a row-group into a framed chunk."""
     has_nulls = validity is not None and not bool(validity.all())
-    w.u8(_CHUNK_HAS_NULLS if has_nulls else 0)
-    if validity is not None and has_nulls:
-        bitmap = _validity_to_bitmap(validity)
-        w.u32(len(bitmap))
-        w.raw(bitmap)
     filled = _fill_nulls(column, values, validity if has_nulls else None)
     if column.type == FLOAT64:
         force = codec if codec in ("alp", "alprd") else None
-        payload = _encode_float_payload(filled, vector_size, force)
-        tag = CODEC_FLOAT_ROWGROUP
+        rowgroup, _, _ = compress_rowgroup(
+            filled, vector_size=vector_size, force_scheme=force
+        )
+        payload, tag = serialize_rowgroup(rowgroup), CODEC_FLOAT_ROWGROUP
     elif column.type == INT64:
         payload, tag = _encode_int_payload(filled, vector_size, codec)
     else:
-        payload = _encode_string_payload(filled)
-        tag = CODEC_STRING_DICT
-    w.u8(tag)
-    w.u32(len(payload))
-    w.raw(payload)
-    return w.getvalue()
+        payload, tag = _encode_string_payload(filled), CODEC_STRING_DICT
+    bitmap = _validity_to_bitmap(validity) if has_nulls else None
+    return chunk_frame(tag, payload, bitmap)
 
 
 # -- writer -----------------------------------------------------------
 
 
 class TableFileWriter:
-    """Stream a multi-column table into ALPC format v4.
+    """Stream a multi-column table into ALPC format v4 (the only writer).
 
-    Same crash-safety contract as :class:`ColumnFileWriter`: all bytes
-    go to a temp file that is fsynced and atomically renamed over
-    ``path`` only when :meth:`close` completes.  Version 4 files always
-    carry CRC32C integrity sections — there is no un-checksummed v4
-    variant.
+    The writer is crash-safe: all bytes go to a temp file in the target
+    directory, which is fsynced and atomically renamed over ``path``
+    only when :meth:`close` completes.  Exiting the ``with`` block on an
+    exception (or calling :meth:`abort`) removes the temp file and
+    leaves the target path untouched.  :meth:`close` and :meth:`abort`
+    are both idempotent.  Every file carries CRC32C integrity sections.
     """
 
     def __init__(
@@ -568,6 +642,7 @@ class TableFileWriter:
 
     @property
     def path(self) -> str:
+        """The destination path (materializes on successful close)."""
         return self._path
 
     @property
@@ -646,40 +721,27 @@ class TableFileWriter:
         masks: dict[str, "np.ndarray | None"],
         n_rows: int,
     ) -> None:
-        metas: list[ChunkMeta] = []
+        chunks = []
         for col in self._schema:
             values = arrays[col.name]
             mask = masks[col.name]
             chunk = _encode_chunk(
                 col, values, mask, self._vector_size, self._codecs[col.name]
             )
-            offset = self._file.tell()
-            self._file.write(chunk)
-            if obs.ENABLED:
-                obs.metrics.counter_add("tablefile.chunks_written", 1)
-                obs.metrics.counter_add("tablefile.bytes_written", len(chunk))
-            metas.append(
-                ChunkMeta(
-                    offset=offset,
-                    length=len(chunk),
-                    payload_crc=crc32c(chunk),
-                    zone=_chunk_zone(col, values, mask),
-                    vector_zones=_vector_zones_typed(
-                        col, values, mask, self._vector_size
-                    ),
-                )
-            )
-        self._rows.append(n_rows)
-        self._chunks.append(metas)
+            zone = _chunk_zone(col, values, mask)
+            vzones = _vector_zones_typed(col, values, mask, self._vector_size)
+            chunks.append((chunk, ChunkMeta(0, 0, 0, zone, vzones)))
+        self.append_chunks(n_rows, chunks)
 
     def append_chunks(
-        self, n_rows: int, chunks: "list[tuple[bytes, ChunkMeta]]"
+        self, n_rows: int, chunks: "list[tuple[bytes | memoryview, ChunkMeta]]"
     ) -> None:
         """Append one row-group from already-encoded chunk bytes.
 
-        The repair path: intact chunks of a damaged file are copied
-        byte-for-byte (no recompression), reusing their zone maps while
-        checksums are recomputed from the bytes actually written.
+        Also the repair path: intact chunks of a damaged file are
+        copied byte-for-byte (no recompression), reusing their zone
+        maps, while offsets and checksums come from the bytes actually
+        written.
         """
         if self._closed:
             raise ValueError(f"writer for {self._path} is closed")
@@ -691,6 +753,9 @@ class TableFileWriter:
         for raw, meta in chunks:
             offset = self._file.tell()
             self._file.write(raw)
+            if obs.ENABLED:
+                obs.metrics.counter_add("tablefile.chunks_written", 1)
+                obs.metrics.counter_add("tablefile.bytes_written", len(raw))
             metas.append(
                 ChunkMeta(
                     offset=offset,
@@ -735,7 +800,11 @@ class TableFileWriter:
         return b"".join(parts)
 
     def close(self) -> None:
-        """Write footer + trailer, fsync, atomically publish (idempotent)."""
+        """Write footer + trailer, fsync, atomically publish (idempotent).
+
+        On any error the temp file is removed and the target path is
+        left exactly as it was.
+        """
         if self._closed:
             return
         try:
@@ -756,6 +825,7 @@ class TableFileWriter:
         self._closed = True
 
     def abort(self) -> None:
+        """Discard everything written so far; the target path is untouched."""
         if self._closed:
             return
         self._closed = True
@@ -777,7 +847,7 @@ class TableFileWriter:
             self.close()
 
 
-# -- parsed chunk -----------------------------------------------------
+# -- reader -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -790,23 +860,37 @@ class _ParsedChunk:
     payload_length: int
 
 
-# -- reader -----------------------------------------------------------
+def _decode_float_vector(rowgroup: CompressedRowGroup, v: int) -> np.ndarray:
+    """Decode vector ``v`` of a float row-group (ALP or ALP_rd)."""
+    if rowgroup.alp is not None:
+        return alp_decode_vector(rowgroup.alp.vectors[v])
+    return bits_to_double(
+        decode_vector_bits(rowgroup.rd.vectors[v], rowgroup.rd.parameters)
+    )
 
 
 class TableFileReader:
-    """Random-access reader over an ALPC table (v4) or column (v2/v3) file.
+    """Random-access reader over any ALPC file (format v2, v3 or v4).
 
-    v2/v3 files open through the same constructor and appear as a
-    one-column table (one non-nullable float64 column named after the
-    file stem); all v4-only structure is synthesized from the legacy
-    footer, so format dispatch lives here instead of in every caller.
+    A v2/v3 file reads as a one-column table: one non-nullable float64
+    column named after the file stem.
 
-    Same integrity contract as :class:`ColumnFileReader`, at chunk
-    granularity: header/footer checksums verify at open, chunk CRCs
-    verify lazily on first access, and ``degraded=True`` makes bulk
-    reads quarantine corrupt chunks — dropping the affected row-group's
-    *rows* from every requested column, so multi-column results stay
-    row-aligned — instead of raising.
+    Header and footer checksums verify at open; chunk checksums verify
+    lazily on first access (and are cached).  With ``degraded=True``
+    bulk reads quarantine corrupt chunks — dropping the affected
+    row-group's *rows* from every requested column, so multi-column
+    results stay row-aligned — instead of raising, recording them for
+    :meth:`scan_report`; direct chunk access (:meth:`read_chunk`)
+    always raises so a caller asking for specific bytes never silently
+    gets nothing.  v2 files carry no checksums: only decode failures
+    can be detected there.
+
+    With ``mmap=True`` the file is memory-mapped instead of slurped,
+    and every payload access runs over zero-copy ``memoryview`` slices
+    of the map (files below :data:`MMAP_MIN_BYTES` stay buffered).
+    Mapped readers have an explicit lifetime: :meth:`close` refuses
+    with a typed :class:`BufferLifetimeError` while payload views are
+    still alive, and every later access raises ``ValueError``.
     """
 
     def __init__(
@@ -820,25 +904,13 @@ class TableFileReader:
         self._degraded = degraded
         self._closed = False
         self._mmap: "_mmaplib.mmap | None" = None
-        self._legacy: "ColumnFileReader | None" = None
+        # One reader may be hammered from many threads (the serving
+        # layer shares readers across requests): the integrity
+        # bookkeeping is lock-protected so checksum verdicts and
+        # quarantine entries — and their obs counters — stay exact.
         self._integrity_lock = create_lock("TableFileReader._integrity_lock")
         self._quarantined: dict[tuple[int, int], CorruptRowGroupError] = {}
         self._checked: dict[tuple[int, int], "CorruptRowGroupError | None"] = {}
-        version = file_format_version(self._path)
-        if version < FORMAT_VERSION_V4:
-            self._legacy = ColumnFileReader(
-                self._path, degraded=degraded, mmap=mmap
-            )
-            stem = os.path.splitext(os.path.basename(self._path))[0] or "values"
-            self._schema = Schema((Column(stem, FLOAT64, nullable=False),))
-            self.format_version = self._legacy.format_version
-            self.vector_size = self._legacy.vector_size
-            self._data: "bytes | memoryview" = b""
-            self._rows: list[int] = [
-                m.count for m in self._legacy.metadata
-            ]
-            self._chunks: list[list[ChunkMeta]] = []
-            return
         with obs.span("tablefile.open"):
             if mmap and self._mmap_eligible():
                 with open(self._path, "rb") as f:
@@ -847,7 +919,7 @@ class TableFileReader:
                     )
                 # The reader owns this view; close() refuses while
                 # exported slices are live.  # reprolint: ignore[RL10]
-                self._data = memoryview(self._mmap)
+                self._data: "bytes | memoryview" = memoryview(self._mmap)
                 if obs.ENABLED:
                     obs.metrics.counter_add(
                         "tablefile.bytes_mapped", len(self._data)
@@ -860,8 +932,13 @@ class TableFileReader:
                 self._data = data
         try:
             self._parse_header_and_trailer()
-            self._parse_footer()
+            if self.format_version == FORMAT_VERSION_V4:
+                self._parse_footer()
+            else:
+                self._parse_legacy_footer()
         except BaseException:
+            # A failed open must not leak the map (there are no caller
+            # views yet, so this close cannot raise BufferLifetimeError).
             self._release_data()
             raise
 
@@ -875,14 +952,12 @@ class TableFileReader:
 
     @property
     def closed(self) -> bool:
-        if self._legacy is not None:
-            return self._legacy.closed
+        """True once :meth:`close` has released the underlying buffer."""
         return self._closed
 
     @property
     def mapped(self) -> bool:
-        if self._legacy is not None:
-            return self._legacy.mapped
+        """True when this reader serves payloads from an mmap."""
         return self._mmap is not None
 
     def _release_data(self) -> None:
@@ -894,10 +969,16 @@ class TableFileReader:
             self._mmap = None
 
     def close(self) -> None:
-        """Release the underlying buffer (idempotent; see v3 reader)."""
-        if self._legacy is not None:
-            self._legacy.close()
-            return
+        """Release the underlying buffer (idempotent).
+
+        On the mmap path every payload ``memoryview`` (and every numpy
+        array borrowing one) aliases the map, so closing while such
+        views are live would dangle them; CPython guards this with a
+        ``BufferError`` deep inside ``mmap``, which is re-surfaced here
+        as the typed :class:`BufferLifetimeError`.  The reader stays
+        open and fully usable after that error — drop the views and
+        close again.
+        """
         if self._closed:
             return
         data, self._data = self._data, b""
@@ -921,7 +1002,7 @@ class TableFileReader:
         self.close()
 
     def _require_open(self) -> None:
-        if self.closed:
+        if self._closed:
             raise ValueError(f"{self._path}: reader is closed")
 
     # -- open-time parsing --------------------------------------------
@@ -929,40 +1010,57 @@ class TableFileReader:
     def _corrupt(self, reason: str) -> CorruptFileError:
         return CorruptFileError(self._path, reason)
 
+    def _verify_crc(self, section: str, body: "bytes | memoryview", at: int) -> None:
+        stored = struct.unpack_from("<I", self._data, at)[0]
+        actual = crc32c(body)
+        if stored != actual:
+            obs.counter_add("tablefile.checksum_failures")
+            raise self._corrupt(
+                f"{section} checksum mismatch "
+                f"(stored 0x{stored:08x}, computed 0x{actual:08x})"
+            )
+
     def _parse_header_and_trailer(self) -> None:
         data = self._data
-        if len(data) < _HEADER_LEN_V4 + _TRAILER_LEN_V4 or data[:4] != MAGIC:
-            raise self._corrupt("not an ALPC table file (bad magic)")
+        if len(data) < _HEADER_BODY or data[:4] != MAGIC:
+            raise self._corrupt("not an ALPC file (bad magic)")
         version = struct.unpack_from("<H", data, 4)[0]
-        if version != FORMAT_VERSION_V4:
+        if version not in SUPPORTED_VERSIONS:
             raise self._corrupt(f"unsupported ALPC version {version}")
         self.format_version = version
         self.vector_size = struct.unpack_from("<I", data, 6)[0]
-        stored = struct.unpack_from("<I", data, _HEADER_BODY)[0]
-        actual = crc32c(data[:_HEADER_BODY])
-        if stored != actual:
-            obs.counter_add("tablefile.checksum_failures")
-            raise self._corrupt(
-                f"header checksum mismatch "
-                f"(stored 0x{stored:08x}, computed 0x{actual:08x})"
-            )
+        # v2 predates checksums: no header CRC and no footer CRC.
+        self.checksummed = version >= FORMAT_VERSION_V3
+        crc_len = 4 if self.checksummed else 0
+        self._header_len = _HEADER_BODY + crc_len
+        trailer_len = crc_len + 12
+        if len(data) < self._header_len + trailer_len:
+            raise self._corrupt("file truncated inside header/trailer")
+        if self.checksummed:
+            self._verify_crc("header", data[:_HEADER_BODY], _HEADER_BODY)
         if data[-4:] != MAGIC:
             raise self._corrupt("missing trailing magic (truncated file?)")
         self._footer_offset = struct.unpack_from("<Q", data, len(data) - 12)[0]
-        footer_end = len(data) - _TRAILER_LEN_V4
-        if not _HEADER_LEN_V4 <= self._footer_offset <= footer_end:
+        self._footer_end = len(data) - trailer_len
+        if not self._header_len <= self._footer_offset <= self._footer_end:
             raise self._corrupt(
                 f"footer offset {self._footer_offset} outside file bounds"
             )
-        self._header_len = _HEADER_LEN_V4
-        self._footer_end = footer_end
-        stored = struct.unpack_from("<I", data, footer_end)[0]
-        actual = crc32c(data[self._footer_offset : footer_end])
-        if stored != actual:
-            obs.counter_add("tablefile.checksum_failures")
+        if self.checksummed:
+            self._verify_crc(
+                "footer",
+                data[self._footer_offset : self._footer_end],
+                self._footer_end,
+            )
+
+    def _check_section(self, rowgroup: int, offset: int, length: int) -> None:
+        if not (
+            self._header_len <= offset
+            and offset + length <= self._footer_offset
+        ):
             raise self._corrupt(
-                f"footer checksum mismatch "
-                f"(stored 0x{stored:08x}, computed 0x{actual:08x})"
+                f"row-group {rowgroup} section [{offset}, {offset + length}) "
+                f"outside the payload area"
             )
 
     def _parse_footer(self) -> None:
@@ -988,7 +1086,7 @@ class TableFileReader:
                 for i in range(n_rowgroups)
             ]
             pos += 8 * n_rowgroups
-            self._chunks = []
+            self._chunks: list[list[ChunkMeta]] = []
             for rg in range(n_rowgroups):
                 metas: list[ChunkMeta] = []
                 for col in self._schema:
@@ -1005,15 +1103,7 @@ class TableFileReader:
                         n_vectors,
                     ) = _CHUNK_ENTRY.unpack_from(data, pos)
                     pos += _CHUNK_ENTRY.size
-                    if not (
-                        self._header_len <= offset
-                        and offset + length <= self._footer_offset
-                    ):
-                        raise self._corrupt(
-                            f"chunk (row-group {rg}, column {col.name!r}) "
-                            f"section [{offset}, {offset + length}) outside "
-                            f"the payload area"
-                        )
+                    self._check_section(rg, offset, length)
                     if pos + n_vectors * _VZONE_ENTRY.size > self._footer_end:
                         raise self._corrupt("footer truncated (zone maps)")
                     vzones = []
@@ -1048,6 +1138,58 @@ class TableFileReader:
         except struct.error as exc:
             raise self._corrupt(f"footer does not parse: {exc}") from exc
 
+    def _parse_legacy_footer(self) -> None:
+        """Fill the row and chunk tables from a v2/v3 footer.
+
+        Layout: u32 row-group count, one entry per row-group, then per
+        row-group a u32 vector count and one (min, max, non-finite)
+        zone per vector.
+        """
+        self._schema = Schema((Column(default_column_name(self._path)),))
+        data, end = self._data, self._footer_end
+        entry = _LEGACY_ENTRY[self.format_version]
+        try:
+            n_rowgroups = struct.unpack_from("<I", data, self._footer_offset)[0]
+            pos = self._footer_offset + 4
+            if pos + n_rowgroups * entry.size > end:
+                raise self._corrupt("footer truncated (row-group table)")
+            entries = [
+                entry.unpack_from(data, pos + i * entry.size)
+                for i in range(n_rowgroups)
+            ]
+            pos += n_rowgroups * entry.size
+            self._rows = []
+            self._chunks = []
+            for rg, (offset, length, count, low, high, special, *crc) in (
+                enumerate(entries)
+            ):
+                n_vectors = struct.unpack_from("<I", data, pos)[0]
+                pos += 4
+                if pos + n_vectors * _LEGACY_ZONE.size > end:
+                    raise self._corrupt("footer truncated (zone maps)")
+                zones = tuple(
+                    _legacy_zone(
+                        *_LEGACY_ZONE.unpack_from(data, pos + i * _LEGACY_ZONE.size)
+                    )
+                    for i in range(n_vectors)
+                )
+                pos += n_vectors * _LEGACY_ZONE.size
+                self._check_section(rg, offset, length)
+                self._rows.append(count)
+                self._chunks.append(
+                    [
+                        ChunkMeta(
+                            offset=offset,
+                            length=length,
+                            payload_crc=crc[0] if crc else 0,
+                            zone=_legacy_zone(low, high, special),
+                            vector_zones=zones,
+                        )
+                    ]
+                )
+        except struct.error as exc:
+            raise self._corrupt(f"footer does not parse: {exc}") from exc
+
     # -- shape --------------------------------------------------------
 
     @property
@@ -1060,8 +1202,6 @@ class TableFileReader:
 
     @property
     def rowgroup_count(self) -> int:
-        if self._legacy is not None:
-            return self._legacy.rowgroup_count
         return len(self._rows)
 
     @property
@@ -1076,21 +1216,35 @@ class TableFileReader:
     def path(self) -> str:
         return self._path
 
+    @property
+    def header_length(self) -> int:
+        return self._header_len
+
+    @property
+    def footer_offset(self) -> int:
+        return self._footer_offset
+
+    @property
+    def footer_length(self) -> int:
+        """Byte length of the footer (checksum/trailer excluded)."""
+        return self._footer_end - self._footer_offset
+
     def vector_count(self, column: str) -> int:
         """Number of vectors of one column across all row-groups."""
-        if self._legacy is not None:
-            self._schema.column(column)
-            return self._legacy.vector_count
         ci = self._schema.index(column)
         return sum(len(metas[ci].vector_zones) for metas in self._chunks)
+
+    def chunk_meta(self, rowgroup: int, column: str) -> ChunkMeta:
+        ci = self._schema.index(column)
+        return self._chunks[rowgroup][ci]
+
+    def rowgroup_rows(self, rowgroup: int) -> int:
+        return self._rows[rowgroup]
 
     # -- integrity ----------------------------------------------------
 
     def check_chunk(self, rowgroup: int, column: str) -> "CorruptRowGroupError | None":
         """Checksum-verify one chunk (cached; no raise)."""
-        if self._legacy is not None:
-            self._schema.column(column)
-            return self._legacy.check_rowgroup(rowgroup)
         self._require_open()
         ci = self._schema.index(column)
         key = (rowgroup, ci)
@@ -1099,15 +1253,16 @@ class TableFileReader:
                 return self._checked[key]
         meta = self._chunks[rowgroup][ci]
         err: "CorruptRowGroupError | None" = None
-        actual = crc32c(self._data[meta.offset : meta.offset + meta.length])
-        if actual != meta.payload_crc:
-            err = self._chunk_error(
-                rowgroup,
-                ci,
-                f"chunk checksum mismatch (stored 0x{meta.payload_crc:08x}, "
-                f"computed 0x{actual:08x})",
-                record=False,
-            )
+        if self.checksummed:
+            actual = crc32c(self._data[meta.offset : meta.offset + meta.length])
+            if actual != meta.payload_crc:
+                err = self._chunk_error(
+                    rowgroup,
+                    ci,
+                    f"chunk checksum mismatch (stored 0x{meta.payload_crc:08x}, "
+                    f"computed 0x{actual:08x})",
+                    record=False,
+                )
         with self._integrity_lock:
             if key not in self._checked:
                 self._checked[key] = err
@@ -1144,33 +1299,11 @@ class TableFileReader:
                 "tablefile.values_quarantined", self._rows[rowgroup]
             )
 
-    def scan_report(self) -> TableScanReport:
-        """The structured quarantine account of this reader so far."""
-        if self._legacy is not None:
-            legacy = self._legacy.scan_report()
-            name = self._schema.columns[0].name
-            entries = tuple(
-                QuarantinedChunk(
-                    rowgroup=q.index,
-                    column=name,
-                    offset=q.offset,
-                    length=q.length,
-                    count=q.count,
-                    reason=q.reason,
-                )
-                for q in legacy.quarantined
-            )
-            return TableScanReport(
-                path=self._path,
-                format_version=legacy.format_version,
-                chunks_total=legacy.rowgroups_total,
-                chunks_quarantined=len(entries),
-                values_quarantined=legacy.values_quarantined,
-                quarantined=entries,
-            )
+    def _quarantine_entries(self) -> list[QuarantinedChunk]:
+        """Every chunk quarantined so far, in (row-group, column) order."""
         with self._integrity_lock:
-            quarantined = sorted(self._quarantined.items())
-        entries = tuple(
+            entries = sorted(self._quarantined.items())
+        return [
             QuarantinedChunk(
                 rowgroup=rg,
                 column=self._schema.columns[ci].name,
@@ -1179,8 +1312,12 @@ class TableFileReader:
                 count=self._rows[rg],
                 reason=err.reason,
             )
-            for (rg, ci), err in quarantined
-        )
+            for (rg, ci), err in entries
+        ]
+
+    def scan_report(self) -> TableScanReport:
+        """The structured quarantine account of this reader so far."""
+        entries = tuple(self._quarantine_entries())
         return TableScanReport(
             path=self._path,
             format_version=self.format_version,
@@ -1190,38 +1327,68 @@ class TableFileReader:
             quarantined=entries,
         )
 
+    # -- zone-map pruning ---------------------------------------------
+
+    def _rowgroup_range(self, start: int, stop: "int | None") -> range:
+        """Validate a half-open row-group range against the footer."""
+        count = len(self._rows)
+        if stop is None:
+            stop = count
+        if not (0 <= start <= stop <= count):
+            raise ValueError(
+                f"row-group range [{start}, {stop}) outside [0, {count})"
+            )
+        return range(start, stop)
+
+    def prune(
+        self,
+        ci: int,
+        bounds: "tuple[float, float] | None",
+        start: int = 0,
+        stop: "int | None" = None,
+    ) -> Iterator[tuple[int, Sequence[int]]]:
+        """The zone-map pruning walk over column ``ci``.
+
+        Yields ``(row-group, surviving vector indices)`` for every
+        row-group of ``[start, stop)`` whose chunk and vector zone maps
+        admit ``bounds = (low, high)``; nothing else is touched, let
+        alone decoded.  ``bounds=None`` prunes nothing.  Counts
+        ``tablefile.rowgroups_pruned`` / ``vectors_pruned`` /
+        ``vectors_decoded`` (vectors handed on to the consumer).
+        """
+        for rg in self._rowgroup_range(start, stop):
+            meta = self._chunks[rg][ci]
+            zones = meta.vector_zones
+            if bounds is None:
+                yield rg, range(len(zones))
+                continue
+            low, high = bounds
+            survivors = (
+                [v for v, z in enumerate(zones) if z.may_contain_range(low, high)]
+                if meta.zone.may_contain_range(low, high)
+                else []
+            )
+            if obs.ENABLED:
+                obs.metrics.counter_add(
+                    "tablefile.vectors_pruned", len(zones) - len(survivors)
+                )
+                obs.metrics.counter_add(
+                    "tablefile.vectors_decoded", len(survivors)
+                )
+                if not survivors:
+                    obs.metrics.counter_add("tablefile.rowgroups_pruned", 1)
+            if survivors:
+                yield rg, survivors
+
     # -- chunk access -------------------------------------------------
-
-    @property
-    def header_length(self) -> int:
-        if self._legacy is not None:
-            return self._legacy.header_length
-        return self._header_len
-
-    @property
-    def footer_offset(self) -> int:
-        if self._legacy is not None:
-            return self._legacy.footer_offset
-        return self._footer_offset
-
-    @property
-    def footer_length(self) -> int:
-        if self._legacy is not None:
-            return self._legacy.footer_length
-        return self._footer_end - self._footer_offset
-
-    def chunk_meta(self, rowgroup: int, column: str) -> ChunkMeta:
-        ci = self._schema.index(column)
-        return self._chunks[rowgroup][ci]
-
-    def rowgroup_rows(self, rowgroup: int) -> int:
-        return self._rows[rowgroup]
 
     def chunk_payload(self, rowgroup: int, column: str) -> memoryview:
         """Zero-copy view of one chunk section (repair path).
 
-        Callers that need the bytes to outlive the reader must copy;
-        the read path never materializes one (lint rule RL7).
+        On the mmap path the view aliases the map (and pins it:
+        :meth:`close` raises :class:`BufferLifetimeError` while it is
+        alive).  Callers that need the bytes to outlive the reader must
+        copy; the read path never materializes one (lint rule RL7).
         """
         self._require_open()
         ci = self._schema.index(column)
@@ -1242,6 +1409,9 @@ class TableFileReader:
         if err is not None:
             raise err
         meta = self._chunks[rowgroup][ci]
+        if self.format_version < FORMAT_VERSION_V4:
+            # A v2/v3 row-group section is a bare float row-group.
+            return _ParsedChunk(None, CODEC_FLOAT_ROWGROUP, meta.offset, meta.length)
         data = self._data
         n_rows = self._rows[rowgroup]
         try:
@@ -1282,6 +1452,10 @@ class TableFileReader:
     def _decode_float_rowgroup(
         self, rowgroup: int, ci: int, parsed: _ParsedChunk
     ) -> CompressedRowGroup:
+        if parsed.codec != CODEC_FLOAT_ROWGROUP:
+            raise self._chunk_error(
+                rowgroup, ci, f"codec tag {parsed.codec} is not a float row-group"
+            )
         try:
             rg, consumed = deserialize_rowgroup(
                 self._data, parsed.payload_offset
@@ -1296,6 +1470,13 @@ class TableFileReader:
                 ci,
                 f"payload framing mismatch: read {consumed} bytes, "
                 f"footer says {parsed.payload_length}",
+            )
+        if rg.count != self._rows[rowgroup]:
+            raise self._chunk_error(
+                rowgroup,
+                ci,
+                f"payload holds {rg.count} values, "
+                f"footer says {self._rows[rowgroup]}",
             )
         return rg
 
@@ -1375,14 +1556,11 @@ class TableFileReader:
         Always raises on corruption, even in degraded mode; bulk reads
         (:meth:`read_columns`, :meth:`scan`) are the quarantining paths.
         """
-        if self._legacy is not None:
-            self._schema.column(column)
-            return self._legacy.read_rowgroup(rowgroup), None
         ci = self._schema.index(column)
         col = self._schema.columns[ci]
         parsed = self._parse_chunk(rowgroup, ci)
         n_rows = self._rows[rowgroup]
-        if parsed.codec == CODEC_FLOAT_ROWGROUP and col.type == FLOAT64:
+        if col.type == FLOAT64:
             rg = self._decode_float_rowgroup(rowgroup, ci, parsed)
             column_group = CompressedRowGroups(
                 rowgroups=(rg,),
@@ -1459,148 +1637,109 @@ class TableFileReader:
         dropped from every requested column so results stay aligned.
         """
         names = self._resolve_columns(columns)
-        if self._legacy is not None:
-            name = names[0]
-            return {name: self._legacy.read_all()}, {}
+        return self._gather(names, ((rg, None) for rg in range(len(self._rows))))
+
+    def _gather(
+        self,
+        names: list[str],
+        rowgroups: "Iterator[tuple[int, np.ndarray | None]]",
+    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """Decode ``names`` for each ``(row-group, row mask)``; a
+        ``None`` mask keeps every row.  Degraded readers drop a
+        row-group with any corrupt chunk from every column."""
         values: dict[str, list[np.ndarray]] = {n: [] for n in names}
         validity: dict[str, list[np.ndarray]] = {
             n: [] for n in names if self._schema.column(n).nullable
         }
-        for rg in range(len(self._rows)):
+        for rg, mask in rowgroups:
             decoded: dict[str, tuple[np.ndarray, "np.ndarray | None"]] = {}
-            failed = False
-            for name in names:
-                try:
-                    decoded[name] = self.read_chunk(rg, name)
-                except CorruptRowGroupError as err:
-                    if not self._degraded:
-                        raise
-                    self._quarantine(rg, self._schema.index(name), err)
-                    failed = True
-                    break
-            if failed:
+            try:
+                for name in names:
+                    decoded[name] = (
+                        self.read_chunk(rg, name)
+                        if mask is None
+                        else self._read_chunk_masked(rg, name, mask)
+                    )
+            except CorruptRowGroupError as err:
+                if not self._degraded:
+                    raise
+                self._quarantine(rg, self._schema.index(name), err)
                 continue
             for name in names:
-                vals, mask = decoded[name]
+                vals, vmask = decoded[name]
                 values[name].append(vals)
                 if name in validity:
-                    if mask is None:
-                        mask = np.ones(len(vals), dtype=bool)
-                    validity[name].append(mask)
+                    if vmask is None:
+                        vmask = np.ones(len(vals), dtype=bool)
+                    validity[name].append(vmask)
         out_values = {
             n: _concat(parts, self._schema.column(n)) for n, parts in values.items()
         }
         out_validity = {
-            n: (
-                np.concatenate(parts)
-                if parts
-                else np.empty(0, dtype=bool)
-            )
+            n: (np.concatenate(parts) if parts else np.empty(0, dtype=bool))
             for n, parts in validity.items()
         }
         return out_values, out_validity
 
     def _predicate_masks(
         self, predicate: object
-    ) -> "Iterator[tuple[int, np.ndarray | None]]":
-        """Per-row-group predicate masks with zone-map pruning.
+    ) -> "Iterator[tuple[int, np.ndarray]]":
+        """Per-row-group predicate masks of the row-groups that match.
 
-        Yields ``(rowgroup, mask)`` where ``mask`` is ``None`` for
-        pruned row-groups.  Vectors whose zone map excludes the range
-        are never decoded; their mask slice stays all-False.
+        Zone maps prune first: vectors whose zone excludes the range
+        are never decoded (their mask slice stays all-False).  Degraded
+        readers quarantine a corrupt predicate chunk and move on.
         """
         column = getattr(predicate, "column")
         low = float(getattr(predicate, "low"))
         high = float(getattr(predicate, "high"))
         ci = self._schema.index(column)
-        col = self._schema.columns[ci]
-        if col.type == STRING:
+        if self._schema.columns[ci].type == STRING:
             raise ValueError(
                 f"range predicates are not supported on string "
                 f"column {column!r}"
             )
-        for rg in range(len(self._rows)):
-            meta = self._chunks[rg][ci]
-            n_rows = self._rows[rg]
-            if not meta.zone.may_contain_range(low, high):
-                if obs.ENABLED:
-                    obs.metrics.counter_add("tablefile.rowgroups_pruned", 1)
-                    obs.metrics.counter_add(
-                        "tablefile.vectors_pruned", len(meta.vector_zones)
-                    )
-                yield rg, None
+        for rg, survivors in self.prune(ci, (low, high)):
+            mask = np.zeros(self._rows[rg], dtype=bool)
+            try:
+                parsed = self._parse_chunk(rg, ci)
+                for v, vals in self._decode_vectors(rg, ci, parsed, survivors):
+                    start = v * self.vector_size
+                    vmask = (vals >= low) & (vals <= high)
+                    if parsed.validity is not None:
+                        vmask &= parsed.validity[start : start + len(vals)]
+                    mask[start : start + len(vals)] = vmask
+            except CorruptRowGroupError as err:
+                if not self._degraded:
+                    raise
+                self._quarantine(rg, ci, err)
                 continue
-            survivors = [
-                v
-                for v, zone in enumerate(meta.vector_zones)
-                if zone.may_contain_range(low, high)
-            ]
-            if obs.ENABLED:
-                obs.metrics.counter_add(
-                    "tablefile.vectors_pruned",
-                    len(meta.vector_zones) - len(survivors),
-                )
-                obs.metrics.counter_add(
-                    "tablefile.vectors_decoded", len(survivors)
-                )
-            if not survivors:
-                yield rg, None
-                continue
-            mask = np.zeros(n_rows, dtype=bool)
-            parsed = self._parse_chunk(rg, ci)
-            for v, vals in self._decode_vectors(rg, ci, parsed, survivors):
-                start = v * self.vector_size
-                vmask = (vals >= low) & (vals <= high)
-                if parsed.validity is not None:
-                    vmask &= parsed.validity[start : start + len(vals)]
-                mask[start : start + len(vals)] = vmask
-            yield rg, mask
+            if mask.any():
+                yield rg, mask
 
     def _decode_vectors(
-        self, rowgroup: int, ci: int, parsed: _ParsedChunk, vectors: list[int]
+        self, rowgroup: int, ci: int, parsed: _ParsedChunk, vectors: Sequence[int]
     ) -> Iterator[tuple[int, np.ndarray]]:
         """Decode only the selected vectors of a numeric chunk."""
-        col = self._schema.columns[ci]
-        if col.type == FLOAT64:
-            from repro.core.alp import alp_decode_vector
-            from repro.core.alprd import decode_vector_bits
-
+        if self._schema.columns[ci].type == FLOAT64:
             rg = self._decode_float_rowgroup(rowgroup, ci, parsed)
-            payload_vectors = (
-                rg.alp.vectors if rg.alp is not None else rg.rd.vectors
-            )
-            for v in vectors:
-                try:
-                    if rg.alp is not None:
-                        values = alp_decode_vector(payload_vectors[v])
-                    else:
-                        from repro.alputil.bits import bits_to_double
-
-                        values = bits_to_double(
-                            decode_vector_bits(
-                                payload_vectors[v], rg.rd.parameters
-                            )
-                        )
-                except _DECODE_ERRORS as exc:
-                    raise self._chunk_error(
-                        rowgroup, ci, f"vector {v} does not decode: {exc}"
-                    ) from exc
-                yield v, values
+            frames = None
         else:
             frames = self._decode_int_frames(rowgroup, ci, parsed)
-            for v in vectors:
-                try:
-                    frame = frames[v]
-                    values = (
-                        ffor_decode(frame)
-                        if parsed.codec == CODEC_INT_FFOR
-                        else delta_decode(frame)
-                    )
-                except _DECODE_ERRORS as exc:
-                    raise self._chunk_error(
-                        rowgroup, ci, f"vector {v} does not decode: {exc}"
-                    ) from exc
-                yield v, values
+            int_decode = (
+                ffor_decode if parsed.codec == CODEC_INT_FFOR else delta_decode
+            )
+        for v in vectors:
+            try:
+                if frames is None:
+                    values = _decode_float_vector(rg, v)
+                else:
+                    values = int_decode(frames[v])
+            except _DECODE_ERRORS as exc:
+                raise self._chunk_error(
+                    rowgroup, ci, f"vector {v} does not decode: {exc}"
+                ) from exc
+            yield v, values
 
     def scan(
         self,
@@ -1615,97 +1754,13 @@ class TableFileReader:
         the same ``(values, validity)`` shape as :meth:`read_columns`,
         restricted to matching rows.  Row-groups and vectors whose zone
         maps exclude the range are skipped without touching payload
-        bytes (counted by ``tablefile.rowgroups_pruned`` /
-        ``tablefile.vectors_pruned``).
+        bytes (see :meth:`prune`).
         """
         if predicate is None:
             return self.read_columns(columns)
         names = self._resolve_columns(columns)
-        if self._legacy is not None:
-            return self._legacy_scan(names[0], predicate)
         with obs.span("tablefile.scan"):
-            return self._scan_v4(names, predicate)
-
-    def _legacy_scan(
-        self, name: str, predicate: object
-    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        if getattr(predicate, "column") != name:
-            raise KeyError(
-                f"predicate column {getattr(predicate, 'column')!r} not in "
-                f"schema {list(self._schema.names)}"
-            )
-        low = float(getattr(predicate, "low"))
-        high = float(getattr(predicate, "high"))
-        if self._legacy is None:
-            raise ValueError("_legacy_scan requires a v2/v3 file")
-        parts = []
-        for _rg, _v, values in self._legacy.scan_range_vectors(low, high):
-            parts.append(values[(values >= low) & (values <= high)])
-        merged = (
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
-        )
-        return {name: merged}, {}
-
-    def _scan_v4(
-        self, names: list[str], predicate: object
-    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        values: dict[str, list[np.ndarray]] = {n: [] for n in names}
-        validity: dict[str, list[np.ndarray]] = {
-            n: [] for n in names if self._schema.column(n).nullable
-        }
-        pred_ci = self._schema.index(getattr(predicate, "column"))
-        for rg, mask in self._predicate_masks_quarantining(predicate, pred_ci):
-            if mask is None or not mask.any():
-                continue
-            decoded: dict[str, tuple[np.ndarray, "np.ndarray | None"]] = {}
-            failed = False
-            for name in names:
-                try:
-                    decoded[name] = self._read_chunk_masked(rg, name, mask)
-                except CorruptRowGroupError as err:
-                    if not self._degraded:
-                        raise
-                    self._quarantine(rg, self._schema.index(name), err)
-                    failed = True
-                    break
-            if failed:
-                continue
-            for name in names:
-                vals, vmask = decoded[name]
-                values[name].append(vals)
-                if name in validity:
-                    if vmask is None:
-                        vmask = np.ones(len(vals), dtype=bool)
-                    validity[name].append(vmask)
-        out_values = {
-            n: _concat(parts, self._schema.column(n))
-            for n, parts in values.items()
-        }
-        out_validity = {
-            n: (np.concatenate(parts) if parts else np.empty(0, dtype=bool))
-            for n, parts in validity.items()
-        }
-        return out_values, out_validity
-
-    def _predicate_masks_quarantining(
-        self, predicate: object, pred_ci: int
-    ) -> "Iterator[tuple[int, np.ndarray | None]]":
-        gen = self._predicate_masks(predicate)
-        while True:
-            try:
-                rg_mask = next(gen)
-            except StopIteration:
-                return
-            except CorruptRowGroupError as err:
-                if not self._degraded:
-                    raise
-                # The generator cannot resume after raising: restart is
-                # not possible mid-stream, so quarantine and stop — the
-                # caller sees a shorter (still correct) result, exactly
-                # like a degraded v3 scan.
-                self._quarantine(err.index, pred_ci, err)
-                return
-            yield rg_mask
+            return self._gather(names, self._predicate_masks(predicate))
 
     def _read_chunk_masked(
         self, rowgroup: int, name: str, mask: np.ndarray
@@ -1736,10 +1791,7 @@ class TableFileReader:
                 mask_parts.append(
                     parsed.validity[v * vsize : v * vsize + len(vals)][vmask]
                 )
-        dtype = np.float64 if col.type == FLOAT64 else np.int64
-        merged = (
-            np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
-        )
+        merged = _concat(parts, col)
         if parsed.validity is None:
             return merged, None
         merged_mask = (
@@ -1751,19 +1803,14 @@ class TableFileReader:
 
     # -- column adapter -----------------------------------------------
 
-    def column_reader(
-        self, name: str
-    ) -> "ColumnFileReader | TableColumnReader":
-        """A :class:`ColumnFileReader`-compatible view of one column.
+    def column_reader(self, name: str) -> "TableColumnReader":
+        """The single-column reader over one column of this file.
 
         Only non-nullable float64 columns are eligible — they are the
         ones the encoded-domain query engine and the serving layer
-        operate on.  For v2/v3 files the underlying legacy reader is
-        returned directly.
+        operate on.
         """
         col = self._schema.column(name)
-        if self._legacy is not None:
-            return self._legacy
         if col.type != FLOAT64 or col.nullable:
             raise ValueError(
                 f"column {name!r} ({col.type}"
@@ -1784,39 +1831,53 @@ def _concat(parts: list[np.ndarray], column: Column) -> np.ndarray:
 
 
 class TableColumnReader:
-    """One float64 column of a v4 table, speaking the v3 reader surface.
+    """The single-column reader: one float64 column of any ALPC file.
 
-    Implements the method contract of :class:`ColumnFileReader` (metadata,
-    row-group reads, zone-map scans, quarantine reporting) over a
-    single non-nullable float64 column, so :class:`FileColumnSource`,
-    the serving layer, and every encoded-domain query path work on v4
-    tables unchanged.
+    Row-group reads, zone-map scans (through :meth:`TableFileReader.prune`),
+    decoded-cache integration and quarantine reporting over one
+    non-nullable float64 column.  :class:`FileColumnSource`, the
+    serving layer and :func:`repro.api.open` all sit on it.  Closing it
+    closes the underlying :class:`TableFileReader`.
     """
 
     def __init__(self, parent: TableFileReader, ci: int) -> None:
         self._parent = parent
         self._ci = ci
         self._name = parent.schema.columns[ci].name
-        self._cache_path = f"{parent.path}::{self._name}"
-        metas = []
-        for rg in range(parent.rowgroup_count):
-            chunk = parent._chunks[rg][ci]
-            zone = _zone_as_vectorzone(chunk.zone)
-            metas.append(
-                RowGroupMeta(
-                    offset=chunk.offset,
-                    length=chunk.length,
-                    count=parent._rows[rg],
-                    min_value=zone.min_value,
-                    max_value=zone.max_value,
-                    has_non_finite=zone.has_non_finite,
-                    vector_zones=tuple(
-                        _zone_as_vectorzone(z) for z in chunk.vector_zones
-                    ),
-                    payload_crc=chunk.payload_crc,
+        # A one-column file is keyed by its path alone (cache keys and
+        # quarantine reports); a table column by path plus column name.
+        self._cache_path = (
+            parent.path
+            if len(parent.schema) == 1
+            else f"{parent.path}::{self._name}"
+        )
+
+    @classmethod
+    def open(
+        cls,
+        path: str | os.PathLike,
+        *,
+        degraded: bool = False,
+        mmap: bool = False,
+    ) -> "TableColumnReader":
+        """Open a file whose schema is one non-nullable float64 column.
+
+        That covers every v2/v3 file and the v4 files :func:`repro.api.write`
+        produces; multi-column tables raise ``ValueError``.
+        """
+        table = TableFileReader(path, degraded=degraded, mmap=mmap)
+        try:
+            schema = table.schema
+            if len(schema) != 1:
+                raise ValueError(
+                    f"{table.path}: schema {list(schema.names)} is not a "
+                    f"single non-nullable float64 column; use "
+                    f"open_table()/read_table() for multi-column tables"
                 )
-            )
-        self._meta = tuple(metas)
+            return table.column_reader(schema.columns[0].name)
+        except BaseException:
+            table.close()
+            raise
 
     # -- shape --------------------------------------------------------
 
@@ -1834,19 +1895,23 @@ class TableColumnReader:
 
     @property
     def rowgroup_count(self) -> int:
-        return len(self._meta)
+        return self._parent.rowgroup_count
 
     @property
     def value_count(self) -> int:
-        return sum(m.count for m in self._meta)
+        return self._parent.row_count
+
+    def rowgroup_rows(self, index: int) -> int:
+        return self._parent.rowgroup_rows(index)
 
     @property
-    def metadata(self) -> tuple[RowGroupMeta, ...]:
-        return self._meta
+    def metadata(self) -> tuple[ChunkMeta, ...]:
+        """Offsets, checksums and zone maps, in row-group order."""
+        return tuple(metas[self._ci] for metas in self._parent._chunks)
 
     @property
     def vector_count(self) -> int:
-        return sum(len(m.vector_zones) for m in self._meta)
+        return self._parent.vector_count(self._name)
 
     @property
     def degraded(self) -> bool:
@@ -1875,12 +1940,21 @@ class TableColumnReader:
     def check_rowgroup(self, index: int) -> "CorruptRowGroupError | None":
         return self._parent.check_chunk(index, self._name)
 
-    def _quarantine(self, index: int, err: CorruptRowGroupError) -> None:
-        self._parent._quarantine(index, self._ci, err)
+    def _salvage(
+        self, index: int, load: "Callable[..., Any]", *args: object
+    ) -> Any:
+        """``load(*args)``, or ``None`` once a degraded reader has
+        quarantined row-group ``index``; strict readers re-raise."""
+        try:
+            return load(*args)
+        except CorruptRowGroupError as err:
+            if not self.degraded:
+                raise
+            self._parent._quarantine(index, self._ci, err)
+            return None
 
     def scan_report(self) -> ScanReport:
-        """A v3-shaped per-column view of the parent's quarantine state."""
-        table = self._parent.scan_report()
+        """The quarantine account of this column so far."""
         entries = tuple(
             QuarantinedRowGroup(
                 index=e.rowgroup,
@@ -1889,13 +1963,13 @@ class TableColumnReader:
                 count=e.count,
                 reason=e.reason,
             )
-            for e in table.quarantined
+            for e in self._parent._quarantine_entries()
             if e.column == self._name
         )
         return ScanReport(
             path=self._cache_path,
             format_version=self._parent.format_version,
-            rowgroups_total=len(self._meta),
+            rowgroups_total=self.rowgroup_count,
             rowgroups_quarantined=len(entries),
             values_quarantined=sum(e.count for e in entries),
             quarantined=entries,
@@ -1904,18 +1978,23 @@ class TableColumnReader:
     # -- access -------------------------------------------------------
 
     def read_rowgroup_compressed(self, index: int) -> CompressedRowGroup:
+        """Decode one row-group's framing without decompressing it.
+
+        Raises :class:`CorruptRowGroupError` on checksum or framing
+        damage, even in degraded mode (direct access is explicit).
+        """
         parsed = self._parent._parse_chunk(index, self._ci)
-        if parsed.codec != CODEC_FLOAT_ROWGROUP:
-            raise self._parent._chunk_error(
-                index,
-                self._ci,
-                f"codec tag {parsed.codec} is not a float row-group",
-            )
         return self._parent._decode_float_rowgroup(index, self._ci, parsed)
 
     def read_rowgroup(
         self, index: int, out: "np.ndarray | None" = None
     ) -> np.ndarray:
+        """Decompress one row-group to float64 (raises on corruption).
+
+        ``out``, when given, must be a writable C-contiguous float64
+        array (or slice) of exactly the row-group's value count; the
+        decode writes in place and returns ``out``.
+        """
         rowgroup = self.read_rowgroup_compressed(index)
         column = CompressedRowGroups(
             rowgroups=(rowgroup,),
@@ -1936,13 +2015,21 @@ class TableColumnReader:
     def cached_rowgroup(
         self, index: int, cache: "RowGroupCache | None" = None
     ) -> np.ndarray:
+        """Decompress one row-group through an optional decoded cache.
+
+        The cache key is ``(file path, rowgroup index)`` — the keying
+        the serving layer and the local query engine share.  Errors are
+        never cached as values.
+        """
         if cache is None:
             return self.read_rowgroup(index)
         load_into = getattr(cache, "load_into", None)
         if load_into is not None:
+            # Pool-aware caches hand us a fill target, so a cache miss
+            # decodes into a recycled buffer, not a fresh allocation.
             return load_into(
                 (self._cache_path, index),
-                self._meta[index].count,
+                self.rowgroup_rows(index),
                 lambda out: self.read_rowgroup(index, out=out),
             )
         return cache.get_or_load(
@@ -1955,55 +2042,66 @@ class TableColumnReader:
         start: int = 0,
         stop: int | None = None,
     ) -> Iterator[tuple[int, np.ndarray]]:
-        for index in self._rowgroup_range(start, stop):
-            try:
-                yield index, self.cached_rowgroup(index, cache)
-            except CorruptRowGroupError as err:
-                if not self.degraded:
-                    raise
-                self._quarantine(index, err)
-
-    def _rowgroup_range(self, start: int, stop: int | None) -> range:
-        """Validate a half-open row-group range against the footer."""
-        count = len(self._meta)
-        if stop is None:
-            stop = count
-        if not (0 <= start <= stop <= count):
-            raise ValueError(
-                f"row-group range [{start}, {stop}) outside [0, {count})"
-            )
-        return range(start, stop)
+        """Yield (index, values) per row-group of ``[start, stop)``;
+        degraded readers skip quarantined ones."""
+        for index in self._parent._rowgroup_range(start, stop):
+            values = self._salvage(index, self.cached_rowgroup, index, cache)
+            if values is not None:
+                yield index, values
 
     def iter_rowgroups_compressed(
         self,
+        bounds: "tuple[float, float] | None" = None,
         start: int = 0,
         stop: int | None = None,
-    ) -> Iterator[tuple[int, RowGroupMeta, CompressedRowGroup]]:
-        for index in self._rowgroup_range(start, stop):
-            try:
-                rowgroup = self.read_rowgroup_compressed(index)
-            except CorruptRowGroupError as err:
-                if not self.degraded:
-                    raise
-                self._quarantine(index, err)
-                continue
-            yield index, self._meta[index], rowgroup
+    ) -> Iterator[tuple[int, Sequence[int], CompressedRowGroup]]:
+        """Yield (index, surviving vectors, compressed row-group).
+
+        The late-materialization scan path: the pruning walk picks the
+        row-groups and vectors that may hold values in ``bounds``; the
+        survivors' framing is decoded (and checksum-verified) but the
+        payload stays integer-compressed for encoded-domain execution.
+        Degraded readers quarantine corrupt row-groups.
+        """
+        for index, survivors in self._parent.prune(self._ci, bounds, start, stop):
+            rowgroup = self._salvage(index, self.read_rowgroup_compressed, index)
+            if rowgroup is not None:
+                yield index, survivors, rowgroup
 
     def read_all(
         self,
         cache: "RowGroupCache | None" = None,
         out: "np.ndarray | None" = None,
     ) -> np.ndarray:
+        """Decompress the whole column.
+
+        In degraded mode, quarantined row-groups are omitted (the
+        result holds every remaining value, in order); consult
+        :meth:`scan_report` for what was skipped.
+
+        Allocation behaviour (the serving hot path leans on all three):
+
+        - Without a cache, each row-group decodes *directly into its
+          slice* of one output array — no per-group arrays, no
+          concatenate pass.
+        - With ``out=`` (a writable C-contiguous float64 array of
+          exactly :attr:`value_count` values), that output array is the
+          caller's buffer and the call allocates nothing; the filled
+          prefix ``out[:n]`` is returned (``n < value_count`` only when
+          degraded mode quarantined groups).
+        - With a cache and a single row-group (and no ``out=``), the
+          resident cached array is returned directly — zero copies.  It
+          is read-only; callers that mutate must copy.
+        """
+        self._parent._require_open()
         total = self.value_count
+        count = self.rowgroup_count
         if out is None:
-            if cache is not None and len(self._meta) == 1:
-                try:
-                    return self.cached_rowgroup(0, cache)
-                except CorruptRowGroupError as err:
-                    if not self.degraded:
-                        raise
-                    self._quarantine(0, err)
+            if cache is not None and count == 1:
+                values = self._salvage(0, self.cached_rowgroup, 0, cache)
+                if values is None:
                     return np.empty(0, dtype=np.float64)
+                return values
             target = np.empty(total, dtype=np.float64)
         else:
             if (
@@ -2019,21 +2117,20 @@ class TableColumnReader:
                 raise ValueError("out must be C-contiguous and writable")
             target = out
         pos = 0
-        for index, meta in enumerate(self._meta):
+        for index in range(count):
+            rows = self.rowgroup_rows(index)
+            part = target[pos : pos + rows]
             try:
                 if cache is None:
-                    self.read_rowgroup(index, out=target[pos : pos + meta.count])
+                    self.read_rowgroup(index, out=part)
                 else:
-                    np.copyto(
-                        target[pos : pos + meta.count],
-                        self.cached_rowgroup(index, cache),
-                    )
+                    np.copyto(part, self.cached_rowgroup(index, cache))
             except CorruptRowGroupError as err:
                 if not self.degraded:
                     raise
-                self._quarantine(index, err)
+                self._parent._quarantine(index, self._ci, err)
                 continue
-            pos += meta.count
+            pos += rows
         return target if pos == total else target[:pos]
 
     def scan_range(
@@ -2042,76 +2139,44 @@ class TableColumnReader:
         high: float,
         cache: "RowGroupCache | None" = None,
     ) -> Iterator[tuple[int, np.ndarray]]:
-        for index, meta in enumerate(self._meta):
-            if not meta.may_contain_range(low, high):
-                obs.counter_add("tablefile.rowgroups_pruned")
-                continue
-            try:
-                values = self.cached_rowgroup(index, cache)
-            except CorruptRowGroupError as err:
-                if not self.degraded:
-                    raise
-                self._quarantine(index, err)
-                continue
-            yield index, values
+        """Yield (row-group index, values) for groups that may match.
+
+        Row-groups whose zone maps exclude ``[low, high]`` are skipped
+        without touching their compressed bytes — the predicate
+        push-down the paper highlights as impossible for block-based
+        general-purpose compression.
+        """
+        for index, _ in self._parent.prune(self._ci, (low, high)):
+            values = self._salvage(index, self.cached_rowgroup, index, cache)
+            if values is not None:
+                yield index, values
 
     def scan_range_vectors(
-        self, low: float, high: float
+        self,
+        low: float,
+        high: float,
+        start: int = 0,
+        stop: int | None = None,
     ) -> Iterator[tuple[int, int, np.ndarray]]:
-        from repro.core.alp import alp_decode_vector
-        from repro.core.alprd import decode_vector_bits
+        """Yield (row-group, vector index, values) at vector granularity.
 
-        for rg_index, meta in enumerate(self._meta):
-            if not meta.may_contain_range(low, high):
-                if obs.ENABLED:
-                    obs.metrics.counter_add("tablefile.rowgroups_pruned", 1)
-                    obs.metrics.counter_add(
-                        "tablefile.vectors_pruned", len(meta.vector_zones)
-                    )
-                continue
-            try:
-                rowgroup = self.read_rowgroup_compressed(rg_index)
-            except CorruptRowGroupError as err:
-                if not self.degraded:
-                    raise
-                self._quarantine(rg_index, err)
-                continue
-            vectors = (
-                rowgroup.alp.vectors
-                if rowgroup.alp is not None
-                else rowgroup.rd.vectors
-            )
-            for v_index, zone in enumerate(meta.vector_zones):
-                if not zone.may_contain_range(low, high):
-                    obs.counter_add("tablefile.vectors_pruned")
-                    continue
-                obs.counter_add("tablefile.vectors_decoded")
-                if rowgroup.alp is not None:
-                    values = alp_decode_vector(vectors[v_index])
-                else:
-                    from repro.alputil.bits import bits_to_double
-
-                    values = bits_to_double(
-                        decode_vector_bits(
-                            vectors[v_index], rowgroup.rd.parameters
-                        )
-                    )
-                yield rg_index, v_index, values
+        Inside each surviving row-group only the vectors whose zone map
+        admits ``[low, high]`` are decoded: a selective query pays
+        decode cost proportional to the *selected* vectors, not the
+        block size.
+        """
+        for index, survivors, rowgroup in self.iter_rowgroups_compressed(
+            (low, high), start, stop
+        ):
+            for v in survivors:
+                yield index, v, _decode_float_vector(rowgroup, v)
 
     def count_skippable(self, low: float, high: float) -> int:
-        return sum(
-            1 for meta in self._meta if not meta.may_contain_range(low, high)
-        )
+        """How many row-groups the zone maps eliminate for a range."""
+        kept = sum(1 for _ in self._parent.prune(self._ci, (low, high)))
+        return self.rowgroup_count - kept
 
     def count_skippable_vectors(self, low: float, high: float) -> int:
-        skipped = 0
-        for meta in self._meta:
-            if not meta.may_contain_range(low, high):
-                skipped += len(meta.vector_zones)
-                continue
-            skipped += sum(
-                1
-                for zone in meta.vector_zones
-                if not zone.may_contain_range(low, high)
-            )
-        return skipped
+        """How many vectors the two zone-map levels eliminate together."""
+        kept = sum(len(v) for _, v in self._parent.prune(self._ci, (low, high)))
+        return self.vector_count - kept

@@ -1,17 +1,18 @@
 """Integrity walking and repair for ALPC files and dataset directories.
 
 :func:`verify_column_file` checks every section of one file — magic,
-header, footer, and each row-group payload — and returns a structured
-:class:`FileVerifyReport` (JSON-able via ``as_dict``) naming each bad
-section with its offset and reason.  :func:`verify_dataset` walks an
-``alpc-dataset`` directory, manifest included.  :func:`verify_path`
-dispatches on what the path is; the ``alp-repro verify`` CLI is a thin
-wrapper over it.
+header, footer, and each (row-group, column) chunk — and returns a
+structured :class:`FileVerifyReport` (JSON-able via ``as_dict``) naming
+each bad section with its offset and reason.  :func:`verify_dataset`
+walks an ``alpc-dataset`` directory, manifest included.
+:func:`verify_path` dispatches on what the path is; the ``alp-repro
+verify`` CLI is a thin wrapper over it.
 
 :func:`repair_column_file` rewrites a damaged file keeping every intact
-row-group: payload bytes are copied verbatim (no recompression), zone
+row-group: chunk bytes are copied verbatim (no recompression), zone
 maps are carried over, and checksums are recomputed, so the output is
-always a clean current-version file.
+always a clean v4 file (a v2/v3 source's row-group payloads are copied
+into float chunk frames).
 """
 
 from __future__ import annotations
@@ -21,17 +22,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro import obs
-from repro.storage.columnfile import (
-    FORMAT_VERSION,
-    ColumnFileReader,
-    ColumnFileWriter,
-)
 from repro.storage.errors import CorruptFileError, IntegrityError
 from repro.storage.tablefile import (
+    CODEC_FLOAT_ROWGROUP,
     FORMAT_VERSION_V4,
     TableFileReader,
     TableFileWriter,
-    file_format_version,
+    chunk_frame,
 )
 
 
@@ -130,16 +127,16 @@ class RepairReport:
 
 
 def verify_column_file(path: str | os.PathLike) -> FileVerifyReport:
-    """Walk every section of one ALPC file and report its integrity.
+    """Walk every section of one ALPC file (v2-v4) and report its integrity.
 
     Never raises on corruption — damage is *reported*.  (Missing files
     still raise ``OSError``: that is an environment problem, not a
     corrupt input.)
     """
     path_str = os.fspath(path)
-    with obs.span("columnfile.verify"):
+    with obs.span("tablefile.verify"):
         try:
-            version = file_format_version(path_str)
+            reader = TableFileReader(path_str, degraded=True)
         except CorruptFileError as exc:
             section = SectionReport(
                 section="file",
@@ -156,136 +153,62 @@ def verify_column_file(path: str | os.PathLike) -> FileVerifyReport:
                 ok=False,
                 sections=(section,),
             )
-        if version >= FORMAT_VERSION_V4:
-            return _verify_table_file(path_str)
-        try:
-            reader = ColumnFileReader(path_str, degraded=True)
-        except CorruptFileError as exc:
-            section = SectionReport(
-                section="file",
-                index=None,
-                offset=0,
-                length=os.path.getsize(path_str),
-                ok=False,
-                error=exc.reason,
-            )
+        with reader:
+            sections = [
+                SectionReport(
+                    section="header",
+                    index=None,
+                    offset=0,
+                    length=reader.header_length,
+                    ok=True,
+                ),
+                SectionReport(
+                    section="footer",
+                    index=None,
+                    offset=reader.footer_offset,
+                    length=reader.footer_length,
+                    ok=True,
+                ),
+            ]
+            for index in range(reader.rowgroup_count):
+                for column in reader.column_names:
+                    meta = reader.chunk_meta(index, column)
+                    err = _chunk_damage(reader, index, column)
+                    sections.append(
+                        SectionReport(
+                            section="chunk",
+                            index=index,
+                            offset=meta.offset,
+                            length=meta.length,
+                            ok=err is None,
+                            error=getattr(err, "reason", None),
+                            column=column,
+                        )
+                    )
             return FileVerifyReport(
                 path=path_str,
-                format_version=None,
-                checksummed=False,
-                ok=False,
-                sections=(section,),
+                format_version=reader.format_version,
+                checksummed=reader.checksummed,
+                ok=all(s.ok for s in sections),
+                sections=tuple(sections),
             )
-        sections = [
-            SectionReport(
-                section="header",
-                index=None,
-                offset=0,
-                length=reader.header_length,
-                ok=True,
-            ),
-            SectionReport(
-                section="footer",
-                index=None,
-                offset=reader.footer_offset,
-                length=reader.footer_length,
-                ok=True,
-            ),
-        ]
-        for index, meta in enumerate(reader.metadata):
-            err = reader.check_rowgroup(index)
-            if err is None:
-                # Checksums catch bit-flips; a decode pass additionally
-                # catches framing damage (and is the only check that
-                # exists for version-2 files).
-                try:
-                    reader.read_rowgroup(index)
-                except IntegrityError as exc:
-                    err = exc  # type: ignore[assignment]
-            sections.append(
-                SectionReport(
-                    section="rowgroup",
-                    index=index,
-                    offset=meta.offset,
-                    length=meta.length,
-                    ok=err is None,
-                    error=getattr(err, "reason", None),
-                )
-            )
-        return FileVerifyReport(
-            path=path_str,
-            format_version=reader.format_version,
-            checksummed=reader.format_version >= FORMAT_VERSION,
-            ok=all(s.ok for s in sections),
-            sections=tuple(sections),
-        )
 
 
-def _verify_table_file(path_str: str) -> FileVerifyReport:
-    """The v4 walk: header, footer, and every (row-group, column) chunk."""
-    try:
-        reader = TableFileReader(path_str, degraded=True)
-    except CorruptFileError as exc:
-        section = SectionReport(
-            section="file",
-            index=None,
-            offset=0,
-            length=os.path.getsize(path_str),
-            ok=False,
-            error=exc.reason,
-        )
-        return FileVerifyReport(
-            path=path_str,
-            format_version=None,
-            checksummed=False,
-            ok=False,
-            sections=(section,),
-        )
-    sections = [
-        SectionReport(
-            section="header",
-            index=None,
-            offset=0,
-            length=reader.header_length,
-            ok=True,
-        ),
-        SectionReport(
-            section="footer",
-            index=None,
-            offset=reader.footer_offset,
-            length=reader.footer_length,
-            ok=True,
-        ),
-    ]
-    for index in range(reader.rowgroup_count):
-        for column in reader.column_names:
-            meta = reader.chunk_meta(index, column)
-            err: IntegrityError | None = reader.check_chunk(index, column)
-            if err is None:
-                # Checksums catch bit-flips; the decode pass
-                # additionally catches framing damage.
-                try:
-                    reader.read_chunk(index, column)
-                except IntegrityError as exc:
-                    err = exc
-            sections.append(
-                SectionReport(
-                    section="chunk",
-                    index=index,
-                    offset=meta.offset,
-                    length=meta.length,
-                    ok=err is None,
-                    error=getattr(err, "reason", None),
-                    column=column,
-                )
-            )
-    return FileVerifyReport(
-        path=path_str,
-        format_version=reader.format_version,
-        checksummed=True,
-        ok=all(s.ok for s in sections),
-        sections=tuple(sections),
-    )
+def _chunk_damage(
+    reader: TableFileReader, index: int, column: str
+) -> IntegrityError | None:
+    """The damage of one chunk, or ``None`` when it checks and decodes.
+
+    Checksums catch bit-flips; the decode pass additionally catches
+    framing damage (and is the only check v2 files have).
+    """
+    err: IntegrityError | None = reader.check_chunk(index, column)
+    if err is None:
+        try:
+            reader.read_chunk(index, column)
+        except IntegrityError as exc:
+            err = exc
+    return err
 
 
 def verify_dataset(directory: str | os.PathLike) -> DatasetVerifyReport:
@@ -350,91 +273,39 @@ def repair_column_file(
 ) -> RepairReport:
     """Rewrite ``source`` into ``destination`` keeping intact row-groups.
 
-    Intact payloads are copied byte-for-byte; corrupt ones are dropped
-    and itemized in the report.  The output is a clean, checksummed
-    current-version file (repairing a v2 file upgrades it to v3).
-    Raises :class:`CorruptFileError` when the source's header or footer
-    is damaged — without the footer there is no row-group table to
-    salvage from.
+    A row-group is all-or-nothing: dropping one column's chunk while
+    keeping its siblings would misalign rows across columns, so a
+    single corrupt chunk drops the whole row-group (itemized with the
+    offending column).  Intact chunk bytes are copied verbatim; zone
+    maps are carried over and checksums recomputed.  The output is a
+    clean v4 file — repairing a v2/v3 file upgrades it, each row-group
+    payload copied into a float chunk frame.  Raises
+    :class:`CorruptFileError` when the source's header or footer is
+    damaged: without the footer there is nothing to salvage from.
     """
     src = os.fspath(source)
     dst = os.fspath(destination)
     if os.path.abspath(src) == os.path.abspath(dst):
         raise ValueError("repair cannot rewrite a file onto itself")
-    if file_format_version(src) >= FORMAT_VERSION_V4:
-        return _repair_table_file(src, dst)
-    reader = ColumnFileReader(src, degraded=True)
     dropped: list[dict[str, object]] = []
     kept = values_kept = values_dropped = 0
-    with ColumnFileWriter(dst, vector_size=reader.vector_size) as writer:
-        for index, meta in enumerate(reader.metadata):
-            err = reader.check_rowgroup(index)
-            if err is None:
-                try:
-                    reader.read_rowgroup(index)
-                except IntegrityError as exc:
-                    err = exc  # type: ignore[assignment]
-            if err is not None:
-                dropped.append(
-                    {
-                        "index": index,
-                        "offset": meta.offset,
-                        "length": meta.length,
-                        "count": meta.count,
-                        "reason": getattr(err, "reason", str(err)),
-                    }
-                )
-                values_dropped += meta.count
-                continue
-            writer.append_serialized(reader.rowgroup_payload(index), meta)
-            kept += 1
-            values_kept += meta.count
-    return RepairReport(
-        source=src,
-        destination=dst,
-        rowgroups_kept=kept,
-        rowgroups_dropped=len(dropped),
-        values_kept=values_kept,
-        values_dropped=values_dropped,
-        dropped=tuple(dropped),
-    )
-
-
-def _repair_table_file(src: str, dst: str) -> RepairReport:
-    """Rewrite a v4 table keeping row-groups whose every chunk is intact.
-
-    A table row-group is all-or-nothing: dropping one column's chunk
-    while keeping its siblings would misalign rows across columns, so a
-    single corrupt chunk drops the whole row-group (itemized with the
-    offending column).  Intact chunk bytes are copied verbatim; zone
-    maps are carried over and checksums recomputed.
-    """
-    reader = TableFileReader(src, degraded=True)
-    dropped: list[dict[str, object]] = []
-    kept = values_kept = values_dropped = 0
-    with TableFileWriter(
+    with TableFileReader(src, degraded=True) as reader, TableFileWriter(
         dst, reader.schema, vector_size=reader.vector_size
     ) as writer:
         for index in range(reader.rowgroup_count):
-            err: IntegrityError | None = None
-            bad_column: str | None = None
-            for column in reader.column_names:
-                err = reader.check_chunk(index, column)
-                if err is None:
-                    try:
-                        reader.read_chunk(index, column)
-                    except IntegrityError as exc:
-                        err = exc
-                if err is not None:
-                    bad_column = column
-                    break
             n_rows = reader.rowgroup_rows(index)
-            if err is not None:
-                meta = reader.chunk_meta(index, bad_column or "")
+            damage = [
+                (column, err)
+                for column in reader.column_names
+                if (err := _chunk_damage(reader, index, column)) is not None
+            ]
+            if damage:
+                column, err = damage[0]
+                meta = reader.chunk_meta(index, column)
                 dropped.append(
                     {
                         "index": index,
-                        "column": bad_column,
+                        "column": column,
                         "offset": meta.offset,
                         "length": meta.length,
                         "count": n_rows,
@@ -443,16 +314,13 @@ def _repair_table_file(src: str, dst: str) -> RepairReport:
                 )
                 values_dropped += n_rows
                 continue
-            writer.append_chunks(
-                n_rows,
-                [
-                    (
-                        reader.chunk_payload(index, column),
-                        reader.chunk_meta(index, column),
-                    )
-                    for column in reader.column_names
-                ],
-            )
+            chunks = []
+            for column in reader.column_names:
+                raw = reader.chunk_payload(index, column)
+                if reader.format_version < FORMAT_VERSION_V4:
+                    raw = chunk_frame(CODEC_FLOAT_ROWGROUP, raw)
+                chunks.append((raw, reader.chunk_meta(index, column)))
+            writer.append_chunks(n_rows, chunks)
             kept += 1
             values_kept += n_rows
     return RepairReport(

@@ -8,6 +8,11 @@ generation the reader must keep accepting:
 - ``golden_v4.alpc`` — schema-described multi-column table (nullable
   int, string dictionary, float) at a small row-group geometry
 
+v2 and v3 are read-only formats: nothing writes them any more, so their
+goldens are frozen fixtures (written at ``VECTOR_SIZE`` values per
+vector, ``ROWGROUP_VECTORS`` vectors per row-group).  Only the v4 golden
+is regenerated here.
+
 The *expected values* are not stored next to the files: they are
 re-derived here from fixed PCG64 seeds using only stream-stable
 generator methods (``random``/``integers``), so the compat test in
@@ -33,7 +38,7 @@ ROWGROUP_VECTORS = 2
 
 
 def single_column_values() -> np.ndarray:
-    """The float column stored in the v2 and v3 goldens."""
+    """The float column stored in the (frozen) v2 and v3 goldens."""
     rng = np.random.default_rng(0xA1B2)
     # Two decimal places keeps the ALP path exercised.
     return np.round(rng.random(N_ROWS) * 200.0 - 100.0, 2)
@@ -56,21 +61,8 @@ def table_arrays() -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
 
 
 def main() -> None:
-    from repro.storage.columnfile import ColumnFileWriter
     from repro.storage.schema import INT64, STRING, Column, Schema
     from repro.storage.tablefile import TableFileWriter
-
-    values = single_column_values()
-    for name, integrity in (("golden_v2", False), ("golden_v3", True)):
-        path = GOLDEN_DIR / f"{name}.alpc"
-        with ColumnFileWriter(
-            path,
-            vector_size=VECTOR_SIZE,
-            rowgroup_vectors=ROWGROUP_VECTORS,
-            integrity=integrity,
-        ) as writer:
-            writer.write_values(values)
-        print(f"wrote {path} ({path.stat().st_size} bytes)")
 
     columns, validity = table_arrays()
     schema = Schema(

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.storage.columnfile import (
-    FORMAT_VERSION,
-    FORMAT_VERSION_V2,
-    ColumnFileReader,
-)
+from repro.storage.tablefile import FORMAT_VERSION_V4, file_format_version
 
 
 def _column(n=30_000, seed=0):
@@ -30,7 +26,11 @@ class TestCompressionOptions:
         assert opts.vector_size == 1024
         assert opts.threads == 1
         assert opts.force_scheme is None
-        assert opts.integrity
+
+    def test_integrity_option_removed(self):
+        # Every written file is checksummed v4; there is nothing to opt out of.
+        with pytest.raises(TypeError):
+            api.CompressionOptions(integrity=False)
 
     def test_bad_force_scheme_rejected(self):
         with pytest.raises(ValueError):
@@ -121,18 +121,10 @@ class TestFileRoundtrip:
         api.write(path, values)
         assert bitwise_equal(api.read(path), values)
 
-    def test_writes_v3_by_default(self, tmp_path):
+    def test_writes_v4_by_default(self, tmp_path):
         path = tmp_path / "col.alpc"
         api.write(path, _column())
-        assert ColumnFileReader(path).format_version == FORMAT_VERSION
-
-    def test_integrity_off_writes_v2(self, tmp_path):
-        path = tmp_path / "col.alpc"
-        values = _column()
-        api.write(path, values, api.CompressionOptions(integrity=False))
-        reader = ColumnFileReader(path)
-        assert reader.format_version == FORMAT_VERSION_V2
-        assert bitwise_equal(reader.read_all(), values)
+        assert file_format_version(path) == FORMAT_VERSION_V4
 
     def test_open_reader(self, tmp_path):
         path = tmp_path / "col.alpc"
@@ -189,10 +181,12 @@ class TestVerifyRepair:
 
 class TestShimsRemoved:
     def test_write_column_file_is_gone(self):
-        # The deprecation shims were removed with format v4; the
-        # replacements are api.write/api.read (and write_table for
-        # multi-column data).
-        import repro.storage.columnfile as columnfile
+        # The deprecation shims were removed with format v4, and the
+        # v2/v3 writer module with them; the replacements are
+        # api.write/api.read (and write_table for multi-column data).
+        import importlib
 
-        assert not hasattr(columnfile, "write_column_file")
-        assert not hasattr(columnfile, "read_column_file")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.storage.columnfile")
+        assert not hasattr(api, "write_column_file")
+        assert not hasattr(api, "read_column_file")

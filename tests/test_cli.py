@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from tests.golden import generate as golden
 
 
 @pytest.fixture
@@ -64,6 +65,15 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "row-groups" in out
         assert "alp" in out
+
+    def test_inspect_v3_golden_prints_table_view(self, capsys):
+        # Every format version goes through the one table view.
+        path = golden.GOLDEN_DIR / "golden_v3.alpc"
+        assert main(["inspect", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "format v3 table, 4,096 rows x 1 columns in 8 row-groups" in out
+        assert "golden_v3: float64" in out
+        assert out.count(" golden_v3 ") == 8  # one chunk line per row-group
 
 
 class TestRatio:

@@ -1,4 +1,4 @@
-"""One ColumnFileReader, many threads, a corrupted file.
+"""One shared column reader, many threads, a corrupted file.
 
 The serving layer hammers a single shared reader from a worker pool, so
 the reader's integrity bookkeeping must be thread-safe: every thread
@@ -16,7 +16,6 @@ import pytest
 
 from repro import api, obs
 from repro.server.cache import DecodedVectorCache
-from repro.storage.columnfile import ColumnFileReader
 from repro.storage.errors import CorruptRowGroupError
 
 VECTOR_SIZE = 128
@@ -50,7 +49,7 @@ def corrupted(tmp_path):
     )
     path = tmp_path / "damaged.alpc"
     api.write(path, values, OPTIONS)
-    metadata = ColumnFileReader(path).metadata
+    metadata = api.open(path).metadata
     data = bytearray(path.read_bytes())
     for index in BAD:
         data[metadata[index].offset + 3] ^= 0x20
@@ -75,7 +74,7 @@ def _range_values(values):
 class TestConcurrentDegradedReader:
     def test_hammer_is_deterministic_with_exact_quarantine(self, corrupted):
         path, values = corrupted
-        reader = ColumnFileReader(path, degraded=True)
+        reader = api.open(path, degraded=True)
         cache = DecodedVectorCache(byte_budget=64 << 20)
         expect_all = _good_values(values)
         expect_range = _range_values(values)
@@ -139,10 +138,10 @@ class TestConcurrentDegradedReader:
         # Exactly one quarantine and one checksum tally per bad
         # row-group, regardless of how many threads raced into them.
         counters = snap["counters"]
-        assert counters["columnfile.checksum_failures"] == len(BAD)
-        assert counters["columnfile.rowgroups_quarantined"] == len(BAD)
+        assert counters["tablefile.checksum_failures"] == len(BAD)
+        assert counters["tablefile.chunks_quarantined"] == len(BAD)
         assert (
-            counters["columnfile.values_quarantined"]
+            counters["tablefile.values_quarantined"]
             == len(BAD) * ROWGROUP_VALUES
         )
 
@@ -153,7 +152,7 @@ class TestConcurrentDegradedReader:
 
     def test_strict_reader_raises_under_concurrency(self, corrupted):
         path, _ = corrupted
-        reader = ColumnFileReader(path, degraded=False)
+        reader = api.open(path, degraded=False)
 
         def attempt(_):
             try:
@@ -167,7 +166,7 @@ class TestConcurrentDegradedReader:
 
     def test_cache_converges_to_good_rowgroups_only(self, corrupted):
         path, values = corrupted
-        reader = ColumnFileReader(path, degraded=True)
+        reader = api.open(path, degraded=True)
         cache = DecodedVectorCache(byte_budget=64 << 20)
 
         def scan(_):

@@ -22,7 +22,6 @@ from repro.data import DATASET_ORDER, get_dataset
 from repro.query.engine import sum_query
 from repro.query.sources import FileColumnSource, make_source
 from repro import api
-from repro.storage.columnfile import ColumnFileReader
 from repro.storage.serializer import serialize_rowgroup
 
 
@@ -100,7 +99,7 @@ class TestCorruptionHandling:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises((ValueError, struct.error, IndexError)):
-            ColumnFileReader(path)
+            api.open(path)
 
     def test_flipped_magic_rejected(self, tmp_path):
         path = self._write(tmp_path)
@@ -108,7 +107,7 @@ class TestCorruptionHandling:
         data[0] ^= 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError):
-            ColumnFileReader(path)
+            api.open(path)
 
     def test_wrong_version_rejected(self, tmp_path):
         path = self._write(tmp_path)
@@ -116,16 +115,16 @@ class TestCorruptionHandling:
         struct.pack_into("<H", data, 4, 99)
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError):
-            ColumnFileReader(path)
+            api.open(path)
 
     def test_footer_length_mismatch_detected(self, tmp_path):
         path = self._write(tmp_path)
-        reader = ColumnFileReader(path)
+        reader = api.open(path)
         meta = reader.metadata[0]
         # Corrupt the in-memory footer length and verify the framing check.
         from dataclasses import replace
 
-        reader._meta[0] = replace(meta, length=meta.length - 3)
+        reader._parent._chunks[0][0] = replace(meta, length=meta.length - 3)
         with pytest.raises(ValueError):
             reader.read_rowgroup(0)
 

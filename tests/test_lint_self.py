@@ -49,7 +49,7 @@ def test_server_package_is_rl6_clean():
 def test_server_and_storage_are_concurrency_clean():
     # The concurrency/ownership contracts added with RL8–RL10 must find
     # nothing real (the seeded violations live in fixtures; the two
-    # owner-stores in columnfile carry justified suppressions).
+    # owner-stores in tablefile carry justified suppressions).
     from repro.lint import (
         LockDisciplineRule,
         ResourceLinearityRule,
@@ -146,13 +146,13 @@ def test_registry_matches_code():
 
 
 def test_integrity_names_registered():
-    # The storage-integrity metrics (format v3) must stay registered —
-    # the verify CLI and the degraded-scan report depend on them.
-    assert "columnfile.verify" in SPAN_NAMES
+    # The storage-integrity metrics must stay registered — the verify
+    # CLI and the degraded-scan report depend on them.
+    assert "tablefile.verify" in SPAN_NAMES
     for name in (
-        "columnfile.checksum_failures",
-        "columnfile.rowgroups_quarantined",
-        "columnfile.values_quarantined",
+        "tablefile.checksum_failures",
+        "tablefile.chunks_quarantined",
+        "tablefile.values_quarantined",
     ):
         assert name in COUNTER_NAMES
 

@@ -13,6 +13,7 @@ compared bit-for-bit against masks computed on the decoded doubles.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
@@ -204,6 +205,20 @@ class TestAlpSum:
         fused = np.float64(alp_sum_vector(vector))
         decoded = np.float64(np.sum(alp_decode_vector(vector)))
         assert fused.view(np.uint64) == decoded.view(np.uint64)
+
+    def test_infinities_sum_to_decoded_nan_without_warning(self):
+        array = np.array([float("inf"), float("-inf")], dtype=np.float64)
+        vector = alp_encode_vector(array, 2, 0)
+        assert vector.exception_count == array.size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fused = np.float64(alp_sum_vector(vector))
+            oracle = np.float64(alp_sum_vector_reference(vector))
+        with np.errstate(invalid="ignore"):
+            decoded = np.float64(np.sum(alp_decode_vector(vector)))
+        assert np.isnan(decoded)
+        assert fused.view(np.uint64) == decoded.view(np.uint64)
+        assert oracle.view(np.uint64) == decoded.view(np.uint64)
 
     def test_negative_zero_exception_sum_keeps_sign(self):
         array = np.array([-0.0], dtype=np.float64)

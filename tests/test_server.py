@@ -34,7 +34,6 @@ from repro.server.loadgen import (
     write_loadgen_json,
 )
 from repro.server.ops import OpResult
-from repro.storage.columnfile import ColumnFileReader
 
 VECTOR_SIZE = 128
 ROWGROUP_VECTORS = 4
@@ -356,7 +355,9 @@ class TestDegradedServing:
         values = _values(VECTOR_SIZE * ROWGROUP_VECTORS * 4)
         path = tmp_path / "c.alpc"
         api.write(path, values, OPTIONS)
-        meta = ColumnFileReader(path).metadata[1]
+        with api.open(path) as reader:
+            meta = reader.metadata[1]
+            rows = reader.rowgroup_rows(1)
         data = bytearray(path.read_bytes())
         data[meta.offset] ^= 0x20
         path.write_bytes(bytes(data))
@@ -368,7 +369,7 @@ class TestDegradedServing:
             with _client(handle) as client:
                 got, fields = client.scan("dmg")
             assert fields["rowgroups_quarantined"] == 1
-            assert fields["values_quarantined"] == meta.count
+            assert fields["values_quarantined"] == rows
             rg = VECTOR_SIZE * ROWGROUP_VECTORS
             expect = np.concatenate([values[:rg], values[2 * rg :]])
             assert bitwise_equal(got, expect)

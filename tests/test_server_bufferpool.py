@@ -5,12 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import api
 from repro.bench.harness import LARGE_ALLOC_BYTES, traced_large_allocs
 from repro.server.bufferpool import MAX_PER_BUCKET, BufferPool
 from repro.server.cache import DecodedVectorCache
 from repro.server.ops import build_ops
 from repro.server.registry import DatasetRegistry
-from repro.storage.columnfile import ColumnFileWriter
 
 
 class TestAcquireRelease:
@@ -207,8 +207,7 @@ class TestZeroAllocServing:
         path = tmp_path_factory.mktemp("serve") / "col.alpc"
         rng = np.random.default_rng(2)
         values = np.round(rng.normal(15.0, 4.0, 120_000), 2)
-        with ColumnFileWriter(path, rowgroup_vectors=10) as writer:
-            writer.write_values(values)
+        api.write(path, values, api.CompressionOptions(rowgroup_vectors=10))
         pool = BufferPool()
         cache = DecodedVectorCache(pool=pool)
         registry = DatasetRegistry(cache=cache, mmap=True, pool=pool)

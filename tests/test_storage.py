@@ -1,4 +1,4 @@
-"""Tests for serialization and the ALPC column-file format."""
+"""Tests for serialization and one-column ALPC files."""
 
 import math
 
@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from repro.core.compressor import compress_rowgroup, decompress
 from repro.data import get_dataset
 from repro import api
-from repro.storage.columnfile import ColumnFileReader, ColumnFileWriter
+from repro.storage.schema import Column, Schema
+from repro.storage.tablefile import TableFileWriter
 from repro.storage.serializer import deserialize_rowgroup, serialize_rowgroup
 
 
@@ -128,7 +129,7 @@ class TestColumnFile:
         values = get_dataset("Stocks-USA", n=300_000)
         path = tmp_path / "stocks.alpc"
         api.write(path, values)
-        reader = ColumnFileReader(path)
+        reader = api.open(path)
         assert reader.rowgroup_count == 3
         assert reader.value_count == 300_000
         middle = reader.read_rowgroup(1)
@@ -144,7 +145,7 @@ class TestColumnFile:
         values = np.concatenate(parts)
         path = tmp_path / "ranges.alpc"
         api.write(path, values)
-        reader = ColumnFileReader(path)
+        reader = api.open(path)
         assert reader.count_skippable(100.0, 110.0) == 2
         hits = list(reader.scan_range(100.0, 110.0))
         assert len(hits) == 1
@@ -155,13 +156,13 @@ class TestColumnFile:
         values[5] = math.nan
         path = tmp_path / "nan.alpc"
         api.write(path, values)
-        reader = ColumnFileReader(path)
+        reader = api.open(path)
         assert reader.count_skippable(1e9, 2e9) == 0  # inconclusive zone map
 
     def test_empty_column(self, tmp_path):
         path = tmp_path / "empty.alpc"
         api.write(path, np.empty(0))
-        reader = ColumnFileReader(path)
+        reader = api.open(path)
         assert reader.rowgroup_count == 0
         assert reader.read_all().size == 0
 
@@ -170,9 +171,9 @@ class TestColumnFile:
         chunk_a = np.round(rng.uniform(0, 10, 102_400), 1)
         chunk_b = np.round(rng.uniform(0, 10, 50_000), 1)
         path = tmp_path / "streamed.alpc"
-        with ColumnFileWriter(path) as writer:
-            writer.write_values(chunk_a)
-            writer.write_values(chunk_b)
+        with TableFileWriter(path, Schema((Column("streamed"),))) as writer:
+            writer.write_rows({"streamed": chunk_a})
+            writer.write_rows({"streamed": chunk_b})
         combined = np.concatenate([chunk_a, chunk_b])
         assert bitwise_equal(api.read(path), combined)
 
@@ -180,7 +181,7 @@ class TestColumnFile:
         path = tmp_path / "bad.alpc"
         path.write_bytes(b"not a column file")
         with pytest.raises(ValueError):
-            ColumnFileReader(path)
+            api.open(path)
 
     def test_rd_rowgroups_in_file(self, tmp_path):
         values = get_dataset("POI-lat", n=120_000)

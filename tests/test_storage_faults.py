@@ -1,9 +1,10 @@
-"""Corruption tests for column format v3: checksums, quarantine, repair.
+"""Corruption tests for one-column files: checksums, quarantine, repair.
 
 The contract under test: *no silent garbage*.  Any single-byte flip in
-any section of a v3 file, and any truncation, must either raise a typed
-integrity error or (in degraded mode) quarantine exactly the damaged
-row-group while every remaining value reads back bit-exactly.
+any section of a checksummed file, and any truncation, must either
+raise a typed integrity error or (in degraded mode) quarantine exactly
+the damaged row-group while every remaining value reads back
+bit-exactly.  Read-only v2 files are covered through the frozen golden.
 """
 
 import os
@@ -16,17 +17,20 @@ from repro.bench.faults import (
     enumerate_sections,
     run_fault_sweep,
 )
-from repro.storage.columnfile import (
-    FORMAT_VERSION,
-    FORMAT_VERSION_V2,
-    ColumnFileReader,
-    ColumnFileWriter,
-)
 from repro.storage.errors import (
     CorruptFileError,
     CorruptRowGroupError,
     IntegrityError,
 )
+from repro.storage.schema import Column, Schema
+from repro.storage.tablefile import (
+    FORMAT_VERSION_V2,
+    FORMAT_VERSION_V4,
+    TableFileWriter,
+)
+from tests.golden import generate as golden
+
+GOLDEN_V2 = golden.GOLDEN_DIR / "golden_v2.alpc"
 
 VECTOR_SIZE = 128
 ROWGROUP_VECTORS = 4
@@ -73,7 +77,13 @@ class TestBitFlipEverySection:
     @pytest.mark.parametrize("rel", [0.0, 0.33, 0.66, 0.999])
     @pytest.mark.parametrize(
         "section_name",
-        ["header", "rowgroup[0]", "rowgroup[2]", "footer", "trailer"],
+        [
+            "header",
+            pytest.param("chunk[0,col]", id="rowgroup[0]"),
+            pytest.param("chunk[2,col]", id="rowgroup[2]"),
+            "footer",
+            "trailer",
+        ],
     )
     def test_flip_detected_strict(self, column_file, section_name, rel):
         path, values = column_file
@@ -86,13 +96,13 @@ class TestBitFlipEverySection:
         )
         _flip(path, offset)
         with pytest.raises(IntegrityError):
-            ColumnFileReader(path).read_all()
+            api.open(path).read_all()
 
     def test_flipped_rowgroup_raises_typed_error(self, column_file):
         path, values = column_file
         section = enumerate_sections(str(path))[2]  # rowgroup[1]
         _flip(path, section.offset + section.length // 2)
-        reader = ColumnFileReader(path)
+        reader = api.open(path)
         with pytest.raises(CorruptRowGroupError) as excinfo:
             reader.read_rowgroup(1)
         assert excinfo.value.index == 1
@@ -102,7 +112,7 @@ class TestBitFlipEverySection:
         path, _ = column_file
         _flip(path, 5)  # inside the version/vector-size fields
         with pytest.raises(CorruptFileError):
-            ColumnFileReader(path)
+            api.open(path)
 
     def test_whole_sweep_has_zero_silent_garbage(self, tmp_path):
         outcomes = run_fault_sweep(directory=str(tmp_path))
@@ -122,7 +132,7 @@ class TestTruncation:
         for cut in cuts:
             path.write_bytes(pristine[:cut])
             with pytest.raises(IntegrityError):
-                ColumnFileReader(path).read_all()
+                api.open(path).read_all()
         path.write_bytes(pristine)
         assert bitwise_equal(api.read(path), values)
 
@@ -130,7 +140,7 @@ class TestTruncation:
         path = tmp_path / "empty.alpc"
         path.write_bytes(b"")
         with pytest.raises(CorruptFileError):
-            ColumnFileReader(path)
+            api.open(path)
 
 
 class TestDegradedScan:
@@ -143,7 +153,7 @@ class TestDegradedScan:
     def test_degraded_read_keeps_rest_and_reports_one(self, column_file):
         path, values = column_file
         self._corrupt_rowgroup(path, 1)
-        reader = ColumnFileReader(path, degraded=True)
+        reader = api.open(path, degraded=True)
         restored = reader.read_all()
         expected = np.concatenate(
             [values[:RG_VALUES], values[2 * RG_VALUES :]]
@@ -164,21 +174,21 @@ class TestDegradedScan:
         obs.enable()
         obs.reset()
         try:
-            reader = ColumnFileReader(path, degraded=True)
+            reader = api.open(path, degraded=True)
             reader.read_all()
             reader.read_all()  # second pass must not double-count
             counters = obs.snapshot()["counters"]
         finally:
             obs.disable()
             obs.reset()
-        assert counters["columnfile.rowgroups_quarantined"] == 1
-        assert counters["columnfile.values_quarantined"] == RG_VALUES
-        assert counters["columnfile.checksum_failures"] >= 1
+        assert counters["tablefile.chunks_quarantined"] == 1
+        assert counters["tablefile.values_quarantined"] == RG_VALUES
+        assert counters["tablefile.checksum_failures"] >= 1
 
     def test_degraded_range_scan_skips_quarantined(self, column_file):
         path, values = column_file
         self._corrupt_rowgroup(path, 0)
-        reader = ColumnFileReader(path, degraded=True)
+        reader = api.open(path, degraded=True)
         lo, hi = float(values.min()), float(values.max())
         scanned = [index for index, _ in reader.scan_range(lo, hi)]
         assert 0 not in scanned
@@ -200,7 +210,7 @@ class TestDegradedScan:
         path, _ = column_file
         self._corrupt_rowgroup(path, 1)
         with pytest.raises(CorruptRowGroupError):
-            ColumnFileReader(path).read_all()
+            api.open(path).read_all()
 
 
 class TestVerifyRepair:
@@ -212,7 +222,7 @@ class TestVerifyRepair:
         assert not report.ok
         bad = report.bad_sections
         assert len(bad) == 1
-        assert bad[0].section == "rowgroup"
+        assert bad[0].section == "chunk"
         assert bad[0].index == 1
         assert bad[0].offset == section.offset
         assert "checksum" in bad[0].error
@@ -249,87 +259,68 @@ class TestVerifyRepair:
 
 
 class TestV2BackCompat:
-    def test_v2_roundtrip(self, tmp_path):
-        values = _values()
-        path = tmp_path / "legacy.alpc"
-        api.write(
-            path,
-            values,
-            api.CompressionOptions(
-                vector_size=VECTOR_SIZE,
-                rowgroup_vectors=ROWGROUP_VECTORS,
-                integrity=False,
-            ),
-        )
-        reader = ColumnFileReader(path)
+    def test_v2_roundtrip(self):
+        reader = api.open(GOLDEN_V2)
         assert reader.format_version == FORMAT_VERSION_V2
-        assert bitwise_equal(reader.read_all(), values)
+        assert bitwise_equal(reader.read_all(), golden.single_column_values())
 
-    def test_v2_verify_reports_unchecksummed(self, tmp_path):
-        path = tmp_path / "legacy.alpc"
-        api.write(
-            path, _values(), api.CompressionOptions(integrity=False)
-        )
-        report = api.verify(path)
+    def test_v2_verify_reports_unchecksummed(self):
+        report = api.verify(GOLDEN_V2)
         assert report.ok
         assert not report.checksummed
 
-    def test_repair_upgrades_v2_to_v3(self, tmp_path):
-        values = _values()
-        src = tmp_path / "legacy.alpc"
+    def test_repair_upgrades_v2_to_v4(self, tmp_path):
         dst = tmp_path / "upgraded.alpc"
-        api.write(
-            src,
-            values,
-            api.CompressionOptions(
-                vector_size=VECTOR_SIZE,
-                rowgroup_vectors=ROWGROUP_VECTORS,
-                integrity=False,
-            ),
-        )
-        api.repair(src, dst)
-        reader = ColumnFileReader(dst)
-        assert reader.format_version == FORMAT_VERSION
-        assert bitwise_equal(reader.read_all(), values)
+        report = api.repair(GOLDEN_V2, dst)
+        assert report.rowgroups_dropped == 0
+        reader = api.open(dst)
+        assert reader.format_version == FORMAT_VERSION_V4
+        assert reader.column_name == "golden_v2"
+        assert bitwise_equal(reader.read_all(), golden.single_column_values())
+        assert api.verify(dst).ok
+
+
+def _writer(path):
+    return TableFileWriter(path, Schema((Column("col"),)))
 
 
 class TestWriterSafety:
     def test_close_is_idempotent(self, tmp_path):
         path = tmp_path / "col.alpc"
-        writer = ColumnFileWriter(path)
-        writer.write_values(_values())
+        writer = _writer(path)
+        writer.write_rows({"col": _values()})
         writer.close()
         writer.close()  # must be a no-op, not an error
         assert bitwise_equal(api.read(path), _values())
 
     def test_write_after_close_rejected(self, tmp_path):
         path = tmp_path / "col.alpc"
-        writer = ColumnFileWriter(path)
+        writer = _writer(path)
         writer.close()
         with pytest.raises(ValueError):
-            writer.write_values(_values())
+            writer.write_rows({"col": _values()})
 
     def test_exception_leaves_no_file_at_target(self, tmp_path):
         path = tmp_path / "col.alpc"
         with pytest.raises(RuntimeError):
-            with ColumnFileWriter(path) as writer:
-                writer.write_values(_values()[:RG_VALUES])
+            with _writer(path) as writer:
+                writer.write_rows({"col": _values()[:RG_VALUES]})
                 raise RuntimeError("boom")
         assert not path.exists()
         assert os.listdir(tmp_path) == []  # temp file cleaned up too
 
     def test_abort_after_close_is_noop(self, tmp_path):
         path = tmp_path / "col.alpc"
-        writer = ColumnFileWriter(path)
-        writer.write_values(_values())
+        writer = _writer(path)
+        writer.write_rows({"col": _values()})
         writer.close()
         writer.abort()
         assert path.exists()
 
     def test_no_partial_file_visible_before_close(self, tmp_path):
         path = tmp_path / "col.alpc"
-        writer = ColumnFileWriter(path)
-        writer.write_values(_values())
+        writer = _writer(path)
+        writer.write_rows({"col": _values()})
         assert not path.exists()  # atomic publish happens at close
         writer.close()
         assert path.exists()

@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.storage.columnfile import (
-    MMAP_MIN_BYTES,
-    ColumnFileReader,
-    ColumnFileWriter,
-)
 from repro.storage.errors import BufferLifetimeError
+from repro.storage.tablefile import MMAP_MIN_BYTES, TableFileReader
 
 
 def special_values(n: int, seed: int = 7) -> np.ndarray:
@@ -27,11 +23,10 @@ def special_values(n: int, seed: int = 7) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def large_file(tmp_path_factory):
-    """A v3 file comfortably above the mmap threshold (several rowgroups)."""
+    """A file comfortably above the mmap threshold (several rowgroups)."""
     path = tmp_path_factory.mktemp("mmap") / "large.alpc"
     values = special_values(120_000)
-    with ColumnFileWriter(path, rowgroup_vectors=10) as writer:
-        writer.write_values(values)
+    api.write(path, values, api.CompressionOptions(rowgroup_vectors=10))
     assert path.stat().st_size >= MMAP_MIN_BYTES
     return path, values
 
@@ -39,15 +34,15 @@ def large_file(tmp_path_factory):
 class TestParity:
     def test_mapped_reader_is_mapped(self, large_file):
         path, _ = large_file
-        with ColumnFileReader(path, mmap=True) as reader:
+        with api.open(path, mmap=True) as reader:
             assert reader.mapped
             assert not reader.closed
 
     def test_mmap_buffered_bit_identical(self, large_file):
         path, values = large_file
-        with ColumnFileReader(path) as buffered:
+        with api.open(path) as buffered:
             expect = buffered.read_all()
-        with ColumnFileReader(path, mmap=True) as mapped:
+        with api.open(path, mmap=True) as mapped:
             got = mapped.read_all()
         np.testing.assert_array_equal(
             expect.view(np.uint64), got.view(np.uint64)
@@ -59,7 +54,7 @@ class TestParity:
     @pytest.mark.parametrize("mmap", [False, True])
     def test_read_all_out_matches_alloc(self, large_file, mmap):
         path, values = large_file
-        with ColumnFileReader(path, mmap=mmap) as reader:
+        with api.open(path, mmap=mmap) as reader:
             target = np.empty(reader.value_count, dtype=np.float64)
             got = reader.read_all(out=target)
             assert got is target
@@ -69,7 +64,7 @@ class TestParity:
 
     def test_read_rowgroup_out_matches_alloc(self, large_file):
         path, _ = large_file
-        with ColumnFileReader(path, mmap=True) as reader:
+        with api.open(path, mmap=True) as reader:
             expect = reader.read_rowgroup(1)
             target = np.empty(expect.size, dtype=np.float64)
             got = reader.read_rowgroup(1, out=target)
@@ -90,42 +85,26 @@ class TestParity:
 class TestFallback:
     def test_small_file_falls_back_to_buffered(self, tmp_path):
         path = tmp_path / "small.alpc"
-        with ColumnFileWriter(path) as writer:
-            writer.write_values(special_values(2048))
+        api.write(path, special_values(2048))
         assert path.stat().st_size < MMAP_MIN_BYTES
-        with ColumnFileReader(path, mmap=True) as reader:
+        with api.open(path, mmap=True) as reader:
             assert not reader.mapped
             assert reader.read_all().size == 2048
-
-    def test_v2_file_falls_back_to_buffered(self, tmp_path):
-        path = tmp_path / "v2.alpc"
-        values = special_values(120_000)
-        with ColumnFileWriter(
-            path, rowgroup_vectors=10, integrity=False
-        ) as writer:
-            writer.write_values(values)
-        assert path.stat().st_size >= MMAP_MIN_BYTES
-        with ColumnFileReader(path, mmap=True) as reader:
-            assert reader.format_version == 2
-            assert not reader.mapped
-            np.testing.assert_array_equal(
-                reader.read_all().view(np.uint64), values.view(np.uint64)
-            )
 
 
 class TestPayloadViews:
     def test_payload_is_memoryview_not_copy(self, large_file):
         path, _ = large_file
-        with ColumnFileReader(path, mmap=True) as reader:
-            first = reader.rowgroup_payload(0)
-            second = reader.rowgroup_payload(0)
+        with TableFileReader(path, mmap=True) as reader:
+            first = reader.chunk_payload(0, "large")
+            second = reader.chunk_payload(0, "large")
             try:
                 assert isinstance(first, memoryview)
                 assert first.readonly
                 # Both views alias the same underlying map — no
                 # per-call materialization happened.
                 assert first.obj is second.obj
-                assert len(first) == reader.metadata[0].length
+                assert len(first) == reader.chunk_meta(0, "large").length
             finally:
                 # Live views pin the map; drop them so the context
                 # manager's close succeeds (TestLifetime covers the
@@ -135,29 +114,29 @@ class TestPayloadViews:
 
     def test_buffered_payload_is_also_a_view(self, large_file):
         path, _ = large_file
-        with ColumnFileReader(path) as reader:
-            view = reader.rowgroup_payload(0)
+        with TableFileReader(path) as reader:
+            view = reader.chunk_payload(0, "large")
             assert isinstance(view, memoryview)
-            assert view.obj is reader.rowgroup_payload(1).obj
+            assert view.obj is reader.chunk_payload(1, "large").obj
 
 
 class TestLifetime:
     def test_close_with_live_view_raises_typed_error(self, large_file):
         path, _ = large_file
-        reader = ColumnFileReader(path, mmap=True)
-        view = reader.rowgroup_payload(0)
+        reader = TableFileReader(path, mmap=True)
+        view = reader.chunk_payload(0, "large")
         with pytest.raises(BufferLifetimeError):
             reader.close()
         # The refused close leaves the reader fully usable.
         assert not reader.closed
-        assert reader.read_rowgroup(0).size > 0
+        assert reader.read_chunk(0, "large")[0].size > 0
         view.release()
         reader.close()
         assert reader.closed
 
     def test_close_is_idempotent(self, large_file):
         path, _ = large_file
-        reader = ColumnFileReader(path, mmap=True)
+        reader = api.open(path, mmap=True)
         reader.close()
         reader.close()
         assert reader.closed
@@ -165,12 +144,12 @@ class TestLifetime:
     @pytest.mark.parametrize("mmap", [False, True])
     def test_closed_reader_raises_value_error(self, large_file, mmap):
         path, _ = large_file
-        reader = ColumnFileReader(path, mmap=mmap)
+        reader = api.open(path, mmap=mmap)
         reader.close()
         with pytest.raises(ValueError, match="closed"):
             reader.read_all()
         with pytest.raises(ValueError, match="closed"):
-            reader.rowgroup_payload(0)
+            reader._parent.chunk_payload(0, "large")
         with pytest.raises(ValueError, match="closed"):
             reader.read_rowgroup(0)
         with pytest.raises(ValueError, match="closed"):
@@ -180,14 +159,14 @@ class TestLifetime:
         # Decoding copies out of the map into float64 arrays, so holding
         # the *results* must never block close.
         path, _ = large_file
-        reader = ColumnFileReader(path, mmap=True)
+        reader = api.open(path, mmap=True)
         decoded = reader.read_all()
         reader.close()
         assert decoded.size > 0
 
     def test_bad_out_buffer_raises_plain_value_error(self, large_file):
         path, _ = large_file
-        with ColumnFileReader(path, mmap=True) as reader:
+        with api.open(path, mmap=True) as reader:
             wrong = np.empty(3, dtype=np.float64)
             with pytest.raises(ValueError, match="out must"):
                 reader.read_rowgroup(0, out=wrong)

@@ -15,6 +15,7 @@ import pytest
 
 from repro import api
 from repro.storage.tablefile import file_format_version
+from tests.golden import generate as golden
 
 
 def _arrays(n=20_000, seed=2):
@@ -138,13 +139,13 @@ class TestWriteReadTable:
         with pytest.raises(KeyError):
             api.open_table(path, columns=["nope"])
 
-    def test_legacy_v3_as_table(self, tmp_path):
-        values = np.round(np.random.default_rng(3).normal(0, 1, 4000), 2)
-        path = tmp_path / "col.alpc"
-        api.write(path, values)
+    def test_legacy_v3_as_table(self):
+        path = golden.GOLDEN_DIR / "golden_v3.alpc"
         table = api.read_table(path)
-        assert table.schema.names == ("col",)
-        assert np.array_equal(table.column("col"), values)
+        assert table.schema.names == ("golden_v3",)
+        assert np.array_equal(
+            table.column("golden_v3"), golden.single_column_values()
+        )
 
 
 class TestSingleColumnWrappers:
@@ -166,10 +167,12 @@ class TestSingleColumnWrappers:
         with pytest.raises(ValueError, match="open_table"):
             api.open(path)
 
-    def test_write_stays_v3(self, tmp_path):
+    def test_write_is_v4(self, tmp_path):
         path = tmp_path / "c.alpc"
         api.write(path, np.zeros(100))
-        assert file_format_version(path) == 3
+        assert file_format_version(path) == 4
+        with api.open_table(path) as handle:
+            assert handle.schema.names == ("c",)
 
 
 class TestColumnCodecs:

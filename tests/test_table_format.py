@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.columnfile import ColumnFileWriter
 from repro.storage.errors import CorruptRowGroupError
 from repro.storage.schema import FLOAT64, INT64, STRING, Column, Schema
 from repro.storage.tablefile import (
@@ -23,6 +22,10 @@ from repro.storage.tablefile import (
     file_format_version,
 )
 from repro.storage.verify import repair_column_file, verify_column_file
+from tests.golden import generate as golden
+
+GOLDEN_V2 = golden.GOLDEN_DIR / "golden_v2.alpc"
+GOLDEN_V3 = golden.GOLDEN_DIR / "golden_v3.alpc"
 
 
 def _write(path, columns, validity=None, schema=None, **kwargs):
@@ -202,30 +205,24 @@ class TestEdgeShapes:
 
 
 class TestLegacyWrap:
-    def test_v3_reads_as_one_column_table(self, tmp_path):
-        path = tmp_path / "legacy.alpc"
-        values = np.round(np.random.default_rng(0).normal(0, 1, 5000), 2)
-        with ColumnFileWriter(path) as writer:
-            writer.write_values(values)
-        assert file_format_version(path) == 3
-        with TableFileReader(path) as reader:
-            assert reader.schema.names == ("legacy",)
+    def test_v3_reads_as_one_column_table(self):
+        values = golden.single_column_values()
+        assert file_format_version(GOLDEN_V3) == 3
+        with TableFileReader(GOLDEN_V3) as reader:
+            assert reader.schema.names == ("golden_v3",)
             assert reader.schema.columns[0].type == FLOAT64
             assert not reader.schema.columns[0].nullable
             got, masks = reader.read_columns()
-            assert _column_equal(got["legacy"], values)
+            assert _column_equal(got["golden_v3"], values)
             assert masks == {}
 
-    def test_v2_reads_as_one_column_table(self, tmp_path):
-        path = tmp_path / "old.alpc"
-        values = np.round(np.random.default_rng(1).normal(0, 1, 3000), 2)
-        with ColumnFileWriter(path, integrity=False) as writer:
-            writer.write_values(values)
-        assert file_format_version(path) == 2
-        with TableFileReader(path) as reader:
+    def test_v2_reads_as_one_column_table(self):
+        values = golden.single_column_values()
+        assert file_format_version(GOLDEN_V2) == 2
+        with TableFileReader(GOLDEN_V2) as reader:
             assert reader.format_version == 2
             got, _ = reader.read_columns()
-            assert _column_equal(got["old"], values)
+            assert _column_equal(got["golden_v2"], values)
 
 
 def _damage_chunk(path, rowgroup, column):
