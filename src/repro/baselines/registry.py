@@ -20,10 +20,8 @@ import numpy as np
 from repro.baselines.chimp import chimp_compress, chimp_decompress
 from repro.baselines.chimp128 import chimp128_compress, chimp128_decompress
 from repro.baselines.elf import elf_compress, elf_decompress
-from repro.baselines.fpc import fpc_compress, fpc_decompress
 from repro.baselines.gorilla import gorilla_compress, gorilla_decompress
 from repro.baselines.gp import gp_compress, gp_decompress
-from repro.baselines.lz import lz_compress, lz_decompress
 from repro.baselines.patas import patas_compress, patas_decompress
 from repro.baselines.pde import pde_compress, pde_decompress
 from repro.core.compressor import compress as alp_compress
@@ -85,7 +83,6 @@ CODECS: dict[str, Codec] = {
         "patas", patas_compress, patas_decompress, vectorized=False
     ),
     "elf": Codec("elf", elf_compress, elf_decompress, vectorized=False),
-    "fpc": Codec("fpc", fpc_compress, fpc_decompress, vectorized=False),
     "pde": Codec("pde", pde_compress, pde_decompress, vectorized=True),
     "zlib(gp)": Codec(
         "zlib(gp)",
@@ -98,9 +95,6 @@ CODECS: dict[str, Codec] = {
         lambda values: gp_compress(values, codec="lzma"),
         gp_decompress,
         vectorized=False,
-    ),
-    "lz4-like(gp)": Codec(
-        "lz4-like(gp)", lz_compress, lz_decompress, vectorized=False
     ),
 }
 

@@ -1,29 +1,36 @@
 """The benchmark regression gate run by CI.
 
-``python -m repro.bench.gate CURRENT.json BASELINE.json`` compares two
-``BENCH_*.json`` documents record by record (keyed on dataset + codec)
-and exits non-zero when the current run regresses beyond tolerance:
+``python -m repro.bench.gate CURRENT.json [CURRENT.json ...] BASELINE.json``
+merges the records of every current document (a dataset + codec key
+that appears twice is an error) and checks each one against the
+baseline record with the same key.  Every check holds one field to one
+bound:
 
-- **compression ratio**: ``bits_per_value`` more than 2% *higher* than
-  the baseline fails.  Ratios are deterministic (fixed-seed synthetic
-  data), so this tolerance only leaves room for intentional trade-offs.
-- **throughput**: the machine-relative ``compress_rel`` /
-  ``decompress_rel`` fields (codec MB/s divided by a same-process,
+- a baseline record's ``bounds`` (see :mod:`repro.bench.records`) name
+  a record field or counter and its limit: relative worsening, an
+  absolute floor, or a floor on the ratio to another record of the same
+  run;
+- fields without one keep the defaults in :data:`DEFAULT_BOUNDS`.
+  ``bits_per_value`` may grow by 2% — ratios are deterministic
+  (fixed-seed synthetic data), so this only leaves room for intentional
+  trade-offs.  The machine-relative ``compress_rel`` /
+  ``decompress_rel`` throughputs (codec MB/s divided by a same-process,
   codec-shaped calibration workload — see
-  :func:`repro.bench.harness.calibration_mbps`) more than 25% *lower*
-  than baseline fail.  Comparing relative numbers keeps slow CI runners
-  from reading as codec regressions.
+  :func:`repro.bench.harness.calibration_mbps`) may drop by 25%, which
+  keeps slow CI runners from reading as codec regressions.
 
-Improvements never fail the gate.  A record present in the baseline but
-missing from the current run fails (coverage must not silently shrink);
-new records in the current run are reported but pass.
+Improvements never fail the gate.  Structural problems do: a baseline
+record missing from the current run (coverage must not silently
+shrink), a bounded field missing from either record, a ratio bound whose
+reference record is absent, and a ``*_speedup_vs_decode`` counter the
+baseline leaves unbounded.  New records in the current run are reported
+but pass.
 
 Besides the plain-text report on stdout, the gate renders the same
-per-metric delta table as GitHub-flavoured markdown: ``--summary PATH``
-appends it to ``PATH``, and when the ``GITHUB_STEP_SUMMARY`` environment
-variable is set (as it is inside every Actions step) the table lands in
-the job summary automatically, so a reviewer sees baseline vs current
-numbers without opening the log.
+per-metric table as GitHub-flavoured markdown and appends it to the file
+named by ``GITHUB_STEP_SUMMARY`` when that is set (as it is inside every
+Actions step), so a reviewer sees baseline vs current numbers without
+opening the log.
 """
 
 from __future__ import annotations
@@ -31,15 +38,29 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.bench.records import BenchRecord, read_bench_json
+from repro.bench.records import (
+    RECORD_MEMORY_FIELDS,
+    RECORD_NUMERIC_FIELDS,
+    SPEEDUP_SUFFIX,
+    BenchRecord,
+    read_bench_json,
+)
 
-#: Fail when bits_per_value grows by more than this fraction.
-RATIO_TOLERANCE = 0.02
-#: Fail when relative throughput drops by more than this fraction.
-SPEED_TOLERANCE = 0.25
+#: Bounds of fields a baseline record does not bound itself.
+DEFAULT_BOUNDS: dict[str, dict] = {
+    "bits_per_value": {"worse": "higher", "tolerance": 0.02},
+    "compress_rel": {"worse": "lower", "tolerance": 0.25},
+    "decompress_rel": {"worse": "lower", "tolerance": 0.25},
+}
+
+#: Names a bound reads from the record itself; any other is a counter.
+RECORD_FIELDS = RECORD_NUMERIC_FIELDS + RECORD_MEMORY_FIELDS
+
+RecordKey = tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -51,46 +72,80 @@ class Check:
     metric: str
     baseline: float
     current: float
-    change: float  # signed fraction, positive = worse
-    tolerance: float
-
-    @property
-    def failed(self) -> bool:
-        return self.change > self.tolerance
+    failed: bool
+    verdict: str  # where the current value stands against its bound
 
     def format(self) -> str:
         marker = "FAIL" if self.failed else "ok  "
         return (
             f"[{marker}] {self.dataset:14s} {self.codec:8s} "
             f"{self.metric:14s} baseline {self.baseline:10.4f} "
-            f"current {self.current:10.4f} "
-            f"({self.change:+.1%}, tolerance {self.tolerance:.0%})"
+            f"current {self.current:10.4f} ({self.verdict})"
         )
+
+
+def _field_value(record: BenchRecord, name: str) -> float | None:
+    """A record field or counter as a float, or None when absent."""
+    value = (
+        getattr(record, name)
+        if name in RECORD_FIELDS
+        else record.counters.get(name)
+    )
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    return float(value)
 
 
 def compare_records(
     current: BenchRecord,
     baseline: BenchRecord,
-    ratio_tolerance: float = RATIO_TOLERANCE,
-    speed_tolerance: float = SPEED_TOLERANCE,
-) -> list[Check]:
-    """All regression checks for one (dataset, codec) pair."""
-    checks = [
-        Check(
-            dataset=current.dataset,
-            codec=current.codec,
-            metric="bits_per_value",
-            baseline=baseline.bits_per_value,
-            current=current.bits_per_value,
-            change=_relative_increase(
-                baseline.bits_per_value, current.bits_per_value
-            ),
-            tolerance=ratio_tolerance,
-        )
+    run: Mapping[RecordKey, BenchRecord] | None = None,
+) -> tuple[list[Check], list[str]]:
+    """Every bound of one (dataset, codec) pair: (checks, problems).
+
+    ``run`` holds the current run's records by key, for ratio bounds;
+    it defaults to ``current`` alone.
+    """
+    run = run or {current.key: current}
+    where = f"{current.dataset} {current.codec}"
+    problems = [
+        f"{where}: baseline leaves {name} unbounded"
+        for name in baseline.counters
+        if name.endswith(SPEEDUP_SUFFIX) and name not in baseline.bounds
     ]
-    for metric in ("compress_rel", "decompress_rel"):
-        base = getattr(baseline, metric)
-        cur = getattr(current, metric)
+    checks: list[Check] = []
+    for metric, bound in {**DEFAULT_BOUNDS, **baseline.bounds}.items():
+        base = _field_value(baseline, metric)
+        cur = _field_value(current, metric)
+        if base is None or cur is None:
+            side = "baseline" if base is None else "current"
+            problems.append(f"{where}: {metric} missing from {side} record")
+            continue
+        if "tolerance" in bound:
+            worse, better = (
+                (cur, base) if bound["worse"] == "higher" else (base, cur)
+            )
+            change = _relative_increase(better, worse)
+            failed = change > bound["tolerance"]
+            verdict = f"{change:+.1%}, tolerance {bound['tolerance']:.0%}"
+        elif "of" in bound:
+            of = tuple(bound["of"])
+            reference = run.get(of)
+            ref_value = (
+                None if reference is None else _field_value(reference, metric)
+            )
+            if not ref_value:
+                problems.append(
+                    f"{where}: {metric} bound needs a non-zero {metric} "
+                    f"in a current {' '.join(of)} record"
+                )
+                continue
+            ratio = cur / ref_value
+            failed = ratio < bound["min"]
+            verdict = f"{ratio:.2f}x {'/'.join(of)}, floor {bound['min']:.2f}x"
+        else:
+            failed = cur < bound["min"]
+            verdict = f"floor {bound['min']:.2f}"
         checks.append(
             Check(
                 dataset=current.dataset,
@@ -98,12 +153,11 @@ def compare_records(
                 metric=metric,
                 baseline=base,
                 current=cur,
-                # For throughput, *lower* is worse.
-                change=_relative_increase(cur, base),
-                tolerance=speed_tolerance,
+                failed=failed,
+                verdict=verdict,
             )
         )
-    return checks
+    return checks, problems
 
 
 def _relative_increase(baseline: float, current: float) -> float:
@@ -114,59 +168,61 @@ def _relative_increase(baseline: float, current: float) -> float:
 
 
 def run_gate(
-    current_path: str,
-    baseline_path: str,
-    ratio_tolerance: float = RATIO_TOLERANCE,
-    speed_tolerance: float = SPEED_TOLERANCE,
+    current_paths: Sequence[str], baseline_path: str
 ) -> tuple[list[Check], list[str]]:
-    """Compare two documents; returns (checks, fatal problems)."""
-    _, current_records = read_bench_json(current_path)
+    """Compare documents; returns (checks, structural problems)."""
+    problems: list[str] = []
+    current_by_key: dict[RecordKey, BenchRecord] = {}
+    for path in current_paths:
+        for record in read_bench_json(path)[1]:
+            if record.key in current_by_key:
+                problems.append(
+                    f"record {record.key} appears in more than one "
+                    "current document"
+                )
+            current_by_key[record.key] = record
     _, baseline_records = read_bench_json(baseline_path)
-    current_by_key = {record.key: record for record in current_records}
     baseline_by_key = {record.key: record for record in baseline_records}
 
-    problems = [
+    problems.extend(
         f"baseline record {key} missing from current run"
         for key in baseline_by_key
         if key not in current_by_key
-    ]
+    )
     checks: list[Check] = []
     for key, record in current_by_key.items():
         baseline = baseline_by_key.get(key)
         if baseline is None:
             print(f"[new ] {key[0]} {key[1]}: no baseline yet, passing")
             continue
-        checks.extend(
-            compare_records(
-                record,
-                baseline,
-                ratio_tolerance=ratio_tolerance,
-                speed_tolerance=speed_tolerance,
-            )
+        record_checks, record_problems = compare_records(
+            record, baseline, current_by_key
         )
+        checks.extend(record_checks)
+        problems.extend(record_problems)
     return checks, problems
 
 
 def render_markdown(checks: list[Check], problems: list[str]) -> str:
-    """The gate report as a GitHub-flavoured markdown delta table.
+    """The gate report as a GitHub-flavoured markdown table.
 
-    One row per compared metric — baseline, current, signed delta
-    (negative = improved), tolerance and pass/fail — followed by any
+    One row per compared metric — baseline, current, where the current
+    value stands against its bound, and pass/fail — followed by any
     structural problems.  This is what lands in the Actions job summary.
     """
     lines = [
         "## Benchmark regression gate",
         "",
-        "| dataset | codec | metric | baseline | current | delta "
-        "| tolerance | status |",
-        "|---|---|---|---:|---:|---:|---:|---|",
+        "| dataset | codec | metric | baseline | current | bound "
+        "| status |",
+        "|---|---|---|---:|---:|---|---|",
     ]
     for check in checks:
         status = ":x: FAIL" if check.failed else ":white_check_mark: ok"
         lines.append(
             f"| {check.dataset} | {check.codec} | {check.metric} "
             f"| {check.baseline:.4f} | {check.current:.4f} "
-            f"| {check.change:+.1%} | {check.tolerance:.0%} | {status} |"
+            f"| {check.verdict} | {status} |"
         )
     if problems:
         lines.append("")
@@ -184,18 +240,14 @@ def render_markdown(checks: list[Check], problems: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_summary(
-    checks: list[Check],
-    problems: list[str],
-    summary_path: str | None,
-) -> None:
-    """Append the markdown report to ``summary_path`` (or the env default).
+def write_summary(checks: list[Check], problems: list[str]) -> None:
+    """Append the markdown report to ``$GITHUB_STEP_SUMMARY`` when set.
 
-    ``GITHUB_STEP_SUMMARY`` names an append-only file inside Actions
-    steps; appending (rather than overwriting) lets several gate
-    invocations in one job stack their tables.
+    That variable names an append-only file inside Actions steps;
+    appending (rather than overwriting) lets several gate invocations in
+    one job stack their tables.
     """
-    path = summary_path or os.environ.get("GITHUB_STEP_SUMMARY")
+    path = os.environ.get("GITHUB_STEP_SUMMARY")
     if not path:
         return
     with Path(path).open("a", encoding="utf-8") as handle:
@@ -207,41 +259,20 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.bench.gate",
         description="fail when a bench run regresses vs. a baseline JSON",
     )
-    parser.add_argument("current", help="BENCH_*.json of this run")
+    parser.add_argument(
+        "current",
+        nargs="+",
+        help="BENCH_*.json of this run (several merge their records)",
+    )
     parser.add_argument("baseline", help="checked-in baseline BENCH_*.json")
-    parser.add_argument(
-        "--ratio-tolerance",
-        type=float,
-        default=RATIO_TOLERANCE,
-        help="max fractional bits/value increase (default 0.02)",
-    )
-    parser.add_argument(
-        "--speed-tolerance",
-        type=float,
-        default=SPEED_TOLERANCE,
-        help="max fractional relative-throughput drop (default 0.25)",
-    )
-    parser.add_argument(
-        "--summary",
-        default=None,
-        help=(
-            "append the markdown delta table to this file "
-            "(default: $GITHUB_STEP_SUMMARY when set)"
-        ),
-    )
     args = parser.parse_args(argv)
 
-    checks, problems = run_gate(
-        args.current,
-        args.baseline,
-        ratio_tolerance=args.ratio_tolerance,
-        speed_tolerance=args.speed_tolerance,
-    )
+    checks, problems = run_gate(args.current, args.baseline)
     for check in checks:
         print(check.format())
     for problem in problems:
         print(f"[FAIL] {problem}")
-    write_summary(checks, problems, args.summary)
+    write_summary(checks, problems)
     failed = [check for check in checks if check.failed]
     if failed or problems:
         print(

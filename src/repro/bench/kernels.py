@@ -35,15 +35,17 @@ against the decode-then-aggregate baseline on real-shaped columns:
 
 Both query kernels are exception-light by construction (the datasets
 are decimal columns ALP encodes with few exceptions), which is the
-regime the encoded-domain paths target; ``--min-speedup`` lets CI pin
-the ratios directly.
+regime the encoded-domain paths target.  Every ``*_speedup_vs_decode``
+ratio is floored by a ``bounds`` entry of the checked-in kernel baseline
+(``benchmarks/baselines/BENCH_kernels_baseline.json``), which the
+regression gate (:mod:`repro.bench.gate`) enforces.
 
 A ``kernels/q-table`` record benchmarks format v4 zone-map predicate
 pushdown end to end: a selective (~1%) range scan over a two-column
 table — ``compress_mbps`` the pruned ``TableFileReader.scan`` path,
 ``decompress_mbps`` the decode-everything-then-mask baseline, their
-ratio under ``counters["table.scan_speedup_vs_decode"]`` (gated by
-``--min-speedup`` like the other query kernels), and the fraction of
+ratio under ``counters["table.scan_speedup_vs_decode"]`` (floored like
+the other query kernels), and the fraction of
 vectors never decoded under ``counters["table.vectors_skip_fraction"]``.
 
 Records follow the ``BENCH_*.json`` schema (see
@@ -60,7 +62,7 @@ import sys
 
 import numpy as np
 
-from repro.bench.records import BenchRecord
+from repro.bench.records import SPEEDUP_SUFFIX, BenchRecord
 from repro.core.constants import VECTOR_SIZE
 
 #: The widths benchmarked — one per pack/unpack code path (see module doc).
@@ -408,11 +410,12 @@ def _bench_io(repeats: int, calibration: float) -> BenchRecord:
     against ``decompress_mbps``, the current one: ``mmap=True`` open,
     checksums over zero-copy ``memoryview`` slices via the
     lane-parallel CRC, and every row-group decoding straight into one
-    reused caller buffer.  Their ratio is pinned by ``--min-speedup``
-    as ``counters["io.coldread_speedup_vs_decode"]``; the counters
-    also carry the warm-read throughput (reader kept open, checksum
-    verdicts cached) and the in-memory decode-into vs decode-alloc
-    ratio, isolating the allocation term from the I/O term.
+    reused caller buffer.  Their ratio,
+    ``counters["io.coldread_speedup_vs_decode"]``, is floored like the
+    query kernels'; the counters also carry the warm-read throughput
+    (reader kept open, checksum verdicts cached) and the in-memory
+    decode-into vs decode-alloc ratio, isolating the allocation term
+    from the I/O term.
     """
     import shutil
     import tempfile
@@ -557,11 +560,6 @@ def kernel_bench_records(repeats: int = 5) -> list[BenchRecord]:
     ]
 
 
-#: Counter suffix marking a fused-vs-decode throughput ratio that
-#: ``--min-speedup`` (and the CI ``query-kernels`` job) checks.
-SPEEDUP_COUNTER_SUFFIX = "_speedup_vs_decode"
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.kernels",
@@ -575,16 +573,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="also write the records as a BENCH_*.json document",
     )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help=(
-            "fail (exit 1) when any *_speedup_vs_decode counter — the "
-            "fused-query vs decode-first throughput ratios — is below "
-            "this value"
-        ),
-    )
     args = parser.parse_args(argv)
     records = kernel_bench_records(repeats=args.repeats)
     for record in records:
@@ -593,7 +581,7 @@ def main(argv: list[str] | None = None) -> int:
         if speedup is not None:
             extra = f"  ({speedup:.1f}x vs bit-matrix)"
         for name, value in record.counters.items():
-            if name.endswith(SPEEDUP_COUNTER_SUFFIX):
+            if name.endswith(SPEEDUP_SUFFIX):
                 extra = f"  ({value:.2f}x fused vs decode-first)"
         print(
             f"{record.dataset:18s} {record.codec:5s} "
@@ -614,25 +602,6 @@ def main(argv: list[str] | None = None) -> int:
             args.out, records, config, calibration_mbps(repeats=args.repeats)
         )
         print(f"wrote {len(records)} records to {args.out}")
-    if args.min_speedup is not None:
-        failures = []
-        for record in records:
-            for name, value in record.counters.items():
-                if (
-                    name.endswith(SPEEDUP_COUNTER_SUFFIX)
-                    and value < args.min_speedup
-                ):
-                    failures.append(
-                        f"{record.dataset} {name} = {value:.2f}x "
-                        f"< required {args.min_speedup:.2f}x"
-                    )
-        if failures:
-            for failure in failures:
-                print(f"[FAIL] {failure}")
-            return 1
-        print(
-            f"all fused-query speedups >= {args.min_speedup:.2f}x"
-        )
     return 0
 
 

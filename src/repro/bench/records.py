@@ -34,6 +34,21 @@ Document layout (``SCHEMA_VERSION`` = 1)::
 instrumented compress + decompress of that record's column, giving the
 per-stage breakdown the regression gate and EXPERIMENTS.md discuss.
 
+A checked-in *baseline* record may also carry ``bounds``: the limits
+the regression gate (:mod:`repro.bench.gate`) holds the current run to,
+stored next to the numbers they bound.  Keys name a record field or a
+counter; each value is one of::
+
+    {"worse": "higher" | "lower", "tolerance": 0.5}   # relative
+    {"min": 2.0}                                      # absolute floor
+    {"min": 2.0, "of": ["served", "loadgen"]}         # ratio floor
+
+The relative form fails when the current value is worse than the
+baseline by more than ``tolerance`` (measured as worse / better - 1);
+``min`` fails below the floor; with ``of`` the floor applies to the
+ratio of the current value to the same field of the named (dataset,
+codec) record of the same run.
+
 :func:`validate_document` is deliberately dependency-free (no
 jsonschema): it returns a list of human-readable problems, empty when
 the document conforms.
@@ -71,6 +86,11 @@ RECORD_NUMERIC_FIELDS = (
 #: shows up as a number, not a vibe.
 RECORD_MEMORY_FIELDS = ("peak_rss_bytes", "large_allocs")
 
+#: Counter-name suffix of the fused-vs-decode-first throughput ratios
+#: (``kernels/q-*``, ``kernels/io``) the gate floors and the trajectory
+#: tracks.
+SPEEDUP_SUFFIX = "_speedup_vs_decode"
+
 
 @dataclass(frozen=True)
 class BenchRecord:
@@ -89,6 +109,7 @@ class BenchRecord:
     counters: dict = field(default_factory=dict)
     peak_rss_bytes: int | None = None
     large_allocs: int | None = None
+    bounds: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         out = {
@@ -108,6 +129,8 @@ class BenchRecord:
             value = getattr(self, name)
             if value is not None:
                 out[name] = value
+        if self.bounds:
+            out["bounds"] = self.bounds
         return out
 
     @classmethod
@@ -134,6 +157,7 @@ class BenchRecord:
                 if raw.get("large_allocs") is not None
                 else None
             ),
+            bounds=dict(raw.get("bounds", {})),
         )
 
     @property
@@ -241,12 +265,7 @@ def _validate_record(
         problems.append(f"{where}.n must be a positive integer")
     for name in RECORD_NUMERIC_FIELDS:
         value = record.get(name)
-        if (
-            not isinstance(value, (int, float))
-            or isinstance(value, bool)
-            or not math.isfinite(value)
-            or value < 0
-        ):
+        if not _is_number(value) or value < 0:
             problems.append(
                 f"{where}.{name} must be a finite non-negative number"
             )
@@ -263,9 +282,53 @@ def _validate_record(
             problems.append(
                 f"{where}.{name} must be a non-negative integer when present"
             )
+    if "bounds" in record:
+        problems.extend(_validate_bounds(where, record["bounds"]))
     key = (record.get("dataset"), record.get("codec"))
     if all(isinstance(part, str) for part in key):
         if key in seen:
             problems.append(f"{where} duplicates (dataset, codec) {key}")
         seen.add(key)  # type: ignore[arg-type]
+    return problems
+
+
+def _is_number(value: object) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _validate_bounds(where: str, bounds: object) -> list[str]:
+    if not isinstance(bounds, dict):
+        return [f"{where}.bounds must be an object"]
+    problems = []
+    for name, bound in bounds.items():
+        at = f"{where}.bounds[{name!r}]"
+        if not isinstance(bound, dict):
+            problems.append(f"{at} must be an object")
+        elif set(bound) == {"worse", "tolerance"}:
+            if bound["worse"] not in ("higher", "lower"):
+                problems.append(f"{at}.worse must be 'higher' or 'lower'")
+            if not _is_number(bound["tolerance"]) or bound["tolerance"] < 0:
+                problems.append(
+                    f"{at}.tolerance must be a finite non-negative number"
+                )
+        elif set(bound) in ({"min"}, {"min", "of"}):
+            if not _is_number(bound["min"]):
+                problems.append(f"{at}.min must be a finite number")
+            of = bound.get("of")
+            if of is not None and not (
+                isinstance(of, list)
+                and len(of) == 2
+                and all(isinstance(part, str) and part for part in of)
+            ):
+                problems.append(
+                    f"{at}.of must be a [dataset, codec] pair of strings"
+                )
+        else:
+            problems.append(
+                f"{at} must be {{worse, tolerance}}, {{min}} or {{min, of}}"
+            )
     return problems

@@ -13,10 +13,9 @@ the dataset name), so ``bits_per_value`` is bit-for-bit reproducible
 across machines; only the throughput fields vary, which is why the gate
 compares the calibration-relative ``*_rel`` numbers.
 
-The document also carries the kernel micro-benchmark records
-(:mod:`repro.bench.kernels`) under ``kernels/*`` pseudo-dataset keys,
-so a regression in the bit-packing or FFOR kernels is caught even when
-the end-to-end numbers hide it.
+The kernel micro-benchmarks (:mod:`repro.bench.kernels`) are not part
+of this run: CI measures and gates them once, in their own job, against
+``benchmarks/baselines/BENCH_kernels_baseline.json``.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ def run_smoke(
         n=n,
         repeats=repeats,
         out_path=out_path,
-        include_kernels=True,
     )
     for record in records:
         print(

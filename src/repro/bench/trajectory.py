@@ -12,7 +12,7 @@ document's creation time and environment fingerprint, and per
 (dataset, codec) record the drift-relevant metrics: ``bits_per_value``
 (deterministic), the machine-relative ``compress_rel`` /
 ``decompress_rel`` throughputs, and any ``*_speedup_vs_decode``
-counters — the fused-query ratios the ``query-kernels`` job pins.
+counters — the fused-query ratios the kernel baseline floors.
 
 CLI::
 
@@ -34,10 +34,7 @@ import os
 import sys
 from pathlib import Path
 
-from repro.bench.records import read_bench_json
-
-#: Counter-name suffix of fused-vs-decode ratios worth tracking.
-SPEEDUP_SUFFIX = "_speedup_vs_decode"
+from repro.bench.records import SPEEDUP_SUFFIX, read_bench_json
 
 #: Per-record scalar fields copied into a trajectory line.
 TRACKED_FIELDS = ("bits_per_value", "compress_rel", "decompress_rel")

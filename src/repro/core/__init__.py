@@ -24,12 +24,7 @@ from repro.core.alprd import (
     alprd_decode,
     alprd_encode,
 )
-from repro.core.access import decode_at, decode_slice
-from repro.core.autotune import (
-    choose_codec,
-    compress_auto,
-    decompress_auto,
-)
+from repro.core.autotune import choose_codec
 from repro.core.compressor import (
     CompressedColumn,
     CompressedRowGroups,
@@ -37,7 +32,6 @@ from repro.core.compressor import (
     compress_parallel,
     decompress,
 )
-from repro.core.streaming import StreamingCompressor, compress_stream
 from repro.core.sampler import (
     ExponentFactor,
     find_best_combination,
@@ -51,20 +45,14 @@ __all__ = [
     "CompressedColumn",
     "CompressedRowGroups",
     "ExponentFactor",
-    "StreamingCompressor",
     "alp_decode_vector",
     "alp_encode_vector",
     "alprd_decode",
     "alprd_encode",
     "choose_codec",
     "compress",
-    "compress_auto",
     "compress_parallel",
-    "compress_stream",
-    "decode_at",
-    "decode_slice",
     "decompress",
-    "decompress_auto",
     "find_best_combination",
     "first_level_sample",
     "second_level_sample",

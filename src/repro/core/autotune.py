@@ -4,8 +4,8 @@ ALP is the right default for decimal-origin doubles, but a *format*
 wants one decision procedure covering everything: plain ALP, the
 DICT/RLE cascade, the pi mode, or — for data nothing helps — raw
 storage.  :func:`choose_codec` samples a column, trial-compresses the
-sample under each candidate, and returns the projected winner;
-:func:`compress_auto` applies it to the full column.
+sample under each candidate, and returns the projected winner (what
+``alp-repro choose`` reports).
 
 The trial runs on an equidistant sample of whole vectors so that both
 per-vector structure (ALP's unit) and cross-vector repetition (the
@@ -15,19 +15,14 @@ cascade's food) survive sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.alppi import (
-    alppi_compress,
-    alppi_decompress,
-    pi_mode_viable,
-)
-from repro.core.compressor import compress, decompress
+from repro.core.alppi import alppi_compress, pi_mode_viable
+from repro.core.compressor import compress
 from repro.core.constants import VECTOR_SIZE
 from repro.core.sampler import equidistant_indices
-from repro.encodings.cascade import cascade_compress, cascade_decompress
+from repro.encodings.cascade import cascade_compress
 
 #: Candidate codecs in evaluation order.
 AUTO_CANDIDATES = ("alp", "lwc+alp", "alp-pi")
@@ -86,49 +81,3 @@ def choose_codec(
         projected_bits_per_value=trials[winner],
         trials=trials,
     )
-
-
-#: compress/decompress pairs keyed by candidate name.
-_PIPELINES: dict[str, tuple[Callable, Callable]] = {
-    "alp": (compress, decompress),
-    "lwc+alp": (cascade_compress, cascade_decompress),
-    "alp-pi": (alppi_compress, alppi_decompress),
-}
-
-
-@dataclass(frozen=True)
-class AutoCompressed:
-    """A column compressed under the auto-chosen pipeline."""
-
-    codec: str
-    payload: Any
-    count: int
-
-    def size_bits(self) -> int:
-        """Compressed footprint."""
-        return self.payload.size_bits()
-
-    def bits_per_value(self) -> float:
-        """Compressed bits per value."""
-        return self.size_bits() / self.count if self.count else 0.0
-
-
-def compress_auto(
-    values: np.ndarray,
-    candidates: tuple[str, ...] = AUTO_CANDIDATES,
-) -> AutoCompressed:
-    """Choose a codec from a sample and compress the whole column."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    choice = choose_codec(values, candidates=candidates)
-    compress_fn, _ = _PIPELINES[choice.name]
-    return AutoCompressed(
-        codec=choice.name,
-        payload=compress_fn(values),
-        count=values.size,
-    )
-
-
-def decompress_auto(encoded: AutoCompressed) -> np.ndarray:
-    """Decompress an auto-compressed column."""
-    _, decompress_fn = _PIPELINES[encoded.codec]
-    return decompress_fn(encoded.payload)

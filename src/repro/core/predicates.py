@@ -28,7 +28,6 @@ import numpy as np
 
 from repro import obs
 from repro.core.alp import AlpVector
-from repro.core.compressor import CompressedRowGroups
 from repro.core.constants import F10, IF10
 from repro.encodings.ffor import (
     ffor_filter_range,
@@ -52,23 +51,6 @@ def decode_scalar(d: int, exponent: int, factor: int) -> float:
     search below inverts.
     """
     return float(d) * float(F10[factor]) * float(IF10[exponent])
-
-
-def encoded_bounds(
-    low: float, high: float, exponent: int, factor: int
-) -> tuple[int, int]:
-    """Conservative integer bounds for ``[low, high]`` under (e, f).
-
-    The returned range is widened by one to absorb the rounding of
-    ALP_enc at the boundaries, so it may admit false positives but never
-    false negatives among *successfully encoded* values.  Kept as the
-    cheap estimate for size/zone heuristics; exact filtering uses
-    :func:`exact_encoded_bounds`.
-    """
-    scale = float(F10[exponent] * IF10[factor])
-    d_low = math.floor(low * scale) - 1
-    d_high = math.ceil(high * scale) + 1
-    return d_low, d_high
 
 
 @lru_cache(maxsize=4096)
@@ -228,53 +210,3 @@ def sum_range_vector(
     if n_exc:
         return main + exc_sum, kept + n_exc
     return main, kept
-
-
-def count_range_encoded(
-    column: CompressedRowGroups, low: float, high: float
-) -> int:
-    """Count of values in ``[low, high]`` using encoded-space filtering.
-
-    ALP row-groups use the integer fast path (vectors whose FFOR header
-    excludes or fully contains the predicate are decided with no
-    unpacking and no floating-point work); ALP_rd row-groups fall back
-    to decoding.
-    """
-    from repro.core.alprd import decode_vector_bits
-    from repro.alputil.bits import bits_to_double
-
-    total = 0
-    for rowgroup in column.rowgroups:
-        if rowgroup.alp is not None:
-            for vector in rowgroup.alp.vectors:
-                total += count_vector_encoded(vector, low, high)
-        else:
-            if rowgroup.rd is None:
-                raise ValueError(
-                    "row-group has neither ALP nor ALP_rd payload"
-                )
-            for vector in rowgroup.rd.vectors:
-                values = bits_to_double(
-                    decode_vector_bits(vector, rowgroup.rd.parameters)
-                )
-                total += int(((values >= low) & (values <= high)).sum())
-    return total
-
-
-def vector_may_match(
-    vector: AlpVector, low: float, high: float
-) -> bool:
-    """Cheap per-vector test from the FFOR header alone.
-
-    Uses only (reference, bit width) — no unpacking at all: the encoded
-    integers all lie in ``[reference, reference + 2^width)``.  Vectors
-    with exceptions are always possible matches.
-    """
-    if vector.exception_count:
-        return True
-    d_low, d_high = exact_encoded_bounds(
-        low, high, vector.exponent, vector.factor
-    )
-    return (
-        ffor_range_state(vector.ffor, d_low, d_high) != "reject"
-    )

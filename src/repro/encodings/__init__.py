@@ -27,7 +27,6 @@ from repro.encodings.ffor import (
     ffor_encode,
 )
 from repro.encodings.delta import DeltaEncoded, delta_decode, delta_encode
-from repro.encodings.rle import RleEncoded, rle_decode, rle_encode
 from repro.encodings.dictionary import (
     DictionaryEncoded,
     SkewedDictionary,
@@ -39,12 +38,6 @@ from repro.encodings.cascade import (
     cascade_compress,
     cascade_decompress,
 )
-from repro.encodings.transposed import (
-    pack_bits_transposed,
-    transpose_values,
-    unpack_bits_transposed,
-    untranspose_values,
-)
 
 __all__ = [
     "CascadeEncoded",
@@ -52,7 +45,6 @@ __all__ = [
     "DictionaryEncoded",
     "FforEncoded",
     "ForEncoded",
-    "RleEncoded",
     "SkewedDictionary",
     "bit_width_required",
     "cascade_compress",
@@ -67,11 +59,5 @@ __all__ = [
     "for_decode",
     "for_encode",
     "pack_bits",
-    "pack_bits_transposed",
-    "rle_decode",
-    "rle_encode",
-    "transpose_values",
     "unpack_bits",
-    "unpack_bits_transposed",
-    "untranspose_values",
 ]

@@ -1,40 +1,15 @@
-"""Run-Length Encoding (FastLanes building block).
+"""Run detection for Run-Length Encoding (FastLanes building block).
 
-Stores each maximal run of equal values once, together with its length.
-Run values and run lengths are each bit-packed with FOR, following the
-paper's observation that a cascading format can "use RLE and then
-separately encode Run Lengths and Run Values" (Section 3.1).
-
-RLE operates on int64 payloads; the cascade layer applies it to the raw
-*bit patterns* of doubles (so NaNs and -0.0 round-trip exactly) before
-handing the distinct run values to ALP.
+The cascade layer (:mod:`repro.encodings.cascade`) finds the runs of a
+column's raw *bit patterns* (so NaNs and -0.0 round-trip exactly), then
+ALP-compresses the distinct run values and FOR-packs the run lengths,
+following the paper's observation that a cascading format can "use RLE
+and then separately encode Run Lengths and Run Values" (Section 3.1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from repro.encodings.for_ import ForEncoded, for_decode, for_encode
-
-
-@dataclass(frozen=True)
-class RleEncoded:
-    """An RLE-encoded integer vector."""
-
-    run_values: ForEncoded
-    run_lengths: ForEncoded
-    count: int
-
-    @property
-    def run_count(self) -> int:
-        """Number of runs found in the input."""
-        return self.run_values.count
-
-    def size_bits(self) -> int:
-        """Footprint of both FOR-compressed streams."""
-        return self.run_values.size_bits() + self.run_lengths.size_bits()
 
 
 def run_boundaries(values: np.ndarray) -> np.ndarray:
@@ -44,28 +19,3 @@ def run_boundaries(values: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     changes = np.flatnonzero(values[1:] != values[:-1]) + 1
     return np.concatenate(([0], changes)).astype(np.int64)
-
-
-def rle_encode(values: np.ndarray) -> RleEncoded:
-    """Encode int64 values as (run value, run length) pairs."""
-    values = np.ascontiguousarray(values, dtype=np.int64)
-    starts = run_boundaries(values)
-    if starts.size == 0:
-        empty = for_encode(np.empty(0, dtype=np.int64))
-        return RleEncoded(run_values=empty, run_lengths=empty, count=0)
-    ends = np.concatenate((starts[1:], [values.size]))
-    lengths = (ends - starts).astype(np.int64)
-    return RleEncoded(
-        run_values=for_encode(values[starts]),
-        run_lengths=for_encode(lengths),
-        count=values.size,
-    )
-
-
-def rle_decode(encoded: RleEncoded) -> np.ndarray:
-    """Decode a :class:`RleEncoded` vector back to int64."""
-    if encoded.count == 0:
-        return np.empty(0, dtype=np.int64)
-    run_values = for_decode(encoded.run_values)
-    run_lengths = for_decode(encoded.run_lengths)
-    return np.repeat(run_values, run_lengths)

@@ -286,9 +286,7 @@ def write_loadgen_json(
     :func:`~repro.bench.harness.calibration_mbps` reference — the
     machine-relative number the regression gate actually compares, so a
     routed-serving baseline checked into the repo holds across CI
-    runners of different speeds.  (Baselines written before this field
-    was populated carry ``0.0`` there; the gate reads an upgrade from
-    0.0 as an improvement, so they stay valid.)
+    runners of different speeds.
 
     ``record_name`` distinguishes single-node (``loadgen``) from routed
     (e.g. ``shard_loadgen``) runs — gate comparisons key on it.

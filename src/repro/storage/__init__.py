@@ -57,10 +57,6 @@ from repro.storage.serializer import (
     deserialize_rowgroup,
     serialize_rowgroup,
 )
-from repro.storage.serializer_f32 import (
-    deserialize_float_column,
-    serialize_float_column,
-)
 
 __all__ = [
     "ChunkMeta",
@@ -82,11 +78,9 @@ __all__ = [
     "TableFileWriter",
     "TableScanReport",
     "crc32c",
-    "deserialize_float_column",
     "deserialize_rowgroup",
     "file_format_version",
     "repair_column_file",
-    "serialize_float_column",
     "serialize_rowgroup",
     "verify_column_file",
     "verify_dataset",

@@ -1,10 +1,11 @@
 """Tests for the BENCH_*.json records, harness emitter and CI gate."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.bench.gate import compare_records, run_gate
+from repro.bench.gate import compare_records, main, run_gate
 from repro.bench.records import (
     DOCUMENT_KIND,
     SCHEMA_VERSION,
@@ -88,6 +89,25 @@ class TestValidateDocument:
         )
         assert any("duplicates" in p for p in validate_document(document))
 
+    def test_bounds_validated(self):
+        good = {
+            "latency_p99_ms": {"worse": "higher", "tolerance": 0.5},
+            "query.sum_speedup_vs_decode": {"min": 2.0},
+            "decompress_mbps": {"min": 2.0, "of": ["served", "loadgen"]},
+        }
+        document = build_document([make_record(bounds=good)], {}, 9000.0)
+        assert validate_document(document) == []
+        for bad in (
+            [],
+            {"x": {"worse": "sideways", "tolerance": 0.5}},
+            {"x": {"worse": "higher", "tolerance": -1}},
+            {"x": {"min": "2"}},
+            {"x": {"min": 2.0, "of": "served/loadgen"}},
+            {"x": {"max": 2.0}},
+        ):
+            document["records"][0]["bounds"] = bad
+            assert any("bounds" in p for p in validate_document(document))
+
 
 class TestWriteRead:
     def test_round_trip(self, tmp_path):
@@ -109,41 +129,151 @@ class TestWriteRead:
             read_bench_json(path)
 
 
+def checks_by_metric(current, baseline, run=None):
+    checks, problems = compare_records(current, baseline, run)
+    assert problems == []
+    return {c.metric: c for c in checks}
+
+
+def loadgen_record(codec="loadgen", **overrides) -> BenchRecord:
+    """A serving record shaped like ``write_loadgen_json`` output."""
+    base = dict(
+        dataset="served",
+        codec=codec,
+        n=100,
+        bits_per_value=0.0,
+        compression_ratio=0.0,
+        compress_mbps=0.0,
+        decompress_mbps=100.0,
+        compress_rel=0.0,
+        decompress_rel=0.1,
+        counters={"latency_p99_ms": 40.0, "error_count": 0},
+        large_allocs=3,
+    )
+    base.update(overrides)
+    return BenchRecord(**base)
+
+
+#: The serve-smoke bounds of the cold-loadgen baseline.
+SERVE_BOUNDS = {
+    "latency_p99_ms": {"worse": "higher", "tolerance": 0.5},
+    "large_allocs": {"worse": "higher", "tolerance": 0},
+}
+
+
 class TestGate:
     def test_identical_records_pass(self):
         record = make_record()
-        checks = compare_records(record, record)
+        checks, problems = compare_records(record, record)
         assert [c.metric for c in checks] == [
             "bits_per_value",
             "compress_rel",
             "decompress_rel",
         ]
+        assert problems == []
         assert not any(c.failed for c in checks)
 
     def test_ratio_regression_fails(self):
         baseline = make_record()
         current = make_record(bits_per_value=10.5 * 1.05)
-        checks = {c.metric: c for c in compare_records(current, baseline)}
+        checks = checks_by_metric(current, baseline)
         assert checks["bits_per_value"].failed
 
     def test_ratio_improvement_passes(self):
         baseline = make_record()
         current = make_record(bits_per_value=8.0)
-        checks = {c.metric: c for c in compare_records(current, baseline)}
+        checks = checks_by_metric(current, baseline)
         assert not checks["bits_per_value"].failed
 
     def test_throughput_regression_fails(self):
         baseline = make_record()
         current = make_record(decompress_rel=0.2 * 0.5)
-        checks = {c.metric: c for c in compare_records(current, baseline)}
+        checks = checks_by_metric(current, baseline)
         assert checks["decompress_rel"].failed
         assert not checks["compress_rel"].failed
 
     def test_throughput_within_tolerance_passes(self):
         baseline = make_record()
         current = make_record(compress_rel=0.03 * 0.8)
-        checks = {c.metric: c for c in compare_records(current, baseline)}
+        checks = checks_by_metric(current, baseline)
         assert not checks["compress_rel"].failed
+
+    def test_default_bounds_edges(self):
+        # bits_per_value may grow 2%; *_rel may drop until the baseline
+        # is 25% above the current value.
+        baseline = make_record()
+        ok = make_record(bits_per_value=10.5 * 1.019, compress_rel=0.0241)
+        bad = make_record(bits_per_value=10.5 * 1.021, compress_rel=0.0239)
+        for current, failed in ((ok, False), (bad, True)):
+            checks = checks_by_metric(current, baseline)
+            assert checks["bits_per_value"].failed is failed
+            assert checks["compress_rel"].failed is failed
+
+    @pytest.mark.parametrize("factor, failed", [(1.49, False), (1.51, True)])
+    def test_relative_bound_p99(self, factor, failed):
+        baseline = loadgen_record(bounds=SERVE_BOUNDS)
+        current = loadgen_record(counters={"latency_p99_ms": 40.0 * factor})
+        check = checks_by_metric(current, baseline)["latency_p99_ms"]
+        assert check.failed is failed
+
+    @pytest.mark.parametrize(
+        "allocs, failed", [(3, False), (2, False), (4, True)]
+    )
+    def test_large_allocs_may_not_grow(self, allocs, failed):
+        baseline = loadgen_record(bounds=SERVE_BOUNDS)
+        current = loadgen_record(large_allocs=allocs)
+        check = checks_by_metric(current, baseline)["large_allocs"]
+        assert check.failed is failed
+
+    @pytest.mark.parametrize("speedup, failed", [(2.01, False), (1.99, True)])
+    def test_absolute_floor(self, speedup, failed):
+        name = "query.sum_speedup_vs_decode"
+        baseline = make_record(
+            counters={name: 3.0}, bounds={name: {"min": 2.0}}
+        )
+        current = make_record(counters={name: speedup})
+        assert checks_by_metric(current, baseline)[name].failed is failed
+
+    def test_unbounded_speedup_counter_is_a_problem(self):
+        record = make_record(counters={"query.cmp_speedup_vs_decode": 3.0})
+        _, problems = compare_records(record, record)
+        assert problems == [
+            "City-Temp alp: baseline leaves "
+            "query.cmp_speedup_vs_decode unbounded"
+        ]
+
+    @pytest.mark.parametrize("ratio, failed", [(2.1, False), (1.9, True)])
+    def test_ratio_to_another_record(self, ratio, failed):
+        single = loadgen_record()
+        bounds = {"decompress_mbps": {"min": 2.0, "of": ["served", "loadgen"]}}
+        baseline = loadgen_record("shard_loadgen", bounds=bounds)
+        routed = loadgen_record("shard_loadgen", decompress_mbps=100.0 * ratio)
+        run = {single.key: single, routed.key: routed}
+        check = checks_by_metric(routed, baseline, run)["decompress_mbps"]
+        assert check.failed is failed
+
+    def test_ratio_reference_missing_is_a_problem(self):
+        bounds = {"decompress_mbps": {"min": 2.0, "of": ["served", "loadgen"]}}
+        baseline = loadgen_record("shard_loadgen", bounds=bounds)
+        checks, problems = compare_records(
+            loadgen_record("shard_loadgen"), baseline
+        )
+        assert "decompress_mbps" not in [c.metric for c in checks]
+        assert len(problems) == 1 and "served loadgen" in problems[0]
+
+    @pytest.mark.parametrize("side", ["current", "baseline"])
+    def test_bounded_field_missing_is_a_problem(self, side):
+        current = loadgen_record()
+        baseline = loadgen_record(bounds=SERVE_BOUNDS)
+        if side == "current":
+            current = loadgen_record(large_allocs=None)
+        else:
+            baseline = loadgen_record(large_allocs=None, bounds=SERVE_BOUNDS)
+        checks, problems = compare_records(current, baseline)
+        assert problems == [
+            f"served loadgen: large_allocs missing from {side} record"
+        ]
+        assert "large_allocs" not in [c.metric for c in checks]
 
     def _write(self, path, records):
         write_bench_json(path, records, {"n": 4096}, 9000.0)
@@ -155,7 +285,7 @@ class TestGate:
             [make_record(), make_record(dataset="Stocks-DE")],
         )
         current = self._write(tmp_path / "cur.json", [make_record()])
-        checks, problems = run_gate(current, baseline)
+        checks, problems = run_gate([current], baseline)
         assert len(problems) == 1
         assert "Stocks-DE" in problems[0]
 
@@ -165,10 +295,62 @@ class TestGate:
             tmp_path / "cur.json",
             [make_record(), make_record(dataset="Gov/10")],
         )
-        checks, problems = run_gate(current, baseline)
+        checks, problems = run_gate([current], baseline)
         assert problems == []
         assert len(checks) == 3  # only the shared record is compared
         assert not any(c.failed for c in checks)
+
+    def test_run_gate_merges_current_documents(self, tmp_path):
+        bounds = {"decompress_mbps": {"min": 2.0, "of": ["served", "loadgen"]}}
+        baseline = self._write(
+            tmp_path / "base.json",
+            [loadgen_record("shard_loadgen", bounds=bounds)],
+        )
+        routed = self._write(
+            tmp_path / "routed.json",
+            [loadgen_record("shard_loadgen", decompress_mbps=150.0)],
+        )
+        single = self._write(tmp_path / "single.json", [loadgen_record()])
+        checks, problems = run_gate([routed, single], baseline)
+        assert problems == []
+        assert {c.metric: c.failed for c in checks}["decompress_mbps"]
+
+    def test_run_gate_duplicate_key_across_documents(self, tmp_path):
+        baseline = self._write(tmp_path / "base.json", [make_record()])
+        first = self._write(tmp_path / "a.json", [make_record()])
+        second = self._write(tmp_path / "b.json", [make_record()])
+        _, problems = run_gate([first, second], baseline)
+        assert problems == [
+            "record ('City-Temp', 'alp') appears in more than one "
+            "current document"
+        ]
+
+    def test_main_exit_codes(self, tmp_path, capsys):
+        baseline = self._write(tmp_path / "base.json", [make_record()])
+        worse = self._write(
+            tmp_path / "cur.json", [make_record(bits_per_value=11.0)]
+        )
+        assert main([baseline, baseline]) == 0
+        assert main([worse, baseline]) == 1
+        assert "tolerance 2%" in capsys.readouterr().out
+
+
+BASELINES = sorted(
+    (Path(__file__).parent.parent / "benchmarks" / "baselines").glob(
+        "BENCH_*.json"
+    )
+)
+
+
+class TestCheckedInBaselines:
+    def test_baselines_found(self):
+        assert len(BASELINES) >= 4
+
+    @pytest.mark.parametrize("path", BASELINES, ids=lambda p: p.name)
+    def test_baseline_gates_clean_against_itself(self, path):
+        checks, problems = run_gate([str(path)], str(path))
+        assert problems == []
+        assert checks and not any(c.failed for c in checks)
 
 
 class TestTiming:

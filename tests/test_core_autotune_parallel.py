@@ -3,13 +3,8 @@
 import math
 
 import numpy as np
-import pytest
 
-from repro.core.autotune import (
-    choose_codec,
-    compress_auto,
-    decompress_auto,
-)
+from repro.core.autotune import choose_codec
 from repro.core.compressor import compress, compress_parallel, decompress
 from repro.data import get_dataset
 
@@ -83,21 +78,3 @@ class TestChooseCodec:
         values = get_dataset("City-Temp", n=20_000)
         choice = choose_codec(values)
         assert set(choice.trials) == {"alp", "lwc+alp", "alp-pi"}
-
-
-class TestCompressAuto:
-    @pytest.mark.parametrize(
-        "dataset", ["City-Temp", "Gov/26", "POI-lat-gps", "POI-lat"]
-    )
-    def test_roundtrip(self, dataset):
-        values = get_dataset(dataset, n=40_000)
-        encoded = compress_auto(values)
-        assert bitwise_equal(decompress_auto(encoded), values)
-        assert 0 < encoded.bits_per_value() < 64
-
-    def test_auto_never_much_worse_than_plain_alp(self):
-        for dataset in ("City-Temp", "NYC/29", "Gov/40"):
-            values = get_dataset(dataset, n=40_000)
-            auto_bits = compress_auto(values).bits_per_value()
-            plain_bits = compress(values).bits_per_value()
-            assert auto_bits <= plain_bits * 1.1, dataset

@@ -3,32 +3,15 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.alp import alp_encode_vector
-from repro.core.compressor import compress
-from repro.core.predicates import (
-    count_range_encoded,
-    encoded_bounds,
-    filter_vector_encoded,
-    vector_may_match,
-)
+from repro.core.predicates import filter_vector_encoded
 from repro.core.sampler import find_best_combination
-from repro.data import get_dataset
-
-
-def reference_count(values, low, high):
-    return int(((values >= low) & (values <= high)).sum())
 
 
 class TestEncodedBounds:
-    def test_monotone_translation(self):
-        # Two decimals, e-f = 2: [1.00, 2.00] -> roughly [99, 201].
-        d_low, d_high = encoded_bounds(1.0, 2.0, 14, 12)
-        assert d_low <= 100 and d_high >= 200
-
     def test_bounds_are_conservative(self):
         rng = np.random.default_rng(0)
         values = np.round(rng.uniform(0, 100, 1024), 2)
@@ -88,53 +71,3 @@ class TestFilterVector:
         positions = filter_vector_encoded(vector, low, high)
         expected = np.flatnonzero((values >= low) & (values <= high))
         assert np.array_equal(positions, expected)
-
-
-class TestVectorMayMatch:
-    def test_excluding_header_rejects(self):
-        values = np.round(np.linspace(100.0, 101.0, 1024), 2)
-        combo, _ = find_best_combination(values)
-        vector = alp_encode_vector(values, combo.exponent, combo.factor)
-        assert not vector_may_match(vector, 500.0, 600.0)
-        assert vector_may_match(vector, 100.5, 100.6)
-
-    def test_never_false_negative(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            values = np.round(rng.uniform(0, 1000, 256), 1)
-            combo, _ = find_best_combination(values)
-            vector = alp_encode_vector(values, combo.exponent, combo.factor)
-            low = float(rng.uniform(0, 1000))
-            high = low + float(rng.uniform(0, 100))
-            has_match = bool(((values >= low) & (values <= high)).any())
-            if has_match:
-                assert vector_may_match(vector, low, high)
-
-    def test_exception_vectors_always_match(self):
-        values = np.round(np.linspace(0, 1, 64), 2)
-        values[3] = math.pi
-        combo, _ = find_best_combination(values)
-        vector = alp_encode_vector(values, combo.exponent, combo.factor)
-        assert vector_may_match(vector, 1e6, 2e6)
-
-
-class TestColumnCount:
-    @pytest.mark.parametrize("name", ["City-Temp", "Stocks-USA", "POI-lat"])
-    def test_count_matches_reference(self, name):
-        values = get_dataset(name, n=30_000)
-        column = compress(values)
-        lo = float(np.percentile(values, 30))
-        hi = float(np.percentile(values, 60))
-        assert count_range_encoded(column, lo, hi) == reference_count(
-            values, lo, hi
-        )
-
-    def test_full_range(self):
-        values = get_dataset("Dew-Temp", n=10_240)
-        column = compress(values)
-        assert count_range_encoded(column, -1e12, 1e12) == values.size
-
-    def test_empty_range(self):
-        values = get_dataset("Dew-Temp", n=10_240)
-        column = compress(values)
-        assert count_range_encoded(column, 1e9, 2e9) == 0

@@ -12,7 +12,6 @@ from repro.core.compressor import compress, decompress
 from repro.core.sampler import ExponentFactor, second_level_sample
 from repro.data import get_dataset
 from repro.encodings.dictionary import dictionary_decode, dictionary_encode
-from repro.encodings.rle import rle_decode, rle_encode
 from repro.query.sources import (
     FileColumnSource,
     UncompressedSource,
@@ -71,10 +70,6 @@ class TestTinyInputs:
         values = np.array([math.nan])
         out = decompress(compress(values))
         assert np.array_equal(out.view(np.uint64), values.view(np.uint64))
-
-    def test_rle_single(self):
-        values = np.array([7], dtype=np.int64)
-        assert np.array_equal(rle_decode(rle_encode(values)), values)
 
     def test_dictionary_single(self):
         values = np.array([3], dtype=np.int64)

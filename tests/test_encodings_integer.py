@@ -21,7 +21,7 @@ from repro.encodings.ffor import (
     ffor_encode,
 )
 from repro.encodings.for_ import for_decode, for_encode
-from repro.encodings.rle import rle_decode, rle_encode, run_boundaries
+from repro.encodings.rle import run_boundaries
 
 int64s = st.integers(min_value=-(2**62), max_value=2**62 - 1)
 
@@ -122,33 +122,6 @@ class TestRle:
     def test_run_boundaries(self):
         values = np.array([5, 5, 5, 7, 7, 5], dtype=np.int64)
         assert run_boundaries(values).tolist() == [0, 3, 5]
-
-    def test_roundtrip(self):
-        values = np.repeat(np.array([1, 2, 3], dtype=np.int64), [5, 1, 10])
-        encoded = rle_encode(values)
-        assert encoded.run_count == 3
-        assert np.array_equal(rle_decode(encoded), values)
-
-    def test_all_equal_is_one_run(self):
-        values = np.zeros(10_000, dtype=np.int64)
-        encoded = rle_encode(values)
-        assert encoded.run_count == 1
-        assert encoded.size_bits() < 64 * 10  # tiny
-        assert np.array_equal(rle_decode(encoded), values)
-
-    def test_no_repeats_degenerates(self):
-        values = np.arange(100, dtype=np.int64)
-        encoded = rle_encode(values)
-        assert encoded.run_count == 100
-        assert np.array_equal(rle_decode(encoded), values)
-
-    def test_empty(self):
-        assert rle_decode(rle_encode(np.empty(0, dtype=np.int64))).size == 0
-
-    @given(st.lists(st.integers(-5, 5), max_size=300))
-    def test_roundtrip_random(self, xs):
-        values = np.array(xs, dtype=np.int64)
-        assert np.array_equal(rle_decode(rle_encode(values)), values)
 
 
 class TestDictionary:

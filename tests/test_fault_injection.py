@@ -22,7 +22,6 @@ from repro.baselines.chimp128 import (
     chimp128_compress,
     chimp128_decompress,
 )
-from repro.baselines.fpc import FpcEncoded, fpc_decompress
 from repro.baselines.gorilla import (
     GorillaEncoded,
     gorilla_compress,
@@ -135,18 +134,6 @@ class TestRandomBytes:
         encoded = ChimpEncoded(payload=junk, count=64)
         try:
             out = chimp_decompress(encoded)
-            assert out.shape == (64,)
-        except ACCEPTABLE:
-            pass
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_fpc_fuzz(self, seed):
-        rng = np.random.default_rng(seed + 200)
-        headers = rng.integers(0, 256, 32, dtype=np.uint8).tobytes()
-        payload = rng.integers(0, 256, 300, dtype=np.uint8).tobytes()
-        encoded = FpcEncoded(headers=headers, payload=payload, count=64)
-        try:
-            out = fpc_decompress(encoded)
             assert out.shape == (64,)
         except ACCEPTABLE:
             pass

@@ -1,62 +1,11 @@
-"""Tests for float32 serialization and the file-backed scan source."""
+"""Tests for the file-backed scan source."""
 
 import numpy as np
 import pytest
 
-from repro.core.float32 import compress_f32, decompress_f32
-from repro.data import get_model_weights
 from repro.query.engine import scan_query, sum_query
 from repro.query.sources import FileColumnSource
 from repro import api
-from repro.storage.serializer_f32 import (
-    deserialize_float_column,
-    serialize_float_column,
-)
-
-
-class TestFloat32Serialization:
-    def test_ml_weights_roundtrip(self):
-        weights = get_model_weights("W2V-Tweets")
-        column = compress_f32(weights)
-        assert column.scheme == "alprd"
-        restored_column = deserialize_float_column(
-            serialize_float_column(column)
-        )
-        restored = decompress_f32(restored_column)
-        assert np.array_equal(
-            restored.view(np.uint32), weights.view(np.uint32)
-        )
-
-    def test_alp32_column_roundtrip(self):
-        values = np.round(
-            np.random.default_rng(0).uniform(0, 100, 10_000), 1
-        ).astype(np.float32)
-        column = compress_f32(values)
-        assert column.scheme == "alp"
-        restored_column = deserialize_float_column(
-            serialize_float_column(column)
-        )
-        restored = decompress_f32(restored_column)
-        assert np.array_equal(
-            restored.view(np.uint32), values.view(np.uint32)
-        )
-
-    def test_size_preserved(self):
-        weights = get_model_weights("W2V-Tweets")
-        column = compress_f32(weights)
-        restored = deserialize_float_column(serialize_float_column(column))
-        assert restored.size_bits() == column.size_bits()
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError):
-            deserialize_float_column(b"JUNKJUNKJUNK")
-
-    def test_serialized_close_to_logical_size(self):
-        weights = get_model_weights("GPT2")
-        column = compress_f32(weights)
-        payload = serialize_float_column(column)
-        logical = column.size_bits() / 8
-        assert len(payload) <= logical * 1.05 + 1024
 
 
 class TestFileColumnSource:

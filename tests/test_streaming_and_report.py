@@ -1,72 +1,11 @@
-"""Tests for the streaming compressor and the analysis report."""
-
+"""Tests for the analysis report."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.report import compressibility_report, diagnose_column
-from repro.core.compressor import compress, decompress
-from repro.core.streaming import StreamingCompressor, compress_stream
+from repro.core.compressor import compress
 from repro.data import get_dataset
-
-
-def bitwise_equal(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return a.shape == b.shape and np.array_equal(
-        a.view(np.uint64), b.view(np.uint64)
-    )
-
-
-class TestStreamingCompressor:
-    def test_matches_batch_compression(self):
-        values = get_dataset("Stocks-USA", n=250_000)
-        chunks = np.array_split(values, 17)
-        column = compress_stream(iter(chunks))
-        assert bitwise_equal(decompress(column), values)
-        batch = compress(values)
-        # Row-group boundaries are identical, so sizes match exactly.
-        assert column.size_bits() == batch.size_bits()
-        assert len(column.rowgroups) == len(batch.rowgroups)
-
-    def test_emits_rowgroups_eagerly(self):
-        emitted = []
-        stream = StreamingCompressor(emitted.append)
-        stream.write(np.round(np.random.default_rng(0).uniform(0, 9, 102_400), 1))
-        assert len(emitted) == 1  # full row-group emitted before close
-        stream.write(np.array([1.5]))
-        stream.close()
-        assert len(emitted) == 2
-        assert emitted[1].count == 1
-
-    def test_tiny_chunks(self):
-        rng = np.random.default_rng(1)
-        values = np.round(rng.uniform(0, 10, 3000), 2)
-        column = compress_stream(iter(np.array_split(values, 500)))
-        assert bitwise_equal(decompress(column), values)
-
-    def test_empty_chunks_ignored(self):
-        column = compress_stream(iter([np.empty(0), np.array([2.5]), np.empty(0)]))
-        assert column.count == 1
-
-    def test_write_after_close_rejected(self):
-        stream = StreamingCompressor(lambda rg: None)
-        stream.close()
-        with pytest.raises(RuntimeError):
-            stream.write(np.array([1.0]))
-
-    def test_counters(self):
-        stream_sink = []
-        with StreamingCompressor(stream_sink.append) as stream:
-            stream.write(np.round(np.random.default_rng(2).uniform(0, 9, 150_000), 1))
-        assert stream.values_written == 150_000
-        assert stream.rowgroups_emitted == 2
-
-    def test_rd_data_streams(self):
-        values = get_dataset("POI-lat", n=120_000)
-        column = compress_stream(iter(np.array_split(values, 7)))
-        assert column.stats.rd_rowgroups >= 1
-        assert bitwise_equal(decompress(column), values)
 
 
 class TestDiagnosis:
