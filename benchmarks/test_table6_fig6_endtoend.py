@@ -12,7 +12,9 @@ this machine's cores (DESIGN.md substitution 5: 1/2 threads instead of
 Shape claims asserted:
 
 - ALP SCAN and SUM beat every other compressed format on every dataset,
-- SUM costs more than SCAN (aggregation work on top),
+- uncompressed SUM costs about as much as SCAN or more (aggregation
+  work on top); ALP's encoded-domain SUM is at least as fast as ALP's
+  decode-first SUM (it skips the decode, so it may beat SCAN too),
 - COMP: ALP compresses faster than the XOR codecs,
 - PDE cannot compress NYC/29 (compressed size >= raw — the paper's
   Figure 6 note).
@@ -32,6 +34,7 @@ from repro.query.engine import (
     run_partitioned,
     scan_query,
     sum_query,
+    sum_query_decoded,
 )
 from repro.query.sources import make_source
 
@@ -68,6 +71,16 @@ def _measure():
                 repeats=2,
                 warmup=0,
             )
+            sum_decoded = (
+                time_callable(
+                    lambda: sum_query_decoded(source),
+                    values.size,
+                    repeats=2,
+                    warmup=0,
+                ).values_per_second
+                if codec == "alp"
+                else float("nan")
+            )
             if codec == "uncompressed":
                 comp_speed = float("nan")
             else:
@@ -82,6 +95,7 @@ def _measure():
                 "scan1": scan.values_per_second,
                 "scan2": scan2.values_per_second,
                 "sum1": sum_.values_per_second,
+                "sum_decoded1": sum_decoded,
                 "comp": comp_speed,
                 "bits": source.compressed_bits / values.size
                 if source.compressed_bits
@@ -147,11 +161,20 @@ def test_table6_fig6_endtoend(benchmark, emit):
         # claim is only meaningful on the stable vectorized sources, and
         # even those see ~30% swings when the box is contended.
         shape_check(
-            "SUM is never meaningfully faster than SCAN (alp/uncompressed)",
+            "SUM is never meaningfully faster than SCAN (uncompressed)",
             all(
-                results[d][c]["sum1"] <= results[d][c]["scan1"] * 1.35
+                results[d]["uncompressed"]["sum1"]
+                <= results[d]["uncompressed"]["scan1"] * 1.35
                 for d in ENDTOEND_DATASETS
-                for c in ("alp", "uncompressed")
+            ),
+        ),
+        # ALP's SUM runs in the encoded domain and skips the decode, so
+        # it beats SCAN by design; its claim is against decode-first SUM.
+        shape_check(
+            "ALP encoded SUM at least as fast as decode-first SUM",
+            all(
+                results[d]["alp"]["sum1"] >= results[d]["alp"]["sum_decoded1"]
+                for d in ENDTOEND_DATASETS
             ),
         ),
         shape_check(

@@ -48,6 +48,11 @@ ratio under ``counters["table.scan_speedup_vs_decode"]`` (floored like
 the other query kernels), and the fraction of
 vectors never decoded under ``counters["table.vectors_skip_fraction"]``.
 
+A ``kernels/crc32c`` record times the block-table CRC32C that every
+file write and read runs against the scalar slicing-by-8 reference on
+one chunk-sized buffer; its ratio, ``counters["crc.speedup_vs_reference"]``,
+has a floor in the kernel baseline too.
+
 Records follow the ``BENCH_*.json`` schema (see
 :mod:`repro.bench.records`): ``bits_per_value`` is the field width and
 ``compression_ratio`` is ``64 / width``, both deterministic, so the CI
@@ -409,7 +414,7 @@ def _bench_io(repeats: int, calibration: float) -> BenchRecord:
     decode allocation per row-group and a final ``concatenate`` —
     against ``decompress_mbps``, the current one: ``mmap=True`` open,
     checksums over zero-copy ``memoryview`` slices via the
-    lane-parallel CRC, and every row-group decoding straight into one
+    block-table CRC, and every row-group decoding straight into one
     reused caller buffer.  Their ratio,
     ``counters["io.coldread_speedup_vs_decode"]``, is floored like the
     query kernels'; the counters also carry the warm-read throughput
@@ -519,6 +524,45 @@ def _bench_io(repeats: int, calibration: float) -> BenchRecord:
     )
 
 
+#: Bytes the CRC32C kernel record checksums: about one compressed
+#: float64 chunk of a 51,200-row row-group.
+CRC_BENCH_BYTES = 300_000
+
+
+def _bench_crc32c(repeats: int, calibration: float) -> BenchRecord:
+    """Block-table CRC32C vs the scalar reference (``kernels/crc32c``).
+
+    ``compress_mbps`` times the scalar slicing-by-8
+    :func:`~repro.storage.integrity.crc32c_reference`,
+    ``decompress_mbps`` the block-table :func:`~repro.storage.integrity.crc32c`
+    the writer and readers run, both over one chunk-sized buffer; their
+    ratio is ``counters["crc.speedup_vs_reference"]``.
+    """
+    from repro.storage.integrity import crc32c, crc32c_reference
+
+    data = np.random.default_rng(0xC2C).integers(
+        0, 256, CRC_BENCH_BYTES, dtype=np.uint8
+    ).tobytes()
+    if crc32c(data) != crc32c_reference(data):
+        raise AssertionError("block-table crc32c disagrees with the reference")
+    reference_mbps = _per_vector_mbps(
+        lambda: crc32c_reference(data), len(data), repeats
+    )
+    block_mbps = _per_vector_mbps(lambda: crc32c(data), len(data), repeats)
+    return BenchRecord(
+        dataset="kernels/crc32c",
+        codec="crc",
+        n=len(data),
+        bits_per_value=8.0,
+        compression_ratio=1.0,
+        compress_mbps=reference_mbps,
+        decompress_mbps=block_mbps,
+        compress_rel=reference_mbps / calibration,
+        decompress_rel=block_mbps / calibration,
+        counters={"crc.speedup_vs_reference": block_mbps / reference_mbps},
+    )
+
+
 def kernel_bench_records(repeats: int = 5) -> list[BenchRecord]:
     """All kernel micro-benchmark records (see module docstring).
 
@@ -539,6 +583,7 @@ def kernel_bench_records(repeats: int = 5) -> list[BenchRecord]:
     raw.append(_bench_query_cmp(repeats, cal_before))
     raw.append(_bench_query_table(repeats, cal_before))
     raw.append(_bench_io(repeats, cal_before))
+    raw.append(_bench_crc32c(repeats, cal_before))
     calibration = (cal_before + calibration_mbps(repeats=repeats)) / 2
 
     # Re-anchor every record on the averaged calibration.
@@ -580,6 +625,9 @@ def main(argv: list[str] | None = None) -> int:
         speedup = record.counters.get("pack.speedup_vs_bitmatrix")
         if speedup is not None:
             extra = f"  ({speedup:.1f}x vs bit-matrix)"
+        speedup = record.counters.get("crc.speedup_vs_reference")
+        if speedup is not None:
+            extra = f"  ({speedup:.1f}x vs scalar reference)"
         for name, value in record.counters.items():
             if name.endswith(SPEEDUP_SUFFIX):
                 extra = f"  ({value:.2f}x fused vs decode-first)"

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -138,12 +139,21 @@ def find_best_combination(sample: np.ndarray) -> tuple[ExponentFactor, int]:
     return combo, int(sizes[best])
 
 
+@lru_cache(maxsize=256)
 def equidistant_indices(total: int, wanted: int) -> np.ndarray:
-    """``wanted`` equidistant indices into a range of ``total`` elements."""
+    """``wanted`` equidistant indices into a range of ``total`` elements.
+
+    Cached per ``(total, wanted)``: every full vector of a row-group
+    asks for the same level-two sample.  The array is read-only, since
+    callers share it.
+    """
     if total <= 0:
-        return np.empty(0, dtype=np.int64)
-    wanted = min(wanted, total)
-    return np.linspace(0, total - 1, num=wanted, dtype=np.int64)
+        indices = np.empty(0, dtype=np.int64)
+    else:
+        wanted = min(wanted, total)
+        indices = np.linspace(0, total - 1, num=wanted, dtype=np.int64)
+    indices.flags.writeable = False
+    return indices
 
 
 def sample_vector(values: np.ndarray, wanted: int) -> np.ndarray:

@@ -14,18 +14,29 @@ two tiers:
 - **scalar slicing-by-8** (:func:`crc32c_reference`): eight 256-entry
   tables fold one 64-bit chunk per loop iteration.  This is the pinned
   oracle for the equivalence tests and the "before" arm of the
-  ``kernels/io`` benchmark, and the path small buffers (headers,
-  footers) take.
-- **lane-parallel numpy** (the default for buffers >=
-  ``PARALLEL_MIN_BYTES``): the buffer is split into K equal chunks and
-  all K CRC states advance in lockstep with vectorized table gathers,
-  so each Python-level step folds ``8 * K`` bytes instead of 8.  The
-  per-chunk CRCs are then merged with the standard GF(2)
-  zero-extension operator (the ``crc32_combine`` construction): the
-  byte-update ``s' = (s >> 8) ^ T[(s ^ b) & 0xFF]`` is affine over
-  GF(2), so ``crc(s, a || b) = M_len(b)(crc(s, a)) ^ crc(0, b)`` with
-  ``M_L`` the advance-by-L-zero-bytes matrix, computed once per chunk
-  length by binary exponentiation.
+  ``kernels/io`` and ``kernels/crc32c`` benchmarks.  It also finishes
+  every buffer's ragged tail (< ``BLOCK_BYTES``) and takes buffers
+  shorter than ``PARALLEL_MIN_BYTES`` whole, where one numpy dispatch
+  costs more than the bytes it would fold.
+- **block tables** (the default for longer buffers): the byte update
+  ``s' = (s >> 8) ^ T0[(s ^ b) & 0xFF]`` is linear over GF(2), so the
+  CRC of a 64-byte block from state 0 is the XOR of one table entry
+  per byte, ``TT[i][b_i]``, where ``TT[i]`` is ``T0`` advanced by the
+  ``63 - i`` zero bytes that follow position ``i``.  A whole buffer of
+  blocks is one gather plus one XOR-reduce.  The block CRCs are then
+  merged in a tree: ``crc(0, a || b) = M(crc(0, a)) ^ crc(0, b)`` with
+  ``M`` the operator that advances a state by ``len(b)`` zero bytes.
+  Each tree level treats 16 CRC words (64 bytes) as one row and runs
+  the same gather-reduce with its own per-position tables, so a level
+  divides the word count by 16.  Zero words are prepended to fill the
+  last row — a CRC from state 0 over zero bytes stays 0, so this does
+  not change the result.  Every table depends only on the level, so it
+  is built once (from ``T0`` by repeated squaring of the one-zero-byte
+  operator) and cached.  The incoming state is folded into the first
+  four bytes of the first block (``crc(s, D) == crc(0, D ^ s)`` for
+  ``len(D) >= 4``, with ``s`` XORed in little-endian).  The gathers run
+  over slabs of ``_SLAB_ROWS`` rows, so the temporaries stay under
+  ~0.5 MiB whatever the buffer size.
 
 Both tiers accept any C-contiguous buffer-protocol object —
 ``bytes``, ``bytearray``, ``memoryview`` (including slices of an
@@ -46,15 +57,21 @@ _POLY = 0x82F63B78
 #: Number of slicing tables (bytes folded per main-loop iteration).
 _SLICES = 8
 
-#: Buffers at least this long take the lane-parallel numpy path; the
-#: scalar tier runs at single-digit MB/s in pure Python, so the
-#: threshold is set where the numpy dispatch overhead amortizes.
-PARALLEL_MIN_BYTES = 4096
+#: Buffers at least this long take the block-table numpy path.  The
+#: scalar tier runs at single-digit MB/s in pure Python, and the block
+#: kernel's fixed cost (a handful of numpy dispatches) is about that of
+#: 128 scalar bytes, so the threshold sits at twice that.
+PARALLEL_MIN_BYTES = 256
 
-#: Upper bound on the number of parallel CRC lanes.  More lanes mean
-#: fewer Python-level loop iterations but a longer GF(2) combine pass;
-#: 512 keeps the combine under ~3% of total cost at row-group sizes.
-_MAX_LANES = 512
+#: Bytes per block of the block-table kernel.  Also the row width of
+#: every merge level: one row there is 16 little-endian CRC words.
+BLOCK_BYTES = 64
+_WORDS_PER_ROW = BLOCK_BYTES // 4
+
+#: Rows per gather slab.  Each row costs an intp index and a uint32
+#: entry per byte (12x the input), so a 512-row (32 KiB) slab keeps the
+#: temporaries near 384 KiB however large the buffer is.
+_SLAB_ROWS = 512
 
 
 def _build_tables() -> tuple[tuple[int, ...], ...]:
@@ -72,8 +89,103 @@ def _build_tables() -> tuple[tuple[int, ...], ...]:
 
 
 _TABLES = _build_tables()
-#: The same tables as one (8, 256) uint32 array for the lane kernel.
-_NP_TABLES = np.array(_TABLES, dtype=np.uint32)
+
+
+# --- block-table kernel ------------------------------------------------
+#
+# A linear operator on 32-bit CRC states is stored as four 256-entry
+# byte tables (shape (4, 256)): entry [p][b] is the image of b << 8p.
+
+
+def _apply(op: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Apply the byte-table operator ``op`` to every state in ``states``."""
+    return (
+        op[0][states & 0xFF]
+        ^ op[1][(states >> 8) & 0xFF]
+        ^ op[2][(states >> 16) & 0xFF]
+        ^ op[3][states >> 24]
+    )
+
+
+_T0 = np.array(_TABLES[0], dtype=np.uint32)
+_BYTE_BASIS = np.arange(256, dtype=np.uint32) << (
+    8 * np.arange(4, dtype=np.uint32)[:, None]
+)
+#: Advance a state by one zero byte: ``s' = (s >> 8) ^ T0[s & 0xFF]``.
+_ZERO_BYTE = (_BYTE_BASIS >> 8) ^ _T0[_BYTE_BASIS & 0xFF]
+_POSITION_OFFSETS = np.arange(BLOCK_BYTES, dtype=np.intp) * 256
+
+
+def _position_tables(last: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Flat ``(BLOCK_BYTES * 256,)`` tables for one row of a level.
+
+    ``last`` holds the tables of the row's final element (one byte
+    position for data blocks, four for a CRC word); each earlier
+    element's tables are its successor's advanced by ``step``, the
+    length one element spans.
+    """
+    groups = [last]
+    while len(groups) * len(last) < BLOCK_BYTES:
+        groups.append(_apply(step, groups[-1]))
+    return np.concatenate(groups[::-1]).ravel()
+
+
+_DATA_TABLES = _position_tables(_T0[None, :], _ZERO_BYTE)
+
+
+@lru_cache(maxsize=None)
+def _merge_tables(level: int) -> np.ndarray:
+    """Tables merging a row of CRC words, each of a ``level`` span.
+
+    A word of merge level ``k`` covers ``BLOCK_BYTES * 16**k`` bytes, a
+    power of two, so its advance operator is the one-zero-byte operator
+    squared ``log2`` of that many times.
+    """
+    span = BLOCK_BYTES * _WORDS_PER_ROW**level
+    step = _ZERO_BYTE
+    for _ in range(span.bit_length() - 1):
+        step = _apply(step, step)
+    return _position_tables(_BYTE_BASIS, step)
+
+
+def _fold_rows(rows: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """CRC from state 0 of every ``BLOCK_BYTES``-byte row of ``rows``."""
+    out = np.empty(len(rows), dtype="<u4")
+    for start in range(0, len(rows), _SLAB_ROWS):
+        index = rows[start : start + _SLAB_ROWS].astype(np.intp)
+        index += _POSITION_OFFSETS
+        np.bitwise_xor.reduce(
+            tables.take(index), axis=1, out=out[start : start + _SLAB_ROWS]
+        )
+    return out
+
+
+def _blocks_update(
+    buf: "bytes | bytearray | memoryview", crc: int
+) -> tuple[int, int]:
+    """Advance ``crc`` over the whole blocks of ``buf``.
+
+    Returns ``(state, consumed)``; the caller finishes the ragged tail
+    with :func:`_scalar_update`.
+    """
+    n_blocks = len(buf) // BLOCK_BYTES
+    consumed = n_blocks * BLOCK_BYTES
+    rows = np.frombuffer(buf, dtype=np.uint8, count=consumed)
+    words = _fold_rows(rows.reshape(n_blocks, BLOCK_BYTES), _DATA_TABLES)
+    # The incoming state acts like a little-endian XOR into bytes 0-3.
+    first = int(words[0])
+    for pos in range(4):
+        first ^= int(_DATA_TABLES[pos * 256 + ((crc >> (8 * pos)) & 0xFF)])
+    words[0] = first
+    level = 0
+    while len(words) > 1:
+        pad = -len(words) % _WORDS_PER_ROW
+        if pad:
+            words = np.concatenate((np.zeros(pad, dtype="<u4"), words))
+        rows = words.view(np.uint8).reshape(-1, BLOCK_BYTES)
+        words = _fold_rows(rows, _merge_tables(level))
+        level += 1
+    return int(words[0]), consumed
 
 
 def _byte_view(data: object) -> "bytes | bytearray | memoryview":
@@ -128,126 +240,6 @@ def _scalar_update(
     return crc
 
 
-# --- GF(2) combine machinery -------------------------------------------
-#
-# A 32x32 GF(2) matrix is a tuple of 32 ints: entry j is the image of
-# basis vector 1<<j.  All matrices used here are powers of the single
-# advance-one-zero-byte operator, so they commute and binary
-# exponentiation needs no order bookkeeping.
-
-
-def _mat_apply(mat: tuple[int, ...], vec: int) -> int:
-    out = 0
-    idx = 0
-    while vec:
-        if vec & 1:
-            out ^= mat[idx]
-        vec >>= 1
-        idx += 1
-    return out
-
-
-def _mat_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(_mat_apply(a, col) for col in b)
-
-
-def _one_zero_byte_matrix() -> tuple[int, ...]:
-    # s' = (s >> 8) ^ T0[s & 0xFF] applied to each basis vector.
-    t0 = _TABLES[0]
-    cols = []
-    for i in range(32):
-        e = 1 << i
-        cols.append((e >> 8) ^ t0[e & 0xFF])
-    return tuple(cols)
-
-
-_ZERO_BYTE_MATRIX = _one_zero_byte_matrix()
-_IDENTITY = tuple(1 << i for i in range(32))
-
-
-@lru_cache(maxsize=256)
-def _zero_advance(length: int) -> tuple[int, ...]:
-    """The GF(2) operator advancing a CRC state by ``length`` zero bytes."""
-    if length == 0:
-        return _IDENTITY
-    if length == 1:
-        return _ZERO_BYTE_MATRIX
-    half = _zero_advance(length // 2)
-    mat = _mat_mul(half, half)
-    if length & 1:
-        mat = _mat_mul(_ZERO_BYTE_MATRIX, mat)
-    return mat
-
-
-@lru_cache(maxsize=64)
-def _zero_advance_tables(length: int) -> tuple[tuple[int, ...], ...]:
-    """The advance operator as four 256-entry byte tables.
-
-    Applying a 32x32 matrix bit by bit costs ~32 ops per lane; the
-    table form costs 4 lookups + 3 XORs.  Chunk lengths recur across
-    calls (payload sizes are quantized by the row-group layout), so
-    the one-time table build amortizes via the cache.
-    """
-    mat = _zero_advance(length)
-    tables = []
-    for byte_pos in range(4):
-        shift = byte_pos * 8
-        tables.append(
-            tuple(_mat_apply(mat, b << shift) for b in range(256))
-        )
-    return tuple(tables)
-
-
-def _lanes_update(
-    buf: "bytes | bytearray | memoryview", crc: int
-) -> tuple[int, int]:
-    """Advance ``crc`` over as much of ``buf`` as lanes cover.
-
-    Returns ``(state, consumed)``; the caller finishes the ragged tail
-    with :func:`_scalar_update`.
-    """
-    n = len(buf)
-    lanes = min(_MAX_LANES, max(8, n // 256))
-    chunk_len = (n // lanes) & ~7  # multiple of 8 for the 64-bit step
-    if chunk_len < 64:
-        return crc, 0
-    arr = np.frombuffer(buf, dtype=np.uint8, count=lanes * chunk_len)
-    chunks = arr.reshape(lanes, chunk_len)
-    words = chunks.view("<u4")  # (lanes, chunk_len // 4)
-
-    t0, t1, t2, t3, t4, t5, t6, t7 = _NP_TABLES
-    states = np.zeros(lanes, dtype=np.uint32)
-    states[0] = crc  # lane 0 continues the incoming state
-    for step in range(chunk_len // 8):
-        low = states ^ words[:, 2 * step]
-        high = words[:, 2 * step + 1]
-        states = (
-            t7[low & 0xFF]
-            ^ t6[(low >> 8) & 0xFF]
-            ^ t5[(low >> 16) & 0xFF]
-            ^ t4[low >> 24]
-            ^ t3[high & 0xFF]
-            ^ t2[(high >> 8) & 0xFF]
-            ^ t1[(high >> 16) & 0xFF]
-            ^ t0[high >> 24]
-        )
-
-    # Merge lane CRCs left to right: crc(s, a || b) over GF(2) is
-    # M_len(b)(crc(s, a)) ^ crc(0, b).
-    a0, a1, a2, a3 = _zero_advance_tables(chunk_len)
-    lane_crcs = states.tolist()
-    state = lane_crcs[0]
-    for lane_crc in lane_crcs[1:]:
-        state = (
-            a0[state & 0xFF]
-            ^ a1[(state >> 8) & 0xFF]
-            ^ a2[(state >> 16) & 0xFF]
-            ^ a3[state >> 24]
-            ^ lane_crc
-        )
-    return state, lanes * chunk_len
-
-
 def crc32c(data: object, value: int = 0) -> int:
     """CRC32C of ``data``, optionally continuing from a prior ``value``.
 
@@ -262,17 +254,17 @@ def crc32c(data: object, value: int = 0) -> int:
     crc = (value & 0xFFFFFFFF) ^ 0xFFFFFFFF
     consumed = 0
     if n >= PARALLEL_MIN_BYTES:
-        crc, consumed = _lanes_update(buf, crc)
+        crc, consumed = _blocks_update(buf, crc)
     crc = _scalar_update(buf, consumed, n, crc)
     return crc ^ 0xFFFFFFFF
 
 
 def crc32c_reference(data: object, value: int = 0) -> int:
-    """The pinned scalar slicing-by-8 CRC32C (pre-lane-parallel path).
+    """The pinned scalar slicing-by-8 CRC32C, without the block kernel.
 
     Kept as the oracle for the equivalence tests and as the "before"
-    arm of the ``kernels/io`` cold-read benchmark; bit-identical to
-    :func:`crc32c` for every input.
+    arm of the ``kernels/io`` and ``kernels/crc32c`` benchmarks;
+    bit-identical to :func:`crc32c` for every input.
     """
     buf = _byte_view(data)
     crc = (value & 0xFFFFFFFF) ^ 0xFFFFFFFF

@@ -265,17 +265,75 @@ def _vector_zones_typed(
     validity: "np.ndarray | None",
     vector_size: int,
 ) -> tuple[ChunkZone, ...]:
-    zones = []
-    for start in range(0, len(values), vector_size):
-        stop = start + vector_size
-        zones.append(
-            _chunk_zone(
-                column,
-                values[start:stop],
-                None if validity is None else validity[start:stop],
-            )
-        )
+    """One :func:`_chunk_zone` per vector, full vectors in one batch.
+
+    The full vectors are reduced as a ``(vectors, vector_size)`` matrix;
+    only the short tail vector goes through :func:`_chunk_zone`.
+    """
+    n_full = len(values) // vector_size
+    split = n_full * vector_size
+    full_mask = tail_mask = None
+    if validity is not None:
+        full_mask = validity[:split].reshape(n_full, vector_size)
+        tail_mask = validity[split:]
+    rows = values[:split].reshape(n_full, vector_size)
+    zones = _full_vector_zones(column, rows, full_mask)
+    if split < len(values):
+        zones.append(_chunk_zone(column, values[split:], tail_mask))
     return tuple(zones)
+
+
+def _full_vector_zones(
+    column: Column, rows: np.ndarray, validity: "np.ndarray | None"
+) -> list[ChunkZone]:
+    """:func:`_chunk_zone` of every row of ``rows``, batched."""
+    n_rows, width = rows.shape
+    valid_counts = (
+        np.full(n_rows, width) if validity is None else validity.sum(axis=1)
+    )
+    null_counts = (width - valid_counts).tolist()
+    if column.type == STRING:
+        return [ChunkZone(None, None, False, nulls) for nulls in null_counts]
+    if column.type == FLOAT64:
+        usable = np.isfinite(rows)
+        if validity is not None:
+            usable &= validity
+        low_fill, high_fill = np.inf, -np.inf
+    else:
+        usable = validity
+        info = np.iinfo(np.int64)
+        low_fill, high_fill = info.max, info.min
+    if usable is None or usable.all():
+        lows, highs = rows.min(axis=1), rows.max(axis=1)
+        usable_counts = valid_counts
+    else:
+        lows = np.where(usable, rows, low_fill).min(axis=1)
+        highs = np.where(usable, rows, high_fill).max(axis=1)
+        usable_counts = usable.sum(axis=1)
+    non_finite = (usable_counts != valid_counts).tolist()
+    present = (usable_counts > 0).tolist()
+    per_vector: set[int] = set()
+    if column.type == FLOAT64:
+        # A zero bound is exact unless the row holds both -0.0 and +0.0;
+        # then it is whichever zero the per-vector reduction returns, so
+        # those rows take the per-vector path.
+        candidates = np.flatnonzero((lows == 0) | (highs == 0))
+        if candidates.size:
+            zeros = usable[candidates] & (rows[candidates] == 0)
+            negative = np.signbit(rows[candidates])
+            has_negative = (zeros & negative).any(axis=1)
+            has_positive = (zeros & ~negative).any(axis=1)
+            per_vector = set(candidates[has_negative & has_positive].tolist())
+    zones = []
+    for i, (low, high) in enumerate(zip(lows.tolist(), highs.tolist())):
+        if not present[i]:
+            zones.append(ChunkZone(None, None, non_finite[i], null_counts[i]))
+        elif i in per_vector:
+            mask = None if validity is None else validity[i]
+            zones.append(_chunk_zone(column, rows[i], mask))
+        else:
+            zones.append(ChunkZone(low, high, non_finite[i], null_counts[i]))
+    return zones
 
 
 def _legacy_zone(low: float, high: float, special: int) -> ChunkZone:

@@ -416,14 +416,15 @@ class TestKernelRecords:
         records = kernel_bench_records(repeats=1)
         # One pack + one ffor record per width, plus the ALP vector
         # record, the two encoded-query records (q-sum, q-cmp), the
-        # zone-map table-scan record (q-table) and the cold-read I/O
-        # record (kernels/io).
-        assert len(records) == 2 * len(KERNEL_WIDTHS) + 5
+        # zone-map table-scan record (q-table), the cold-read I/O
+        # record (kernels/io) and the CRC32C record (kernels/crc32c).
+        assert len(records) == 2 * len(KERNEL_WIDTHS) + 6
         by_dataset = {r.dataset: r for r in records}
         for name, counter in (
             ("kernels/q-sum", "query.sum_speedup_vs_decode"),
             ("kernels/q-cmp", "query.cmp_speedup_vs_decode"),
             ("kernels/q-table", "table.scan_speedup_vs_decode"),
+            ("kernels/crc32c", "crc.speedup_vs_reference"),
         ):
             assert by_dataset[name].counters[counter] > 0
         document = build_document(

@@ -98,6 +98,13 @@ class TestEquidistantSampling:
     def test_empty(self):
         assert equidistant_indices(0, 5).size == 0
 
+    def test_cached_indices_are_read_only(self):
+        idx = equidistant_indices(1024, 32)
+        assert equidistant_indices(1024, 32) is idx
+        with pytest.raises(ValueError, match="read-only"):
+            idx[0] = 5
+        assert equidistant_indices(1024, 32)[0] == 0
+
     def test_sample_vector(self):
         values = np.arange(100, dtype=np.float64)
         sample = sample_vector(values, 10)

@@ -1,7 +1,8 @@
-"""CRC32C: lane-parallel vs pinned scalar oracle, buffer-protocol inputs."""
+"""CRC32C: block-table kernel vs the scalar oracle, buffer-protocol inputs."""
 
 from __future__ import annotations
 
+import mmap
 import tracemalloc
 
 import numpy as np
@@ -10,10 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.integrity import (
+    BLOCK_BYTES,
     PARALLEL_MIN_BYTES,
     crc32c,
     crc32c_reference,
 )
+
+
+def _random_bytes(n: int, seed: int) -> bytes:
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 256, n, dtype=np.uint8).tobytes()
 
 
 class TestKnownVectors:
@@ -33,13 +40,13 @@ class TestKnownVectors:
 
 
 class TestEquivalence:
-    @given(st.binary(min_size=0, max_size=3 * PARALLEL_MIN_BYTES))
+    @given(st.binary(min_size=0, max_size=48 * PARALLEL_MIN_BYTES))
     @settings(max_examples=60, deadline=None)
     def test_parallel_matches_reference(self, data):
         assert crc32c(data) == crc32c_reference(data)
 
     @given(
-        st.binary(min_size=1, max_size=2 * PARALLEL_MIN_BYTES),
+        st.binary(min_size=1, max_size=32 * PARALLEL_MIN_BYTES),
         st.integers(min_value=0, max_value=0xFFFFFFFF),
     )
     @settings(max_examples=30, deadline=None)
@@ -58,8 +65,62 @@ class TestEquivalence:
             assert crc32c(data) == crc32c_reference(data)
 
 
+class TestBlockKernel:
+    """Sizes that hit each edge of the block tables and merge tree."""
+
+    BASE = 16 * BLOCK_BYTES  # one full row of block CRCs at merge level 0
+
+    @pytest.mark.parametrize("tail", range(BLOCK_BYTES))
+    def test_every_tail_length(self, tail):
+        data = _random_bytes(self.BASE + tail, tail)
+        assert crc32c(data) == crc32c_reference(data)
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_power_of_two_block_counts(self, k, delta):
+        n = BLOCK_BYTES * 2**k + delta
+        data = _random_bytes(n, k)
+        assert crc32c(data) == crc32c_reference(data)
+
+    @pytest.mark.parametrize("blocks", [5, 17, 255, 257, 4097, 4711])
+    def test_non_power_of_two_block_counts(self, blocks):
+        data = _random_bytes(blocks * BLOCK_BYTES + 3, blocks)
+        assert crc32c(data) == crc32c_reference(data)
+
+    @pytest.mark.parametrize("seed", [0, 1, 0xFFFFFFFF, 0xE3069283])
+    def test_chained_seeds(self, seed):
+        data = _random_bytes(40_000, 9)
+        for cut in (0, 1, BLOCK_BYTES, 5_000, 39_999):
+            first = crc32c(data[:cut], seed)
+            assert first == crc32c_reference(data[:cut], seed)
+            assert crc32c(data[cut:], first) == crc32c_reference(data, seed)
+
+    def test_all_zero_and_all_ones(self):
+        for fill in (b"\x00", b"\xff"):
+            data = fill * (BLOCK_BYTES * 1000 + 7)
+            assert crc32c(data) == crc32c_reference(data)
+            seeded = crc32c_reference(data, 0x12345678)
+            assert crc32c(data, 0x12345678) == seeded
+
+    def test_unaligned_mmap_slices(self, tmp_path):
+        data = _random_bytes(200_003, 12)
+        path = tmp_path / "blob.bin"
+        path.write_bytes(data)
+        with open(path, "rb") as f, mmap.mmap(
+            f.fileno(), 0, access=mmap.ACCESS_READ
+        ) as mapped:
+            view = memoryview(mapped)
+            try:
+                spans = ((1, 200_003), (3, 70_001), (4097, 131_073))
+                for start, stop in spans:
+                    expect = crc32c_reference(data[start:stop])
+                    assert crc32c(view[start:stop]) == expect
+            finally:
+                view.release()
+
+
 class TestBufferInputs:
-    DATA = bytes(range(256)) * 256  # 64 KiB, well into the lane path
+    DATA = bytes(range(256)) * 256  # 64 KiB, well into the block path
 
     @pytest.mark.parametrize(
         "wrap",

@@ -7,7 +7,17 @@ import pytest
 
 from repro.data import get_dataset
 from repro import api
-from repro.storage.tablefile import ChunkZone
+from repro.storage.schema import INT64, STRING, Column, Schema
+from repro.storage.tablefile import (
+    _VZONE_ENTRY,
+    ChunkZone,
+    TableFileReader,
+    TableFileWriter,
+    _chunk_zone,
+    _pack_bound,
+    _vector_zones_typed,
+    _zone_flags,
+)
 
 
 @pytest.fixture
@@ -108,3 +118,146 @@ class TestVectorGranularScan:
         reader = api.open(path)
         hits = [v for _, v, _ in reader.scan_range_vectors(1e8, 1e9)]
         assert hits == [2]  # only the NaN vector is inconclusive
+
+
+def _per_vector_zones(column, values, validity, vector_size):
+    """The unbatched oracle: one ``_chunk_zone`` call per vector."""
+    zones = []
+    for start in range(0, len(values), vector_size):
+        stop = start + vector_size
+        mask = None if validity is None else validity[start:stop]
+        zones.append(_chunk_zone(column, values[start:stop], mask))
+    return zones
+
+
+def _packed(column, zones):
+    # Packed footer bytes, not ChunkZone ==: -0.0 == 0.0 would hide a
+    # flipped sign on a zero bound.
+    return [
+        _VZONE_ENTRY.pack(
+            _zone_flags(zone),
+            _pack_bound(column, zone.min_value),
+            _pack_bound(column, zone.max_value),
+            zone.null_count,
+        )
+        for zone in zones
+    ]
+
+
+VS = 64
+
+
+def _special_floats(n, seed):
+    rng = np.random.default_rng(seed)
+    pool = np.array(
+        [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.5, -2.25, 1e-310]
+    )
+    values = np.round(rng.normal(0, 10, n), 2)
+    picks = rng.random(n) < 0.3
+    values[picks] = rng.choice(pool, int(picks.sum()))
+    return values
+
+
+class TestBatchedZones:
+    """Batched footer zones equal the per-vector ``_chunk_zone`` bytes."""
+
+    def check(self, column, values, validity=None):
+        batched = _vector_zones_typed(column, values, validity, VS)
+        oracle = _per_vector_zones(column, values, validity, VS)
+        assert _packed(column, batched) == _packed(column, oracle)
+        return batched
+
+    @pytest.mark.parametrize("n", [VS, 7 * VS, 7 * VS + 5, 3])
+    def test_special_float_mix(self, n):
+        self.check(Column("x"), _special_floats(n, n))
+
+    def test_signed_zero_bounds(self):
+        rows = [
+            [-0.0, 0.0, 1.0],
+            [0.0, -0.0, 1.0],
+            [-1.0, 0.0, -0.0],
+            [-1.0, -0.0, 0.0],
+            [0.0, 0.0, 0.0],
+            [-0.0, -0.0, -0.0],
+            [-0.0, math.nan, 0.0],
+        ]
+        values = np.array(
+            [row[i % len(row)] for row in rows for i in range(VS)]
+        )
+        zones = self.check(Column("x"), values)
+        assert math.copysign(1.0, zones[5].min_value) == -1.0
+        assert math.copysign(1.0, zones[4].max_value) == 1.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_signed_zero_min_among_non_finite(self, seed):
+        # Zero minimums next to NaN/Inf: a matrix reduction over
+        # Inf-filled rows can pick the other zero than the per-vector
+        # reduction over the finite values does.
+        pool = np.array([-0.0, 0.0, 0.0, 1.0, math.nan, math.inf])
+        values = np.random.default_rng(seed).choice(pool, 16 * VS)
+        self.check(Column("x"), values)
+
+    def test_all_non_finite_vectors(self):
+        values = np.concatenate(
+            [
+                np.full(VS, math.nan),
+                np.full(VS, math.inf),
+                np.tile([-math.inf, math.nan], VS // 2),
+                np.arange(VS, dtype=np.float64),
+            ]
+        )
+        zones = self.check(Column("x"), values)
+        assert [z.min_value for z in zones[:3]] == [None, None, None]
+        assert all(z.has_non_finite for z in zones[:3])
+
+    def test_nullable_float(self):
+        n = 5 * VS + 9
+        values = _special_floats(n, 11)
+        validity = np.random.default_rng(11).random(n) < 0.6
+        validity[VS : 2 * VS] = False  # an all-null vector
+        validity[2 * VS : 3 * VS] = True
+        zones = self.check(Column("x", nullable=True), values, validity)
+        assert zones[1] == ChunkZone(None, None, False, VS)
+
+    def test_nullable_float_valid_values_all_non_finite(self):
+        values = np.tile([math.nan, 1.0], VS // 2)
+        validity = np.tile([True, False], VS // 2)
+        (zone,) = self.check(Column("x", nullable=True), values, validity)
+        assert zone == ChunkZone(None, None, True, VS // 2)
+
+    def test_int64(self):
+        rng = np.random.default_rng(5)
+        values = rng.integers(-(2**62), 2**62, 4 * VS + 17, dtype=np.int64)
+        values[3] = np.iinfo(np.int64).max
+        values[VS + 1] = np.iinfo(np.int64).min
+        self.check(Column("i", type=INT64), values)
+
+    def test_nullable_int64(self):
+        rng = np.random.default_rng(6)
+        n = 4 * VS + 17
+        values = rng.integers(-1000, 1000, n, dtype=np.int64)
+        validity = rng.random(n) < 0.5
+        validity[:VS] = False
+        column = Column("i", type=INT64, nullable=True)
+        zones = self.check(column, values, validity)
+        assert zones[0] == ChunkZone(None, None, False, VS)
+
+    def test_nullable_string(self):
+        n = 3 * VS + 2
+        values = np.array([f"s{i}" for i in range(n)], dtype=object)
+        validity = np.arange(n) % 3 != 0
+        self.check(Column("s", type=STRING, nullable=True), values, validity)
+
+    def test_written_footer_matches_oracle(self, tmp_path):
+        n = 3 * 1024 + 100
+        values = _special_floats(n, 21)
+        validity = np.random.default_rng(21).random(n) < 0.8
+        schema = Schema((Column("x", nullable=True),))
+        path = tmp_path / "zones.alpc"
+        with TableFileWriter(path, schema) as writer:
+            writer.write_rows({"x": values}, validity={"x": validity})
+        with TableFileReader(path) as reader:
+            written = reader.chunk_meta(0, "x").vector_zones
+        oracle = _per_vector_zones(schema.columns[0], values, validity, 1024)
+        column = schema.columns[0]
+        assert _packed(column, written) == _packed(column, oracle)
