@@ -51,7 +51,7 @@ XOR_SAMPLE = 40_000
 
 def _measure():
     out = {}
-    for name, _spec in MODELS.items():
+    for name, spec in MODELS.items():
         weights = get_model_weights(name)
         column = compress_f32(weights)
         decoded = decompress_f32(column)

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import api
+from repro.storage import TableFileReader
 
 # One year of tick prices: a slow upward random walk, two decimals.
 rng = np.random.default_rng(21)
@@ -38,14 +39,16 @@ print(f"row-groups: {reader.rowgroup_count}, each with a [min, max] zone map")
 
 # Range query: prices the walk only reaches late in the year.
 low, high = float(np.percentile(prices, 99.5)), float(prices.max())
-skippable = reader.count_skippable(low, high)
+with TableFileReader(path) as table:  # the zone-map walk, nothing decoded
+    kept = sum(1 for _ in table.prune(0, (low, high)))
+skippable = reader.rowgroup_count - kept
 print(f"\nquery: price in [{low:.2f}, {high:.2f}]")
 print(f"zone maps skip {skippable}/{reader.rowgroup_count} row-groups "
       "without touching their bytes")
 
 start = time.perf_counter()
 matches = 0
-for _index, values in reader.scan_range(low, high):
+for _index, values in reader.iter_rowgroups(bounds=(low, high)):
     matches += int(((values >= low) & (values <= high)).sum())
 pushdown_seconds = time.perf_counter() - start
 

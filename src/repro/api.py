@@ -87,6 +87,7 @@ from repro.storage.schema import (
     Schema,
 )
 from repro.storage.tablefile import (
+    ScanReport,
     TableColumnReader,
     TableFileReader,
     TableFileWriter,
@@ -383,7 +384,7 @@ class TableHandle:
         """A single-column reader view (non-nullable float64 columns)."""
         return self._reader.column_reader(name)
 
-    def scan_report(self) -> object:
+    def scan_report(self) -> ScanReport:
         """The reader's structured quarantine account."""
         return self._reader.scan_report()
 

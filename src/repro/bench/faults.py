@@ -226,7 +226,7 @@ def _classify_read(
         return ("detected", f"degraded: {type(exc).__name__}")
     if strict[0] == "correct":
         return strict
-    if report.chunks_quarantined == 0:
+    if report.clean:
         return (
             "silent-garbage",
             "degraded read reported nothing for a damaged chunk",
@@ -239,7 +239,7 @@ def _classify_read(
         )
     return (
         "detected",
-        f"degraded: quarantined {report.chunks_quarantined} chunk(s) "
+        f"degraded: quarantined {len(report.quarantined)} chunk(s) "
         f"({len(dropped)} row-group(s) of rows), rest bit-identical",
     )
 

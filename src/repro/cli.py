@@ -220,6 +220,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     import tempfile
 
     from repro import api, obs
+    from repro.core.compressor import decode_rowgroup_vector
     from repro.query.engine import sum_query
     from repro.query.sources import FileColumnSource
 
@@ -245,8 +246,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             # zone-map skip counters have something to count.
             low = float(np.quantile(finite, 0.45))
             high = float(np.quantile(finite, 0.55))
-            for _ in reader.scan_range_vectors(low, high):
-                pass
+            for _, survivors, rowgroup in reader.iter_rowgroups_compressed(
+                (low, high)
+            ):
+                for v in survivors:
+                    decode_rowgroup_vector(rowgroup, v)
         sum_query(FileColumnSource.open(path))
 
     snapshot = obs.snapshot()

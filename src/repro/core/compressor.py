@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
+from repro.alputil.bits import bits_to_double
 from repro.core.alp import (
     AlpVector,
     alp_decode_vector,
@@ -27,6 +28,7 @@ from repro.core.alprd import (
     AlpRdRowGroup,
     alprd_decode,
     alprd_encode,
+    decode_vector_bits,
 )
 from repro.core.constants import (
     ROWGROUP_VECTORS,
@@ -380,17 +382,25 @@ def decode_rowgroup_into(rg: CompressedRowGroup, out: np.ndarray) -> None:
         alprd_decode(rg.rd, out=out[pos : pos + rg.rd.count])
 
 
-def coerce_decode_out(
-    column: CompressedRowGroups, out: np.ndarray | None
-) -> np.ndarray:
-    """Validate (or allocate) a whole-column float64 decode buffer."""
+def decode_rowgroup_vector(rg: CompressedRowGroup, v: int) -> np.ndarray:
+    """Decode vector ``v`` of a row-group alone (ALP or ALP_rd) — what
+    a zone-map-pruned scan pays for each surviving vector."""
+    if rg.alp is not None:
+        return alp_decode_vector(rg.alp.vectors[v])
+    if rg.rd is None:
+        raise ValueError("row-group has neither ALP nor ALP_rd payload")
+    return bits_to_double(decode_vector_bits(rg.rd.vectors[v], rg.rd.parameters))
+
+
+def coerce_decode_out(count: int, out: np.ndarray | None) -> np.ndarray:
+    """Validate (or allocate) a float64 decode buffer of ``count`` values."""
     if out is None:
-        return np.empty(column.count, dtype=np.float64)
+        return np.empty(count, dtype=np.float64)
     if not isinstance(out, np.ndarray):
         raise TypeError(f"out must be a numpy ndarray, got {type(out)!r}")
-    if out.dtype != np.float64 or out.ndim != 1 or out.size != column.count:
+    if out.dtype != np.float64 or out.ndim != 1 or out.size != count:
         raise ValueError(
-            f"out must be a 1-D float64 array of {column.count} values, "
+            f"out must be a 1-D float64 array of {count} values, "
             f"got {out.dtype} with shape {out.shape}"
         )
     if not out.flags.c_contiguous or not out.flags.writeable:
@@ -410,7 +420,7 @@ def decompress(
     in place and ``out`` itself is returned, so steady-state callers
     (the serving buffer pool) allocate nothing per decode.
     """
-    out = coerce_decode_out(column, out)
+    out = coerce_decode_out(column.count, out)
     if column.count == 0:
         return out
     with obs.span("compressor.decompress"):
@@ -439,7 +449,7 @@ def decompress_parallel(
 
     if threads <= 1 or len(column.rowgroups) <= 1:
         return decompress(column, out=out)
-    out = coerce_decode_out(column, out)
+    out = coerce_decode_out(column.count, out)
     if column.count == 0:
         return out
     with obs.span("compressor.decompress_parallel"):

@@ -28,7 +28,11 @@ from repro.alputil.bits import bits_to_double
 from repro.baselines.registry import get_codec
 from repro.core.alp import AlpVector, alp_decode_vector
 from repro.core.alprd import decode_vector_bits
-from repro.core.compressor import CompressedRowGroups, compress
+from repro.core.compressor import (
+    CompressedRowGroups,
+    compress,
+    decode_rowgroup_vector,
+)
 from repro.core.constants import VECTOR_SIZE
 from repro.query.dispatch import register
 from repro.query.operators import register_encoded_source
@@ -381,15 +385,15 @@ class FileColumnSource:
     def vectors(self) -> Iterator[np.ndarray]:
         rg_start, rg_stop = self._rg_bounds()
         if self.value_range is not None:
-            low, high = self.value_range
-            for _, _, values in self.reader.scan_range_vectors(
-                low, high, rg_start, rg_stop
+            for _, survivors, compressed in self.reader.iter_rowgroups_compressed(
+                self.value_range, rg_start, rg_stop
             ):
-                yield values
+                for v in survivors:
+                    yield decode_rowgroup_vector(compressed, v)
             return
         size = self.reader.vector_size
         for _, rowgroup in self.reader.iter_rowgroups(
-            self.cache, rg_start, rg_stop
+            self.cache, None, rg_start, rg_stop
         ):
             for start in range(0, rowgroup.size, size):
                 yield rowgroup[start : start + size]
@@ -420,14 +424,9 @@ class FileColumnSource:
                 for v in survivors:
                     yield EncodedBatch(alp=vectors[v])
                 continue
-            parameters = rowgroup.rd.parameters
             for v in survivors:
                 obs.counter_add("query.batches_fallback")
-                yield EncodedBatch(
-                    values=bits_to_double(
-                        decode_vector_bits(rowgroup.rd.vectors[v], parameters)
-                    )
-                )
+                yield EncodedBatch(values=decode_rowgroup_vector(rowgroup, v))
 
     def partition(self, parts: int) -> list["FileColumnSource"]:
         # Partitioning a file source would need per-partition row-group

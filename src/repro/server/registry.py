@@ -101,15 +101,27 @@ class ServedColumn:
         ``values_to_bytes`` makes is the one allocation that remains —
         the response frame must outlive the buffer's next reuse.
 
-        ``rowgroups`` scopes the scan to the half-open row-group range
-        ``[start, stop)`` — the shard router's partition-sized requests
-        (cache keys stay per-(file, row-group), so a partition scoped
-        to one backend warms exactly its own row-groups).
+        Every bounded or partition-scoped scan takes one path: the
+        zone-map walk over row-groups ``[start, stop)`` (``rowgroups``,
+        the shard router's partition-sized requests), each survivor
+        decoded through the shared cache and filtered to ``bounds``.
+        Cache keys stay per-(file, row-group), so a partition warms
+        exactly its own row-groups, and degraded readers quarantine
+        corrupt ones, so a scoped scan serves exactly the values a full
+        scan would serve for those row-groups.
         """
-        if rowgroups is not None:
-            return self._scan_payload_rowgroups(bounds, rowgroups)
-        if bounds is not None:
-            values = self.values_in_range(*bounds)
+        if bounds is not None or rowgroups is not None:
+            chunks = []
+            for _, values in self.reader.iter_rowgroups(
+                self.cache, bounds, *(rowgroups or (0, None))
+            ):
+                if bounds is not None:
+                    low, high = bounds
+                    values = values[(values >= low) & (values <= high)]
+                chunks.append(values)
+            if not chunks:
+                return b"", 0
+            values = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
             return protocol.values_to_bytes(values), int(values.size)
         single_cached = (
             self.cache is not None and self.reader.rowgroup_count == 1
@@ -124,40 +136,6 @@ class ServedColumn:
         finally:
             self.pool.release(buffer)
 
-    def _scan_payload_rowgroups(
-        self,
-        bounds: "tuple[float, float] | None",
-        rowgroups: "tuple[int, int]",
-    ) -> tuple[bytes, int]:
-        """A partition-scoped scan: row-groups ``[start, stop)`` only.
-
-        Decoded row-groups go through the shared cache (same keys the
-        full-column path uses) and degraded readers quarantine corrupt
-        ones, so a scoped scan serves exactly the values a full scan
-        would serve for those row-groups.
-        """
-        start, stop = rowgroups
-        if bounds is not None:
-            low, high = bounds
-            chunks = [
-                values[(values >= low) & (values <= high)]
-                for index, values in self.reader.scan_range(
-                    low, high, cache=self.cache
-                )
-                if start <= index < stop
-            ]
-        else:
-            chunks = [
-                values
-                for _, values in self.reader.iter_rowgroups(
-                    self.cache, start, stop
-                )
-            ]
-        if not chunks:
-            return b"", 0
-        values = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-        return protocol.values_to_bytes(values), int(values.size)
-
     def query_source(self, rowgroups: "tuple[int, int] | None" = None):
         """The engine-facing scan source for aggregate ops.
 
@@ -165,23 +143,13 @@ class ServedColumn:
         run the encoded-domain path, and a served sum must not change by
         a ulp depending on whether some row-group happened to be warm.
         Scan ops, whose decoded values are bit-identical either way, keep
-        using the cache through :meth:`all_values` /
-        :meth:`values_in_range`.  ``rowgroups`` restricts the source to
-        the half-open row-group range (partition-scoped aggregates).
+        using the cache through :meth:`scan_payload`.  ``rowgroups``
+        restricts the source to the half-open row-group range
+        (partition-scoped aggregates).
         """
         from repro.query.sources import FileColumnSource
 
         return FileColumnSource(reader=self.reader, rowgroups=rowgroups)
-
-    def values_in_range(self, low: float, high: float) -> np.ndarray:
-        """Values inside ``[low, high]``, zone-map-pruned then filtered."""
-        chunks = []
-        for _, values in self.reader.scan_range(low, high, cache=self.cache):
-            mask = (values >= low) & (values <= high)
-            chunks.append(values[mask])
-        if not chunks:
-            return np.empty(0, dtype=np.float64)
-        return np.concatenate(chunks)
 
     def scan_report(self) -> ScanReport:
         """Cumulative quarantine account of this column's reader."""

@@ -30,12 +30,10 @@ from repro.storage.tablefile import (
     ChunkMeta,
     ChunkZone,
     QuarantinedChunk,
-    QuarantinedRowGroup,
     ScanReport,
     TableColumnReader,
     TableFileReader,
     TableFileWriter,
-    TableScanReport,
     file_format_version,
 )
 from repro.storage.errors import (
@@ -69,14 +67,12 @@ __all__ = [
     "FileVerifyReport",
     "IntegrityError",
     "QuarantinedChunk",
-    "QuarantinedRowGroup",
     "RepairReport",
     "ScanReport",
     "Schema",
     "TableColumnReader",
     "TableFileReader",
     "TableFileWriter",
-    "TableScanReport",
     "crc32c",
     "deserialize_rowgroup",
     "file_format_version",

@@ -52,15 +52,13 @@ from typing import (
 import numpy as np
 
 from repro import obs
-from repro.alputil.bits import bits_to_double
 from repro.concurrency import create_lock
-from repro.core.alp import alp_decode_vector
-from repro.core.alprd import decode_vector_bits
 from repro.core.compressor import (
     CompressedRowGroup,
     CompressedRowGroups,
     coerce_decode_out,
     compress_rowgroup,
+    decode_rowgroup_vector,
     decompress,
 )
 from repro.core.constants import ROWGROUP_VECTORS, VECTOR_SIZE
@@ -407,66 +405,26 @@ class QuarantinedChunk:
 
 
 @dataclass(frozen=True)
-class TableScanReport:
-    """Structured account of what a degraded table reader quarantined."""
-
-    path: str
-    format_version: int
-    chunks_total: int
-    chunks_quarantined: int
-    values_quarantined: int
-    quarantined: tuple[QuarantinedChunk, ...]
-
-    @property
-    def clean(self) -> bool:
-        return self.chunks_quarantined == 0
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "path": self.path,
-            "format_version": self.format_version,
-            "chunks_total": self.chunks_total,
-            "chunks_quarantined": self.chunks_quarantined,
-            "values_quarantined": self.values_quarantined,
-            "quarantined": [entry.as_dict() for entry in self.quarantined],
-        }
-
-
-@dataclass(frozen=True)
-class QuarantinedRowGroup:
-    """One corrupt row-group of a single column a degraded reader skipped."""
-
-    index: int
-    offset: int
-    length: int
-    count: int
-    reason: str
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "index": self.index,
-            "offset": self.offset,
-            "length": self.length,
-            "count": self.count,
-            "reason": self.reason,
-        }
-
-
-@dataclass(frozen=True)
 class ScanReport:
-    """Per-column quarantine account (the shape the server returns)."""
+    """What a degraded reader quarantined so far, counted in rows.
+
+    One entry per corrupt chunk.  A corrupt chunk drops its whole
+    row-group from every row-aligned read, so ``rowgroups_quarantined``
+    counts distinct row-groups and ``values_quarantined`` their rows,
+    however many of a row-group's chunks are damaged.
+    """
 
     path: str
     format_version: int
     rowgroups_total: int
     rowgroups_quarantined: int
     values_quarantined: int
-    quarantined: tuple[QuarantinedRowGroup, ...]
+    quarantined: tuple[QuarantinedChunk, ...]
 
     @property
     def clean(self) -> bool:
         """True when nothing was quarantined."""
-        return self.rowgroups_quarantined == 0
+        return not self.quarantined
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -918,15 +876,6 @@ class _ParsedChunk:
     payload_length: int
 
 
-def _decode_float_vector(rowgroup: CompressedRowGroup, v: int) -> np.ndarray:
-    """Decode vector ``v`` of a float row-group (ALP or ALP_rd)."""
-    if rowgroup.alp is not None:
-        return alp_decode_vector(rowgroup.alp.vectors[v])
-    return bits_to_double(
-        decode_vector_bits(rowgroup.rd.vectors[v], rowgroup.rd.parameters)
-    )
-
-
 class TableFileReader:
     """Random-access reader over any ALPC file (format v2, v3 or v4).
 
@@ -1350,18 +1299,40 @@ class TableFileReader:
         with self._integrity_lock:
             if key in self._quarantined:
                 return
+            # Rows count once per row-group, however many chunks fail.
+            new_rows = all(rg != rowgroup for rg, _ in self._quarantined)
             self._quarantined[key] = err
         if obs.ENABLED:
             obs.metrics.counter_add("tablefile.chunks_quarantined", 1)
-            obs.metrics.counter_add(
-                "tablefile.values_quarantined", self._rows[rowgroup]
-            )
+            if new_rows:
+                obs.metrics.counter_add(
+                    "tablefile.values_quarantined", self._rows[rowgroup]
+                )
 
-    def _quarantine_entries(self) -> list[QuarantinedChunk]:
-        """Every chunk quarantined so far, in (row-group, column) order."""
+    def _salvage(
+        self, rowgroup: int, ci: int, load: "Callable[..., Any]", *args: object
+    ) -> Any:
+        """``load(*args)``, or ``None`` once a degraded reader has
+        quarantined chunk ``(rowgroup, ci)``; strict readers re-raise.
+        ``load`` must not return ``None`` itself."""
+        try:
+            return load(*args)
+        except CorruptRowGroupError as err:
+            if not self._degraded:
+                raise
+            self._quarantine(rowgroup, ci, err)
+            return None
+
+    def scan_report(self, column: "str | None" = None) -> ScanReport:
+        """The quarantine account of this reader so far.
+
+        ``column`` restricts the entries (and the row-groups they
+        count) to one column's chunks.
+        """
+        only = None if column is None else self._schema.index(column)
         with self._integrity_lock:
             entries = sorted(self._quarantined.items())
-        return [
+        quarantined = tuple(
             QuarantinedChunk(
                 rowgroup=rg,
                 column=self._schema.columns[ci].name,
@@ -1371,18 +1342,16 @@ class TableFileReader:
                 reason=err.reason,
             )
             for (rg, ci), err in entries
-        ]
-
-    def scan_report(self) -> TableScanReport:
-        """The structured quarantine account of this reader so far."""
-        entries = tuple(self._quarantine_entries())
-        return TableScanReport(
+            if only is None or ci == only
+        )
+        rowgroups = {entry.rowgroup for entry in quarantined}
+        return ScanReport(
             path=self._path,
             format_version=self.format_version,
-            chunks_total=len(self._rows) * len(self._schema),
-            chunks_quarantined=len(entries),
-            values_quarantined=sum(e.count for e in entries),
-            quarantined=entries,
+            rowgroups_total=len(self._rows),
+            rowgroups_quarantined=len(rowgroups),
+            values_quarantined=sum(self._rows[rg] for rg in rowgroups),
+            quarantined=quarantined,
         )
 
     # -- zone-map pruning ---------------------------------------------
@@ -1538,6 +1507,32 @@ class TableFileReader:
             )
         return rg
 
+    def _decompress_rowgroup(
+        self,
+        rowgroup: int,
+        ci: int,
+        compressed: CompressedRowGroup,
+        out: "np.ndarray | None" = None,
+    ) -> np.ndarray:
+        """Decompress one float chunk's row-group, into ``out`` if given.
+
+        A bad ``out`` raises plain ``ValueError`` before the decode, so
+        it is never recorded as corruption.
+        """
+        out = coerce_decode_out(compressed.count, out)
+        column = CompressedRowGroups(
+            rowgroups=(compressed,),
+            count=compressed.count,
+            vector_size=self.vector_size,
+            stats=empty_stats(),
+        )
+        try:
+            return decompress(column, out=out)
+        except _DECODE_ERRORS as exc:
+            raise self._chunk_error(
+                rowgroup, ci, f"payload does not decompress: {exc}"
+            ) from exc
+
     def _decode_int_frames(
         self, rowgroup: int, ci: int, parsed: _ParsedChunk
     ) -> "list[FforEncoded] | list[DeltaEncoded]":
@@ -1619,19 +1614,9 @@ class TableFileReader:
         parsed = self._parse_chunk(rowgroup, ci)
         n_rows = self._rows[rowgroup]
         if col.type == FLOAT64:
-            rg = self._decode_float_rowgroup(rowgroup, ci, parsed)
-            column_group = CompressedRowGroups(
-                rowgroups=(rg,),
-                count=rg.count,
-                vector_size=self.vector_size,
-                stats=empty_stats(),
+            values = self._decompress_rowgroup(
+                rowgroup, ci, self._decode_float_rowgroup(rowgroup, ci, parsed)
             )
-            try:
-                values = decompress(column_group)
-            except _DECODE_ERRORS as exc:
-                raise self._chunk_error(
-                    rowgroup, ci, f"payload does not decompress: {exc}"
-                ) from exc
         elif parsed.codec in (CODEC_INT_FFOR, CODEC_INT_DELTA) and col.type == INT64:
             frames = self._decode_int_frames(rowgroup, ci, parsed)
             try:
@@ -1711,18 +1696,20 @@ class TableFileReader:
         }
         for rg, mask in rowgroups:
             decoded: dict[str, tuple[np.ndarray, "np.ndarray | None"]] = {}
-            try:
-                for name in names:
-                    decoded[name] = (
-                        self.read_chunk(rg, name)
-                        if mask is None
-                        else self._read_chunk_masked(rg, name, mask)
-                    )
-            except CorruptRowGroupError as err:
-                if not self._degraded:
-                    raise
-                self._quarantine(rg, self._schema.index(name), err)
-                continue
+            for name in names:
+                chunk = self._salvage(
+                    rg,
+                    self._schema.index(name),
+                    self._read_chunk_masked,
+                    rg,
+                    name,
+                    mask,
+                )
+                if chunk is None:
+                    break
+                decoded[name] = chunk
+            if len(decoded) < len(names):
+                continue  # quarantined: the row-group leaves every column
             for name in names:
                 vals, vmask = decoded[name]
                 values[name].append(vals)
@@ -1758,22 +1745,26 @@ class TableFileReader:
                 f"column {column!r}"
             )
         for rg, survivors in self.prune(ci, (low, high)):
-            mask = np.zeros(self._rows[rg], dtype=bool)
-            try:
-                parsed = self._parse_chunk(rg, ci)
-                for v, vals in self._decode_vectors(rg, ci, parsed, survivors):
-                    start = v * self.vector_size
-                    vmask = (vals >= low) & (vals <= high)
-                    if parsed.validity is not None:
-                        vmask &= parsed.validity[start : start + len(vals)]
-                    mask[start : start + len(vals)] = vmask
-            except CorruptRowGroupError as err:
-                if not self._degraded:
-                    raise
-                self._quarantine(rg, ci, err)
-                continue
-            if mask.any():
+            mask = self._salvage(
+                rg, ci, self._predicate_mask, rg, ci, survivors, low, high
+            )
+            if mask is not None and mask.any():
                 yield rg, mask
+
+    def _predicate_mask(
+        self, rg: int, ci: int, survivors: Sequence[int], low: float, high: float
+    ) -> np.ndarray:
+        """Row mask of ``low <= value <= high`` (and valid) in ``rg``,
+        decoding only the ``survivors`` vectors."""
+        mask = np.zeros(self._rows[rg], dtype=bool)
+        parsed = self._parse_chunk(rg, ci)
+        for v, vals in self._decode_vectors(rg, ci, parsed, survivors):
+            start = v * self.vector_size
+            vmask = (vals >= low) & (vals <= high)
+            if parsed.validity is not None:
+                vmask &= parsed.validity[start : start + len(vals)]
+            mask[start : start + len(vals)] = vmask
+        return mask
 
     def _decode_vectors(
         self, rowgroup: int, ci: int, parsed: _ParsedChunk, vectors: Sequence[int]
@@ -1790,7 +1781,7 @@ class TableFileReader:
         for v in vectors:
             try:
                 if frames is None:
-                    values = _decode_float_vector(rg, v)
+                    values = decode_rowgroup_vector(rg, v)
                 else:
                     values = int_decode(frames[v])
             except _DECODE_ERRORS as exc:
@@ -1821,13 +1812,15 @@ class TableFileReader:
             return self._gather(names, self._predicate_masks(predicate))
 
     def _read_chunk_masked(
-        self, rowgroup: int, name: str, mask: np.ndarray
+        self, rowgroup: int, name: str, mask: "np.ndarray | None"
     ) -> tuple[np.ndarray, "np.ndarray | None"]:
-        """Decode a chunk and keep only ``mask`` rows.
+        """Decode a chunk and keep only ``mask`` rows (``None``: all).
 
         Numeric chunks decode at vector granularity: vectors whose mask
         slice is empty are skipped entirely.
         """
+        if mask is None:
+            return self.read_chunk(rowgroup, name)
         ci = self._schema.index(name)
         col = self._schema.columns[ci]
         if col.type == STRING:
@@ -1998,40 +1991,9 @@ class TableColumnReader:
     def check_rowgroup(self, index: int) -> "CorruptRowGroupError | None":
         return self._parent.check_chunk(index, self._name)
 
-    def _salvage(
-        self, index: int, load: "Callable[..., Any]", *args: object
-    ) -> Any:
-        """``load(*args)``, or ``None`` once a degraded reader has
-        quarantined row-group ``index``; strict readers re-raise."""
-        try:
-            return load(*args)
-        except CorruptRowGroupError as err:
-            if not self.degraded:
-                raise
-            self._parent._quarantine(index, self._ci, err)
-            return None
-
     def scan_report(self) -> ScanReport:
         """The quarantine account of this column so far."""
-        entries = tuple(
-            QuarantinedRowGroup(
-                index=e.rowgroup,
-                offset=e.offset,
-                length=e.length,
-                count=e.count,
-                reason=e.reason,
-            )
-            for e in self._parent._quarantine_entries()
-            if e.column == self._name
-        )
-        return ScanReport(
-            path=self._cache_path,
-            format_version=self._parent.format_version,
-            rowgroups_total=self.rowgroup_count,
-            rowgroups_quarantined=len(entries),
-            values_quarantined=sum(e.count for e in entries),
-            quarantined=entries,
-        )
+        return self._parent.scan_report(self._name)
 
     # -- access -------------------------------------------------------
 
@@ -2053,25 +2015,12 @@ class TableColumnReader:
         array (or slice) of exactly the row-group's value count; the
         decode writes in place and returns ``out``.
         """
-        rowgroup = self.read_rowgroup_compressed(index)
-        column = CompressedRowGroups(
-            rowgroups=(rowgroup,),
-            count=rowgroup.count,
-            vector_size=self.vector_size,
-            stats=empty_stats(),
+        return self._parent._decompress_rowgroup(
+            index, self._ci, self.read_rowgroup_compressed(index), out
         )
-        # Validate out before the decode try-block (bad caller buffers
-        # raise plain ValueError, never cached as corruption).
-        out = coerce_decode_out(column, out)
-        try:
-            return decompress(column, out=out)
-        except _DECODE_ERRORS as exc:
-            raise self._parent._chunk_error(
-                index, self._ci, f"payload does not decompress: {exc}"
-            ) from exc
 
-    def cached_rowgroup(
-        self, index: int, cache: "RowGroupCache | None" = None
+    def _cached_rowgroup(
+        self, index: int, cache: "RowGroupCache | None"
     ) -> np.ndarray:
         """Decompress one row-group through an optional decoded cache.
 
@@ -2097,13 +2046,23 @@ class TableColumnReader:
     def iter_rowgroups(
         self,
         cache: "RowGroupCache | None" = None,
+        bounds: "tuple[float, float] | None" = None,
         start: int = 0,
         stop: int | None = None,
     ) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield (index, values) per row-group of ``[start, stop)``;
-        degraded readers skip quarantined ones."""
-        for index in self._parent._rowgroup_range(start, stop):
-            values = self._salvage(index, self.cached_rowgroup, index, cache)
+        """Yield ``(index, values)`` per row-group of ``[start, stop)``.
+
+        With ``bounds = (low, high)``, row-groups whose zone maps
+        exclude the range are skipped without touching their bytes (the
+        predicate push-down the paper contrasts with block-based
+        general-purpose compression); the survivors decode whole, so the
+        caller still filters values.  Decoded row-groups go through
+        ``cache``; degraded readers skip quarantined ones.
+        """
+        for index, _ in self._parent.prune(self._ci, bounds, start, stop):
+            values = self._parent._salvage(
+                index, self._ci, self._cached_rowgroup, index, cache
+            )
             if values is not None:
                 yield index, values
 
@@ -2118,11 +2077,15 @@ class TableColumnReader:
         The late-materialization scan path: the pruning walk picks the
         row-groups and vectors that may hold values in ``bounds``; the
         survivors' framing is decoded (and checksum-verified) but the
-        payload stays integer-compressed for encoded-domain execution.
+        payload stays integer-compressed for encoded-domain execution
+        (or per-vector decode with
+        :func:`~repro.core.compressor.decode_rowgroup_vector`).
         Degraded readers quarantine corrupt row-groups.
         """
         for index, survivors in self._parent.prune(self._ci, bounds, start, stop):
-            rowgroup = self._salvage(index, self.read_rowgroup_compressed, index)
+            rowgroup = self._parent._salvage(
+                index, self._ci, self.read_rowgroup_compressed, index
+            )
             if rowgroup is not None:
                 yield index, survivors, rowgroup
 
@@ -2152,89 +2115,26 @@ class TableColumnReader:
           is read-only; callers that mutate must copy.
         """
         self._parent._require_open()
-        total = self.value_count
-        count = self.rowgroup_count
-        if out is None:
-            if cache is not None and count == 1:
-                values = self._salvage(0, self.cached_rowgroup, 0, cache)
-                if values is None:
-                    return np.empty(0, dtype=np.float64)
-                return values
-            target = np.empty(total, dtype=np.float64)
-        else:
-            if (
-                not isinstance(out, np.ndarray)
-                or out.dtype != np.float64
-                or out.ndim != 1
-                or out.size != total
-            ):
-                raise ValueError(
-                    f"out must be a 1-D float64 array of {total} values"
-                )
-            if not out.flags.c_contiguous or not out.flags.writeable:
-                raise ValueError("out must be C-contiguous and writable")
-            target = out
+        if out is None and cache is not None and self.rowgroup_count == 1:
+            values = self._parent._salvage(
+                0, self._ci, self._cached_rowgroup, 0, cache
+            )
+            return np.empty(0, dtype=np.float64) if values is None else values
+        target = coerce_decode_out(self.value_count, out)
         pos = 0
-        for index in range(count):
-            rows = self.rowgroup_rows(index)
-            part = target[pos : pos + rows]
-            try:
-                if cache is None:
-                    self.read_rowgroup(index, out=part)
-                else:
-                    np.copyto(part, self.cached_rowgroup(index, cache))
-            except CorruptRowGroupError as err:
-                if not self.degraded:
-                    raise
-                self._parent._quarantine(index, self._ci, err)
-                continue
-            pos += rows
-        return target if pos == total else target[:pos]
+        for index in range(self.rowgroup_count):
+            part = target[pos : pos + self.rowgroup_rows(index)]
+            if self._parent._salvage(
+                index, self._ci, self._fill_rowgroup, index, part, cache
+            ) is not None:
+                pos += part.size
+        return target if pos == target.size else target[:pos]
 
-    def scan_range(
-        self,
-        low: float,
-        high: float,
-        cache: "RowGroupCache | None" = None,
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield (row-group index, values) for groups that may match.
-
-        Row-groups whose zone maps exclude ``[low, high]`` are skipped
-        without touching their compressed bytes — the predicate
-        push-down the paper highlights as impossible for block-based
-        general-purpose compression.
-        """
-        for index, _ in self._parent.prune(self._ci, (low, high)):
-            values = self._salvage(index, self.cached_rowgroup, index, cache)
-            if values is not None:
-                yield index, values
-
-    def scan_range_vectors(
-        self,
-        low: float,
-        high: float,
-        start: int = 0,
-        stop: int | None = None,
-    ) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Yield (row-group, vector index, values) at vector granularity.
-
-        Inside each surviving row-group only the vectors whose zone map
-        admits ``[low, high]`` are decoded: a selective query pays
-        decode cost proportional to the *selected* vectors, not the
-        block size.
-        """
-        for index, survivors, rowgroup in self.iter_rowgroups_compressed(
-            (low, high), start, stop
-        ):
-            for v in survivors:
-                yield index, v, _decode_float_vector(rowgroup, v)
-
-    def count_skippable(self, low: float, high: float) -> int:
-        """How many row-groups the zone maps eliminate for a range."""
-        kept = sum(1 for _ in self._parent.prune(self._ci, (low, high)))
-        return self.rowgroup_count - kept
-
-    def count_skippable_vectors(self, low: float, high: float) -> int:
-        """How many vectors the two zone-map levels eliminate together."""
-        kept = sum(len(v) for _, v in self._parent.prune(self._ci, (low, high)))
-        return self.vector_count - kept
+    def _fill_rowgroup(
+        self, index: int, part: np.ndarray, cache: "RowGroupCache | None"
+    ) -> np.ndarray:
+        """Decode row-group ``index`` into ``part`` (via ``cache``)."""
+        if cache is None:
+            return self.read_rowgroup(index, out=part)
+        np.copyto(part, self._cached_rowgroup(index, cache))
+        return part

@@ -98,7 +98,9 @@ class TestConcurrentDegradedReader:
                 elif kind == 1:
                     chunks = [
                         chunk[(chunk >= LOW) & (chunk <= HIGH)]
-                        for _, chunk in reader.scan_range(LOW, HIGH)
+                        for _, chunk in reader.iter_rowgroups(
+                            bounds=(LOW, HIGH)
+                        )
                     ]
                     got = (
                         np.concatenate(chunks)
@@ -148,7 +150,7 @@ class TestConcurrentDegradedReader:
         report = reader.scan_report()
         assert report.rowgroups_quarantined == len(BAD)
         assert report.values_quarantined == len(BAD) * ROWGROUP_VALUES
-        assert tuple(entry.index for entry in report.quarantined) == BAD
+        assert tuple(entry.rowgroup for entry in report.quarantined) == BAD
 
     def test_strict_reader_raises_under_concurrency(self, corrupted):
         path, _ = corrupted

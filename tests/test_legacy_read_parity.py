@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.core.compressor import decode_rowgroup_vector
 from repro.query import engine
 from repro.query.sources import FileColumnSource
 from repro.server.cache import DecodedVectorCache
@@ -88,7 +89,9 @@ class TestPrunedScans:
             with api.open(p) as reader:
                 return [
                     (index, values[(values >= LOW) & (values <= HIGH)])
-                    for index, values in reader.scan_range(LOW, HIGH)
+                    for index, values in reader.iter_rowgroups(
+                        bounds=(LOW, HIGH)
+                    )
                 ]
 
         got, want = scan(path), scan(v4_file)
@@ -99,7 +102,13 @@ class TestPrunedScans:
     def test_scan_range_vectors(self, path, v4_file):
         def scan(p):
             with api.open(p) as reader:
-                return list(reader.scan_range_vectors(LOW, HIGH))
+                return [
+                    (rg, v, decode_rowgroup_vector(rowgroup, v))
+                    for rg, survivors, rowgroup in reader.iter_rowgroups_compressed(
+                        (LOW, HIGH)
+                    )
+                    for v in survivors
+                ]
 
         got, want = scan(path), scan(v4_file)
         assert [(rg, v) for rg, v, _ in got] == [(rg, v) for rg, v, _ in want]
@@ -164,8 +173,15 @@ class TestDegradedRead:
         assert report["rowgroups_quarantined"] == 1
         assert report["values_quarantined"] == ROWGROUP_ROWS
         (entry,) = report["quarantined"]
-        assert set(entry) == {"index", "offset", "length", "count", "reason"}
-        assert (entry["index"], entry["offset"], entry["count"]) == (
+        assert set(entry) == {
+            "rowgroup",
+            "column",
+            "offset",
+            "length",
+            "count",
+            "reason",
+        }
+        assert (entry["rowgroup"], entry["offset"], entry["count"]) == (
             1,
             meta.offset,
             ROWGROUP_ROWS,

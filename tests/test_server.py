@@ -34,6 +34,7 @@ from repro.server.loadgen import (
     write_loadgen_json,
 )
 from repro.server.ops import OpResult
+from repro.storage.tablefile import TableColumnReader
 
 VECTOR_SIZE = 128
 ROWGROUP_VECTORS = 4
@@ -375,6 +376,46 @@ class TestDegradedServing:
             assert bitwise_equal(got, expect)
         finally:
             handle.shutdown()
+
+
+class TestScopedScans:
+    """Partition-scoped scans decode only their own row-groups."""
+
+    RG = VECTOR_SIZE * ROWGROUP_VECTORS
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("bounds", [None, (10.0, 20.0)])
+    def test_decodes_only_partition_rowgroups(
+        self, tmp_path, monkeypatch, cached, bounds
+    ):
+        # Every row-group spans [0, 100): zone maps prune none of them.
+        values = np.round(
+            np.random.default_rng(3).uniform(0, 100, 4 * self.RG), 2
+        )
+        path = tmp_path / "u.alpc"
+        api.write(path, values, OPTIONS)
+        cache = DecodedVectorCache(byte_budget=8 << 20) if cached else None
+        registry = DatasetRegistry(cache=cache)
+        served = registry.column(registry.register_path(path))
+        decoded = []
+        read_rowgroup = TableColumnReader.read_rowgroup
+
+        def spy(self, index, out=None):
+            decoded.append(index)
+            return read_rowgroup(self, index, out=out)
+
+        monkeypatch.setattr(TableColumnReader, "read_rowgroup", spy)
+        for start, stop in ((0, 1), (1, 3), (3, 4)):
+            decoded.clear()
+            body, count = served.scan_payload(bounds, (start, stop))
+            assert sorted(decoded) == list(range(start, stop))
+            want = values[start * self.RG : stop * self.RG]
+            if bounds is not None:
+                want = want[(want >= bounds[0]) & (want <= bounds[1])]
+            assert count == want.size
+            assert bitwise_equal(protocol.values_from_bytes(body), want)
+            if cached:  # only this partition's row-groups were added
+                assert cache.stats().entries == stop
 
 
 class TestCacheWarmth:

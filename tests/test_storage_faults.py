@@ -162,11 +162,11 @@ class TestDegradedScan:
         report = reader.scan_report()
         assert report.rowgroups_quarantined == 1
         assert report.values_quarantined == RG_VALUES
-        assert report.quarantined[0].index == 1
+        assert report.quarantined[0].rowgroup == 1
         assert not report.clean
         as_dict = report.as_dict()
         assert as_dict["rowgroups_quarantined"] == 1
-        assert as_dict["quarantined"][0]["index"] == 1
+        assert as_dict["quarantined"][0]["rowgroup"] == 1
 
     def test_obs_counters_count_exactly_one_quarantine(self, column_file):
         path, _ = column_file
@@ -190,7 +190,7 @@ class TestDegradedScan:
         self._corrupt_rowgroup(path, 0)
         reader = api.open(path, degraded=True)
         lo, hi = float(values.min()), float(values.max())
-        scanned = [index for index, _ in reader.scan_range(lo, hi)]
+        scanned = [index for index, _ in reader.iter_rowgroups(bounds=(lo, hi))]
         assert 0 not in scanned
         assert reader.scan_report().rowgroups_quarantined == 1
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.compressor import decode_rowgroup_vector
 from repro.data import get_dataset
 from repro import api
 from repro.storage.schema import INT64, STRING, Column, Schema
@@ -18,6 +19,21 @@ from repro.storage.tablefile import (
     _vector_zones_typed,
     _zone_flags,
 )
+
+
+def _scan_vectors(reader, low, high):
+    """``(row-group, vector, values)`` for every vector the zone maps
+    keep for ``[low, high]``."""
+    for rg, survivors, rowgroup in reader.iter_rowgroups_compressed((low, high)):
+        for v in survivors:
+            yield rg, v, decode_rowgroup_vector(rowgroup, v)
+
+
+def _skippable_vectors(path, low, high):
+    """Vectors the two zone-map levels eliminate together."""
+    with TableFileReader(path) as reader:
+        kept = sum(len(v) for _, v in reader.prune(0, (low, high)))
+        return reader.vector_count(reader.column_names[0]) - kept
 
 
 @pytest.fixture
@@ -58,11 +74,11 @@ class TestVectorGranularScan:
     def test_narrow_range_touches_few_vectors(self, sorted_file):
         path, values = sorted_file
         reader = api.open(path)
-        hits = list(reader.scan_range_vectors(500.0, 500.5))
+        hits = list(_scan_vectors(reader, 500.0, 500.5))
         # ~0.05% selectivity on sorted data -> at most a couple of vectors.
         assert 1 <= len(hits) <= 3
         total_vectors = reader.vector_count
-        skippable = reader.count_skippable_vectors(500.0, 500.5)
+        skippable = _skippable_vectors(path, 500.0, 500.5)
         assert skippable == total_vectors - len(hits)
 
     def test_scan_finds_all_matches(self, sorted_file):
@@ -71,7 +87,7 @@ class TestVectorGranularScan:
         low, high = 123.0, 456.0
         found = sum(
             int(((chunk >= low) & (chunk <= high)).sum())
-            for _, _, chunk in reader.scan_range_vectors(low, high)
+            for _, _, chunk in _scan_vectors(reader, low, high)
         )
         expected = int(((values >= low) & (values <= high)).sum())
         assert found == expected
@@ -79,7 +95,7 @@ class TestVectorGranularScan:
     def test_vector_decode_is_bit_exact(self, sorted_file):
         path, values = sorted_file
         reader = api.open(path)
-        for rg_index, v_index, chunk in reader.scan_range_vectors(0.0, 5.0):
+        for rg_index, v_index, chunk in _scan_vectors(reader, 0.0, 5.0):
             start = rg_index * 102_400 + v_index * 1024
             expected = values[start : start + chunk.size]
             assert np.array_equal(
@@ -95,18 +111,18 @@ class TestVectorGranularScan:
         high = float(values[61_000])
         found = sum(
             int(((chunk >= low) & (chunk <= high)).sum())
-            for _, _, chunk in reader.scan_range_vectors(low, high)
+            for _, _, chunk in _scan_vectors(reader, low, high)
         )
         expected = int(((values >= low) & (values <= high)).sum())
         assert found == expected
-        assert reader.count_skippable_vectors(low, high) > 0
+        assert _skippable_vectors(path, low, high) > 0
 
     def test_empty_range_skips_everything(self, sorted_file):
         path, _ = sorted_file
         reader = api.open(path)
-        assert list(reader.scan_range_vectors(2000.0, 3000.0)) == []
+        assert list(_scan_vectors(reader, 2000.0, 3000.0)) == []
         assert (
-            reader.count_skippable_vectors(2000.0, 3000.0)
+            _skippable_vectors(path, 2000.0, 3000.0)
             == reader.vector_count
         )
 
@@ -116,7 +132,7 @@ class TestVectorGranularScan:
         path = tmp_path / "nan.alpc"
         api.write(path, values)
         reader = api.open(path)
-        hits = [v for _, v, _ in reader.scan_range_vectors(1e8, 1e9)]
+        hits = [v for _, v, _ in _scan_vectors(reader, 1e8, 1e9)]
         assert hits == [2]  # only the NaN vector is inconclusive
 
 

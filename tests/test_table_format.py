@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.storage.errors import CorruptRowGroupError
 from repro.storage.schema import FLOAT64, INT64, STRING, Column, Schema
 from repro.storage.tablefile import (
@@ -257,7 +258,7 @@ class TestIntegrity:
         with TableFileReader(path, degraded=True) as reader:
             values, _ = reader.read_columns()
             report = reader.scan_report()
-            assert report.chunks_quarantined == 1
+            assert len(report.quarantined) == 1
             assert {q.rowgroup for q in report.quarantined} == {1}
             # The damaged chunk removes its row-group's rows from BOTH
             # columns — projections stay row-aligned.
@@ -266,6 +267,48 @@ class TestIntegrity:
             keep[rows : 2 * rows] = False
             assert _column_equal(values["a"], columns["a"][keep])
             assert _column_equal(values["b"], columns["b"][keep])
+
+    def test_report_counts_dropped_rows_once(self, tmp_path):
+        # Both chunks of one row-group damaged: each read drops the
+        # row-group's rows once, and the report counts them once too.
+        rows = 102_400
+        rng = np.random.default_rng(5)
+        columns = {
+            "a": np.round(rng.normal(0, 5, 3 * rows), 2),
+            "b": np.round(rng.normal(9, 1, 3 * rows), 3),
+        }
+        path = tmp_path / "t.alpc"
+        _write(path, columns)
+        _damage_chunk(path, 1, "a")
+        _damage_chunk(path, 1, "b")
+        keep = np.ones(3 * rows, dtype=bool)
+        keep[rows : 2 * rows] = False
+        obs.enable()
+        obs.reset()
+        try:
+            with TableFileReader(path, degraded=True) as reader:
+                values, _ = reader.read_columns()
+                assert len(values["a"]) == 2 * rows
+                for name in ("a", "b"):
+                    values, _ = reader.read_columns([name])
+                    assert _column_equal(values[name], columns[name][keep])
+                report = reader.scan_report()
+                column_report = reader.column_reader("b").scan_report()
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+            obs.reset()
+        assert report.rowgroups_quarantined == 1
+        assert report.values_quarantined == rows
+        assert [(q.rowgroup, q.column) for q in report.quarantined] == [
+            (1, "a"),
+            (1, "b"),
+        ]
+        assert [q.column for q in column_report.quarantined] == ["b"]
+        assert column_report.rowgroups_quarantined == 1
+        assert column_report.values_quarantined == rows
+        assert counters["tablefile.chunks_quarantined"] == 2
+        assert counters["tablefile.values_quarantined"] == rows
 
     def test_verify_attributes_damage_to_column(self, tmp_path):
         path, _ = self._table(tmp_path)
