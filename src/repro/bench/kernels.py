@@ -53,6 +53,12 @@ file write and read runs against the scalar slicing-by-8 reference on
 one chunk-sized buffer; its ratio, ``counters["crc.speedup_vs_reference"]``,
 has a floor in the kernel baseline too.
 
+A ``kernels/rowgroup-decode`` record times
+:func:`~repro.core.compressor.decode_rowgroup_into` (one unpack per bit
+width, one ALP_rd unpack per stream) against the per-vector decode loop
+it replaced, on four row-groups each of City-Temp, NYC/29 and POI-lat;
+``counters["rowgroup.<dataset>_speedup_vs_vector"]`` are floored.
+
 Records follow the ``BENCH_*.json`` schema (see
 :mod:`repro.bench.records`): ``bits_per_value`` is the field width and
 ``compression_ratio`` is ``64 / width``, both deterministic, so the CI
@@ -64,6 +70,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 import numpy as np
 
@@ -563,6 +570,110 @@ def _bench_crc32c(repeats: int, calibration: float) -> BenchRecord:
     )
 
 
+#: Columns the row-group decode kernel is measured on: two ALP columns
+#: (narrow and wide bit widths) and the ALP_rd column.
+ROWGROUP_DECODE_DATASETS = ("City-Temp", "NYC/29", "POI-lat")
+#: Row-groups per column the row-group decode kernel decodes per call.
+ROWGROUP_DECODE_ROWGROUPS = 4
+#: Counter suffix of the row-group decode speedups.
+VECTOR_SPEEDUP = "_speedup_vs_vector"
+
+
+def _decode_per_vector(rowgroup, out: np.ndarray) -> None:
+    """The per-vector loop :func:`decode_rowgroup_into` replaced: one
+    full decode (unpack, reference, ALP_dec or glue) per vector."""
+    from repro.core.alp import alp_decode_vector
+    from repro.core.alprd import decode_vector_bits
+
+    pos = 0
+    if rowgroup.alp is not None:
+        for vector in rowgroup.alp.vectors:
+            alp_decode_vector(vector, out=out[pos : pos + vector.count])
+            pos += vector.count
+        return
+    bits = out.view(np.uint64)
+    for vector in rowgroup.rd.vectors:
+        bits[pos : pos + vector.count] = decode_vector_bits(
+            vector, rowgroup.rd.parameters
+        )
+        pos += vector.count
+
+
+def _bench_rowgroup_decode(repeats: int, calibration: float) -> BenchRecord:
+    """Row-group decode vs the per-vector loop (``kernels/rowgroup-decode``).
+
+    :data:`ROWGROUP_DECODE_ROWGROUPS` full row-groups (100 vectors
+    each) of each of :data:`ROWGROUP_DECODE_DATASETS`:
+    ``compress_mbps`` is the per-vector loop
+    (:func:`_decode_per_vector`), ``decompress_mbps``
+    :func:`~repro.core.compressor.decode_rowgroup_into`, both over all
+    three columns, and ``counters["rowgroup.<dataset>_speedup_vs_vector"]``
+    their ratio per column, each floored in the kernel baseline.
+    """
+    from repro.core.compressor import compress, decode_rowgroup_into
+    from repro.core.constants import ROWGROUP_VECTORS
+    from repro.data import get_dataset
+
+    counters: dict[str, float] = {}
+    loop_seconds = rowgroup_seconds = 0.0
+    total_bits = total_values = 0
+    for name in ROWGROUP_DECODE_DATASETS:
+        rows = ROWGROUP_DECODE_ROWGROUPS * ROWGROUP_VECTORS
+        values = get_dataset(name, n=rows * KERNEL_VECTOR_SIZE)
+        column = compress(values)
+        parts = [
+            (rowgroup, np.empty(rowgroup.count, dtype=np.float64))
+            for rowgroup in column.rowgroups
+        ]
+
+        def per_vector() -> None:
+            for rowgroup, out in parts:
+                _decode_per_vector(rowgroup, out)
+
+        def per_rowgroup() -> None:
+            for rowgroup, out in parts:
+                decode_rowgroup_into(rowgroup, out)
+
+        per_rowgroup()
+        decoded = np.concatenate([out for _, out in parts])
+        if not np.array_equal(decoded.view(np.uint64), values.view(np.uint64)):
+            raise AssertionError(f"{name}: row-group decode is not bit-exact")
+        # Alternate the two paths so host-speed drift hits both alike;
+        # each ratio comes from one adjacent pair of calls.
+        loop_times, rowgroup_times = [], []
+        for _ in range(repeats):
+            for fn, times in (
+                (per_vector, loop_times),
+                (per_rowgroup, rowgroup_times),
+            ):
+                start = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - start)
+        counters[f"rowgroup.{name}{VECTOR_SPEEDUP}"] = float(
+            np.median(np.array(loop_times) / np.array(rowgroup_times))
+        )
+        loop_seconds += float(np.median(loop_times))
+        rowgroup_seconds += float(np.median(rowgroup_times))
+        total_bits += column.size_bits()
+        total_values += values.size
+    nbytes = total_values * 8
+    loop_mbps = nbytes / loop_seconds / 1e6
+    rowgroup_mbps = nbytes / rowgroup_seconds / 1e6
+    bits_per_value = total_bits / total_values
+    return BenchRecord(
+        dataset="kernels/rowgroup-decode",
+        codec="decode",
+        n=total_values,
+        bits_per_value=bits_per_value,
+        compression_ratio=64.0 / bits_per_value,
+        compress_mbps=loop_mbps,
+        decompress_mbps=rowgroup_mbps,
+        compress_rel=loop_mbps / calibration,
+        decompress_rel=rowgroup_mbps / calibration,
+        counters=counters,
+    )
+
+
 def kernel_bench_records(repeats: int = 5) -> list[BenchRecord]:
     """All kernel micro-benchmark records (see module docstring).
 
@@ -584,6 +695,7 @@ def kernel_bench_records(repeats: int = 5) -> list[BenchRecord]:
     raw.append(_bench_query_table(repeats, cal_before))
     raw.append(_bench_io(repeats, cal_before))
     raw.append(_bench_crc32c(repeats, cal_before))
+    raw.append(_bench_rowgroup_decode(repeats, cal_before))
     calibration = (cal_before + calibration_mbps(repeats=repeats)) / 2
 
     # Re-anchor every record on the averaged calibration.
@@ -628,6 +740,13 @@ def main(argv: list[str] | None = None) -> int:
         speedup = record.counters.get("crc.speedup_vs_reference")
         if speedup is not None:
             extra = f"  ({speedup:.1f}x vs scalar reference)"
+        per_column = [
+            f"{name[len('rowgroup.') : -len(VECTOR_SPEEDUP)]} {value:.2f}x"
+            for name, value in record.counters.items()
+            if name.endswith(VECTOR_SPEEDUP)
+        ]
+        if per_column:
+            extra = f"  ({', '.join(per_column)} vs per-vector)"
         for name, value in record.counters.items():
             if name.endswith(SPEEDUP_SUFFIX):
                 extra = f"  ({value:.2f}x fused vs decode-first)"

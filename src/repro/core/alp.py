@@ -183,7 +183,10 @@ def alp_encode_rowgroup(
 
 
 def alp_decode_vector(
-    vector: AlpVector, fused: bool = True, out: np.ndarray | None = None
+    vector: AlpVector,
+    fused: bool = True,
+    out: np.ndarray | None = None,
+    encoded: np.ndarray | None = None,
 ) -> np.ndarray:
     """Decode one vector (Algorithm 2): UNFFOR, ALP_dec, then patch.
 
@@ -192,19 +195,20 @@ def alp_decode_vector(
     given, receives the decoded values in place (a ``vector.count``-sized
     float64 slice) so batch callers can decode straight into one
     preallocated column instead of concatenating per-vector arrays.
+    ``encoded``, when given, holds the vector's integers already
+    FFOR-decoded (the row-group decoder unpacks all vectors at once)
+    and UNFFOR is skipped; it may alias ``out``.
     """
     with obs.span("alp.decode_vector"):
-        unffor = ffor_decode if fused else ffor_decode_unfused
-        encoded = unffor(vector.ffor)
+        if encoded is None:
+            unffor = ffor_decode if fused else ffor_decode_unfused
+            encoded = unffor(vector.ffor)
         # Two separate multiplies (Formula 2), preserved exactly: folding
         # the constants would change rounding and break bit-exactness.
-        scaled = encoded * F10[vector.factor]
-        if out is None:
-            decoded = scaled * IF10[vector.exponent]
-        else:
-            decoded = np.multiply(scaled, IF10[vector.exponent], out=out)
+        decoded = np.multiply(encoded, F10[vector.factor], out=out)
+        decoded *= IF10[vector.exponent]
         if vector.exc_positions.size:
-            decoded[vector.exc_positions.astype(np.int64)] = vector.exc_values
+            decoded[vector.exc_positions] = vector.exc_values
         obs.counter_add("alp.vectors_decoded")
         return decoded
 

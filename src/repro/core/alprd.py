@@ -16,6 +16,7 @@ Decoding bit-unpacks both parts, patches left-part exceptions, and
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,12 @@ from repro.core.constants import (
     VECTOR_SIZE,
 )
 from repro.core.sampler import equidistant_indices
-from repro.encodings.bitpack import pack_bits, unpack_bits
+from repro.encodings.bitpack import (
+    UNPACK_PASS_ROWS,
+    pack_bits,
+    unpack_bits,
+    vector_grid,
+)
 from repro.encodings.dictionary import SkewedDictionary
 
 #: How many values per row-group the cut-position search looks at.
@@ -208,6 +214,39 @@ def alprd_encode(
         )
 
 
+def _patch_left_exceptions(
+    bits: np.ndarray,
+    vectors: Sequence[AlpRdVector],
+    size: int,
+    right_width: int,
+) -> None:
+    """Glue every vector's left-part exceptions into ``bits`` at once.
+
+    Vector ``i`` starts at ``i * size``; an exception keeps its slot's
+    right part and replaces the dictionary's left part.  A position
+    outside its own vector raises ``IndexError`` before anything is
+    written, so a damaged vector can never patch a neighbour.
+    """
+    n_exc = np.array([v.exc_positions.size for v in vectors], dtype=np.int64)
+    if not n_exc.any():
+        return
+    positions = np.concatenate([v.exc_positions for v in vectors]).astype(
+        np.int64
+    )
+    counts = np.array([v.count for v in vectors], dtype=np.int64)
+    bad = np.flatnonzero(positions >= np.repeat(counts, n_exc))
+    if bad.size:
+        raise IndexError(
+            f"exception position {positions[bad[0]]} outside its vector"
+        )
+    positions += np.repeat(np.arange(len(vectors)) * size, n_exc)
+    left = np.concatenate([v.exc_values for v in vectors]).astype(np.uint64)
+    right_mask = np.uint64((1 << right_width) - 1)
+    bits[positions] = (left << np.uint64(right_width)) | (
+        bits[positions] & right_mask
+    )
+
+
 def alprd_decode(
     rowgroup: AlpRdRowGroup, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -217,17 +256,53 @@ def alprd_decode(
     ``rowgroup.count``-sized float64 slice), letting :func:`decompress`
     fill one preallocated column instead of concatenating per-row-group
     arrays.
+
+    Every vector of a row-group shares the cut and the dictionary, so
+    up to :data:`~repro.encodings.bitpack.UNPACK_PASS_ROWS` vectors
+    unpack their right parts in one call straight into ``out`` and
+    their left codes in a second; the dictionary lookup and the glue
+    run on the same pass, and the left-part exceptions of the whole
+    row-group are glued in last.  Only a short tail vector unpacks on
+    its own.  Output is identical to :func:`decode_vector_bits` per
+    vector.
     """
-    if not rowgroup.vectors:
+    vectors = rowgroup.vectors
+    if not vectors:
         return np.empty(0, dtype=np.float64) if out is None else out
     with obs.span("alprd.decode"):
         target = np.empty(rowgroup.count, dtype=np.float64) if out is None else out
         bits = target.view(np.uint64)
-        pos = 0
-        for vector in rowgroup.vectors:
-            bits[pos : pos + vector.count] = decode_vector_bits(
-                vector, rowgroup.parameters
+        size, n_full = vector_grid([v.count for v in vectors])
+        total = sum(v.count for v in vectors)
+        if bits.size != total or not bits.flags.c_contiguous:
+            raise ValueError(
+                f"out must be a C-contiguous float64 array of {total} values"
             )
-            pos += vector.count
-        obs.counter_add("alprd.vectors_decoded", len(rowgroup.vectors))
+        parameters = rowgroup.parameters
+        right_width = parameters.right_bit_width
+        code_width = parameters.dictionary.code_width
+        entries = parameters.dictionary.entries.astype(np.uint64)
+        shift = np.uint64(right_width)
+        # Passes of (first vector, vectors, values each): the full
+        # vectors, then the short tail vector, if any.
+        passes = [
+            (first, min(UNPACK_PASS_ROWS, n_full - first), size)
+            for first in range(0, n_full, UNPACK_PASS_ROWS)
+        ]
+        if n_full < len(vectors):
+            passes.append((n_full, 1, vectors[-1].count))
+        for first, n_vectors, count in passes:
+            group = vectors[first : first + n_vectors]
+            span = bits[first * size : first * size + n_vectors * count]
+            unpack_bits(
+                [v.right_payload for v in group], right_width, count, out=span
+            )
+            codes = unpack_bits(
+                [v.left_payload for v in group], code_width, count
+            )
+            left = entries[codes.view(np.int64)]
+            left <<= shift
+            span |= left
+        _patch_left_exceptions(bits, vectors, size, right_width)
+        obs.counter_add("alprd.vectors_decoded", len(vectors))
         return target

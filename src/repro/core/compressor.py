@@ -40,6 +40,7 @@ from repro.core.sampler import (
     first_level_sample,
     second_level_sample_rowgroup,
 )
+from repro.encodings.ffor import ffor_decode_rowgroup
 
 
 @dataclass(frozen=True)
@@ -362,24 +363,38 @@ def decode_rowgroup_into(rg: CompressedRowGroup, out: np.ndarray) -> None:
     The canonical decode path: :func:`decompress`,
     :func:`decompress_parallel` and the storage readers'
     ``read_rowgroup``/``read_all`` ``out=`` variants all funnel through
-    here, each vector writing directly into its offset of the caller's
-    buffer.  ``out`` must be a writable float64 array (or slice) of
-    exactly ``rg.count`` values.
+    here.  ``out`` must be a writable C-contiguous float64 array (or
+    slice) of exactly ``rg.count`` values.
+
+    ALP row-groups decode per row-group, not per vector, where the work
+    allows it: every vector's FFOR integers unpack into ``out`` itself
+    (one unpack per distinct bit width, see
+    :func:`~repro.encodings.ffor.ffor_decode_rowgroup`), then one
+    :func:`alp_decode_vector` call per vector applies its own ``(e, f)``
+    and exception patch in place.  The per-vector step stays because
+    each vector has its own exponent pair and its patch must stay
+    inside the vector's slice.  ALP_rd row-groups go to
+    :func:`alprd_decode`.
     """
     if out.dtype != np.float64 or out.ndim != 1 or out.size != rg.count:
         raise ValueError(
             f"out must be a 1-D float64 array of {rg.count} values, "
             f"got {out.dtype} with shape {out.shape}"
         )
-    pos = 0
     if rg.alp is not None:
-        for vector in rg.alp.vectors:
-            alp_decode_vector(vector, out=out[pos : pos + vector.count])
-            pos += vector.count
+        vectors = rg.alp.vectors
+        if any(v.count != v.ffor.count for v in vectors):
+            raise ValueError("vector count disagrees with its FFOR count")
+        ints = ffor_decode_rowgroup([v.ffor for v in vectors], out)
+        pos = 0
+        for vector in vectors:
+            end = pos + vector.count
+            alp_decode_vector(vector, out=out[pos:end], encoded=ints[pos:end])
+            pos = end
     else:
         if rg.rd is None:
             raise ValueError("row-group has neither ALP nor ALP_rd payload")
-        alprd_decode(rg.rd, out=out[pos : pos + rg.rd.count])
+        alprd_decode(rg.rd, out=out)
 
 
 def decode_rowgroup_vector(rg: CompressedRowGroup, v: int) -> np.ndarray:

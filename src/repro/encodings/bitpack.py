@@ -26,6 +26,7 @@ against.
 from __future__ import annotations
 
 import sys
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -239,89 +240,164 @@ def pack_bits_bitmatrix(values: np.ndarray, width: int) -> bytes:
     return np.packbits(bits.ravel()).tobytes()
 
 
-@lru_cache(maxsize=1024)
+#: Vectors one pass of the :func:`unpack_bits` gather covers.  Passes
+#: keep every temporary at ``16 * 1024 * 8`` bytes (128 KiB) for
+#: 1024-value vectors, however many vectors one call unpacks.
+UNPACK_PASS_ROWS = 16
+
+
+@lru_cache(maxsize=256)
 def _unpack_plan(
     width: int, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cached gather geometry: (word index, in-word offset, spill shift)."""
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Cached gather geometry of one vector of ``count`` fields.
+
+    Returns ``(n_words, word_idx, offset, spill_idx, spill_shift)``:
+    field ``i`` starts ``offset[i]`` bits into word ``word_idx[i]``.  A
+    field that crosses into the next word reads its low bits from
+    ``spill_idx[i]`` shifted right by ``spill_shift[i]``; every other
+    field points ``spill_idx`` at word ``n_words``, the zero word after
+    the payload, so the spill term needs no mask and no ``np.where``.
+    ``spill_idx`` is ``None`` when no field spills (widths dividing 64).
+    The plan depends only on ``(width, count)`` — one vector — and a
+    batch of vectors reuses it row by row.
+    """
+    n_words = (count * width + 63) // 64
     starts = np.arange(count, dtype=np.uint64) * np.uint64(width)
     word_idx = (starts >> np.uint64(6)).view(np.int64)
     offset = starts & np.uint64(63)
-    # A shift by 64 is undefined; mask the no-spill lanes to zero instead.
-    spill_shift = (np.uint64(64) - offset) & np.uint64(63)
-    return word_idx, offset, spill_shift
+    spills = offset + np.uint64(width) > np.uint64(64)
+    if not spills.any():
+        return n_words, word_idx, offset, None, None
+    spill_idx = np.where(spills, word_idx + 1, n_words)
+    spill_shift = np.where(spills, np.uint64(64) - offset, np.uint64(0))
+    return n_words, word_idx, offset, spill_idx, spill_shift
+
+
+def packed_size_bytes(count: int, width: int) -> int:
+    """Byte size of ``count`` packed values of ``width`` bits."""
+    return (count * width + 7) // 8
 
 
 def unpack_bits(
-    buffer: Buffer, width: int, count: int, out: np.ndarray | None = None
+    buffer: Buffer | Sequence[Buffer],
+    width: int,
+    count: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unpack ``count`` values of ``width`` bits each from ``buffer``.
 
     ``buffer`` may be any C-contiguous buffer-protocol object —
     ``bytes``, ``bytearray``, a ``memoryview`` slice of an mmap, or a
     numpy byte array — and is never copied whole (non-contiguous views
-    are rejected, see :func:`as_byte_buffer`).  ``out``, when given,
-    must be a writable C-contiguous uint64 array of exactly ``count``
-    values and receives the fields in place, so batch decoders can
-    unpack straight into a caller-provided column buffer.
+    are rejected, see :func:`as_byte_buffer`).
 
-    The generic path pads the payload to whole 64-bit words (plus one
-    spill word), views it as big-endian uint64, and reconstructs each
-    field from the one or two words it straddles — two gathers plus
-    shifts for *every* width, the numpy analogue of FastLanes'
-    branch-free unpack kernels.  Byte-aligned widths (8/16/32/64) skip
-    the word gather entirely: the stream is reinterpreted with a single
+    ``buffer`` may also be a list (or tuple) of payloads, one per vector
+    of ``count`` fields: they unpack in one call, vector ``r`` filling
+    ``result[r * count : (r + 1) * count]``.  This is how a row-group's
+    equal-width vectors unpack at once.  Each payload must be exactly
+    :func:`packed_size_bytes` long — what :func:`pack_bits` writes —
+    so a damaged length raises ``ValueError`` instead of shifting its
+    neighbours' fields.
+
+    ``out``, when given, must be a writable C-contiguous uint64 array
+    of every value unpacked and receives them in place, so batch
+    decoders can unpack straight into a caller-provided column buffer.
+
+    The generic path lays each payload out as a row of whole big-endian
+    64-bit words followed by one zero word (a single ``join``) and
+    reconstructs each field from the one or two words it straddles: two
+    gathers plus shifts for *every* width, in place on the output and
+    without a select — the numpy analogue of FastLanes' branch-free
+    unpack kernels.  Byte-aligned widths (8/16/32/64) skip the word
+    gather entirely: the stream is reinterpreted with a single
     big-endian dtype cast.  The gather geometry depends only on
-    ``(width, count)`` and is cached across calls.
+    ``(width, count)`` — one vector — and is cached across calls.
     """
     if width < 0 or width > 64:
         raise ValueError(f"bit width must be in [0, 64], got {width}")
     if count < 0:
         raise ValueError("count must be non-negative")
+    nbytes = packed_size_bytes(count, width)
+    if isinstance(buffer, (list, tuple)):
+        payloads = [as_byte_buffer(payload) for payload in buffer]
+        for payload in payloads:
+            if len(payload) != nbytes:
+                raise ValueError(
+                    f"payload of {len(payload)} bytes, expected {nbytes} "
+                    f"for {count} values of width {width}"
+                )
+    else:
+        payloads = [as_byte_buffer(buffer)]
+        if len(payloads[0]) < nbytes:
+            raise ValueError(
+                f"buffer holds {len(payloads[0]) * 8} bits, need "
+                f"{count * width} for {count} values of width {width}"
+            )
+        payloads[0] = memoryview(payloads[0])[:nbytes]
+    total = len(payloads) * count
     if out is not None:
-        out = _coerce_out(out, count)
-    if width == 0:
+        out = _coerce_out(out, total)
+    if width == 0 or total == 0:
         if out is not None:
             out[...] = 0
             return out
-        return np.zeros(count, dtype=np.uint64)
-    buffer = as_byte_buffer(buffer)
-    total_bits = count * width
-    available = len(buffer) * 8
-    if total_bits > available:
-        raise ValueError(
-            f"buffer holds {available} bits, need {total_bits} "
-            f"for {count} values of width {width}"
-        )
-    if count == 0:
-        return out if out is not None else np.zeros(0, dtype=np.uint64)
+        return np.zeros(total, dtype=np.uint64)
     if obs.ENABLED:
         obs.metrics.counter_add("bitpack.unpack_calls", 1)
-        obs.metrics.counter_add("bitpack.unpack_values", count)
-        obs.metrics.counter_add("bitpack.unpack_bytes", len(buffer))
+        obs.metrics.counter_add("bitpack.unpack_values", total)
+        obs.metrics.counter_add("bitpack.unpack_bytes", len(payloads) * nbytes)
     cast = _CAST_DTYPES.get(width)
     if cast is not None:
-        fields = np.frombuffer(buffer, dtype=cast, count=count)
+        fields = np.frombuffer(b"".join(payloads), dtype=cast)
         if out is not None:
             out[...] = fields  # widening big-endian cast, in place
             return out
         return fields.astype(np.uint64)
-    nbytes = (total_bits + 7) // 8
-    padded_len = ((nbytes + 7) // 8 + 1) * 8
-    padded = np.zeros(padded_len, dtype=np.uint8)
-    padded[:nbytes] = np.frombuffer(buffer, dtype=np.uint8, count=nbytes)
-    words = padded.view(">u8").astype(np.uint64)
-    word_idx, offset, spill_shift = _unpack_plan(width, count)
-    hi = words[word_idx] << offset
-    lo = np.where(
-        offset == 0,
-        np.uint64(0),
-        words[word_idx + 1] >> spill_shift,
+    n_words, word_idx, offset, spill_idx, spill_shift = _unpack_plan(
+        width, count
     )
-    hi |= lo
-    if out is not None:
-        return np.right_shift(hi, np.uint64(64 - width), out=out)
-    return hi >> np.uint64(64 - width)
+    pad = bytes((n_words + 1) * 8 - nbytes)
+    shift = np.uint64(64 - width)
+    fields = np.empty(total, dtype=np.uint64) if out is None else out
+    grid = fields.reshape(len(payloads), count)
+    for first in range(0, len(payloads), UNPACK_PASS_ROWS):
+        batch = payloads[first : first + UNPACK_PASS_ROWS]
+        words = (
+            np.frombuffer(pad.join(batch) + pad, dtype=">u8")
+            .reshape(len(batch), n_words + 1)
+            .astype(np.uint64)
+        )
+        rows = grid[first : first + len(batch)]
+        np.take(words, word_idx, axis=1, out=rows, mode="clip")
+        rows <<= offset
+        if spill_idx is not None:
+            spill = np.take(words, spill_idx, axis=1, mode="clip")
+            spill >>= spill_shift
+            rows |= spill
+        rows >>= shift
+    return fields
+
+
+def vector_grid(counts: Sequence[int]) -> tuple[int, int]:
+    """``(vector size, full vectors)`` of a row-group's vector counts.
+
+    Every vector but the last must hold ``counts[0]`` values and the
+    last at most that many — the layout the compressor writes — so the
+    full vectors tile a ``(full vectors, vector size)`` grid and a short
+    tail vector may follow it.  Any other layout raises ``ValueError``.
+    """
+    if not counts:
+        return 0, 0
+    size = counts[0]
+    if size < 1 or any(c != size for c in counts[:-1]) or not (
+        0 < counts[-1] <= size
+    ):
+        raise ValueError(
+            f"vector counts {sorted(set(counts))} are not full vectors "
+            f"followed by at most one shorter tail"
+        )
+    return size, len(counts) - (counts[-1] < size)
 
 
 @lru_cache(maxsize=1024)
@@ -521,8 +597,3 @@ def uint64_sum_bounded(values: np.ndarray, width: int) -> int:
     if width + int(values.size).bit_length() <= 64:
         return int(values.sum(dtype=np.uint64))
     return exact_uint64_sum(values)
-
-
-def packed_size_bytes(count: int, width: int) -> int:
-    """Byte size of ``count`` packed values of ``width`` bits."""
-    return (count * width + 7) // 8

@@ -14,6 +14,7 @@ the same distinction, one allocation apart.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +22,14 @@ import numpy as np
 from repro import obs
 from repro.core.constants import U64_MASK
 from repro.encodings.bitpack import (
+    UNPACK_PASS_ROWS,
     Buffer,
     pack_bits,
     uint64_sum_bounded,
     unpack_bits,
     unpack_sum,
     unpack_sum_excluding,
+    vector_grid,
 )
 
 
@@ -105,6 +108,65 @@ def ffor_decode(
     # is the numpy rendering of FastLanes' fused subtract+unpack kernel.
     target = unpack_bits(encoded.payload, width, count, out=target)
     target += ref64
+    return target.view(np.int64)
+
+
+def ffor_decode_rowgroup(
+    frames: Sequence[FforEncoded], out: np.ndarray
+) -> np.ndarray:
+    """Fused decode of a row-group's FFOR vectors into one buffer.
+
+    ``frames`` are consecutive vectors laid out as
+    :func:`~repro.encodings.bitpack.vector_grid` requires; ``out`` is a
+    writable C-contiguous uint64 (or int64) array of their total count,
+    and vector ``i`` lands right after vector ``i - 1``.  The full
+    vectors of each distinct bit width unpack in one
+    :func:`~repro.encodings.bitpack.unpack_bits` call — a handful
+    per row-group instead of one per vector — and the references are
+    added in one broadcast pass over the ``(vectors, vector size)``
+    grid.  Output is identical to :func:`ffor_decode` per vector.
+    """
+    target = out if out.dtype == np.uint64 else out.view(np.uint64)
+    size, n_full = vector_grid([f.count for f in frames])
+    total = sum(f.count for f in frames)
+    if target.ndim != 1 or target.size != total:
+        raise ValueError(
+            f"out must be a 1-D array of exactly {total} values, "
+            f"got shape {out.shape}"
+        )
+    if not target.flags.c_contiguous or not target.flags.writeable:
+        raise ValueError("out must be C-contiguous and writable")
+    obs.counter_add("ffor.vectors_decoded", len(frames))
+    refs = np.array(
+        [f.reference & U64_MASK for f in frames], dtype=np.uint64
+    )
+    widths = [f.bit_width for f in frames[:n_full]]
+    width_of = np.array(widths, dtype=np.int64)
+    grid = target[: n_full * size].reshape(n_full, size)
+    for width in sorted(set(widths)):
+        rows = np.flatnonzero(width_of == width)
+        payloads = [frames[r].payload for r in rows.tolist()]
+        first, last = int(rows[0]), int(rows[-1])
+        if last - first + 1 == rows.size:
+            # Adjacent vectors: unpack straight into their grid rows.
+            unpack_bits(
+                payloads, width, size, out=grid[first : last + 1].reshape(-1)
+            )
+        else:
+            # Scattered vectors: unpack a pass at a time into a bounded
+            # temporary, then copy each pass to its grid rows.
+            for at in range(0, rows.size, UNPACK_PASS_ROWS):
+                part = rows[at : at + UNPACK_PASS_ROWS]
+                block = unpack_bits(
+                    payloads[at : at + UNPACK_PASS_ROWS], width, size
+                )
+                grid[part] = block.reshape(part.size, size)
+    grid += refs[:n_full, None]
+    if n_full < len(frames):
+        tail = frames[-1]
+        tail_out = target[n_full * size :]
+        unpack_bits([tail.payload], tail.bit_width, tail.count, out=tail_out)
+        tail_out += refs[-1]
     return target.view(np.int64)
 
 

@@ -117,6 +117,12 @@ class ByteReader:
     def f64(self) -> float:
         return self._take("<d")
 
+    def unpack(self, layout: struct.Struct) -> tuple[Any, ...]:
+        """Every field of one precompiled ``struct`` at once."""
+        fields = layout.unpack_from(self._buffer, self._pos)
+        self._pos += layout.size
+        return fields
+
     def raw(self, size: int) -> bytes:
         data = self._buffer[self._pos : self._pos + size]
         if len(data) != size:
@@ -125,13 +131,36 @@ class ByteReader:
         return data
 
     def array(self, dtype: np.dtype, count: int) -> np.ndarray:
+        """``count`` little-endian items, copied once into a native array.
+
+        The copy never aliases the buffer, so arrays read off an mmap
+        do not pin it.
+        """
         dtype = np.dtype(dtype)
-        data = self.raw(dtype.itemsize * count)
-        return np.frombuffer(data, dtype=dtype).copy()
+        native = dtype.newbyteorder("=")
+        if count == 0:
+            return np.empty(0, dtype=native)
+        values = np.frombuffer(
+            self._buffer, dtype=dtype, count=count, offset=self._pos
+        ).astype(native)
+        self._pos += dtype.itemsize * count
+        return values
 
     @property
     def position(self) -> int:
         return self._pos
+
+
+#: FFOR frame head: reference, bit width, payload length.
+_FFOR_HEAD = struct.Struct("<qBI")
+#: ALP vector head: exponent, factor, count, then the FFOR frame head.
+_ALP_HEAD = struct.Struct("<BBHqBI")
+#: What follows an ALP vector's payload: FFOR count, exception count.
+_ALP_TAIL = struct.Struct("<IH")
+#: ALP_rd vector head: count, left payload length.
+_RD_HEAD = struct.Struct("<HI")
+_LE_U16 = np.dtype("<u2")
+_LE_F64 = np.dtype("<f8")
 
 
 def _write_ffor(w: ByteWriter, ffor: FforEncoded) -> None:
@@ -143,9 +172,8 @@ def _write_ffor(w: ByteWriter, ffor: FforEncoded) -> None:
 
 
 def _read_ffor(r: ByteReader) -> FforEncoded:
-    reference = r.i64()
-    bit_width = r.u8()
-    payload = r.raw(r.u32())
+    reference, bit_width, payload_len = r.unpack(_FFOR_HEAD)
+    payload = r.raw(payload_len)
     count = r.u32()
     return FforEncoded(
         payload=payload, reference=reference, bit_width=bit_width, count=count
@@ -163,15 +191,20 @@ def _write_alp_vector(w: ByteWriter, vector: AlpVector) -> None:
 
 
 def _read_alp_vector(r: ByteReader) -> AlpVector:
-    exponent = r.u8()
-    factor = r.u8()
-    count = r.u16()
-    ffor = _read_ffor(r)
-    n_exc = r.u16()
-    exc_positions = r.array(np.dtype("<u2"), n_exc).astype(np.uint16)
-    exc_values = r.array(np.dtype("<f8"), n_exc).astype(np.float64)
+    exponent, factor, count, reference, bit_width, payload_len = r.unpack(
+        _ALP_HEAD
+    )
+    payload = r.raw(payload_len)
+    ffor_count, n_exc = r.unpack(_ALP_TAIL)
+    exc_positions = r.array(_LE_U16, n_exc)
+    exc_values = r.array(_LE_F64, n_exc)
     return AlpVector(
-        ffor=ffor,
+        ffor=FforEncoded(
+            payload=payload,
+            reference=reference,
+            bit_width=bit_width,
+            count=ffor_count,
+        ),
         exponent=exponent,
         factor=factor,
         exc_values=exc_values,
@@ -192,12 +225,12 @@ def _write_rd_vector(w: ByteWriter, vector: AlpRdVector) -> None:
 
 
 def _read_rd_vector(r: ByteReader) -> AlpRdVector:
-    count = r.u16()
-    left = r.raw(r.u32())
+    count, left_len = r.unpack(_RD_HEAD)
+    left = r.raw(left_len)
     right = r.raw(r.u32())
     n_exc = r.u16()
-    exc_positions = r.array(np.dtype("<u2"), n_exc).astype(np.uint16)
-    exc_values = r.array(np.dtype("<u2"), n_exc).astype(np.uint16)
+    exc_positions = r.array(_LE_U16, n_exc)
+    exc_values = r.array(_LE_U16, n_exc)
     return AlpRdVector(
         left_payload=left,
         right_payload=right,
@@ -272,7 +305,7 @@ def deserialize_rowgroup(
         right_bit_width = r.u8()
         total_bits = r.u8()
         n_entries = r.u8()
-        entries = r.array(np.dtype("<u2"), n_entries).astype(np.uint16)
+        entries = r.array(_LE_U16, n_entries)
         width = max(int(entries.size - 1).bit_length(), 0)
         parameters = AlpRdParameters(
             right_bit_width=right_bit_width,

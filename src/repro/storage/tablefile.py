@@ -38,7 +38,7 @@ import math
 import mmap as _mmaplib
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -109,8 +109,15 @@ _HEADER_BODY = struct.calcsize("<4sHI")
 #: Per-chunk footer entry: offset, length, payload CRC, zone flags,
 #: raw min, raw max (type-tagged 8-byte fields), null count, vectors.
 _CHUNK_ENTRY = struct.Struct("<QQIB8s8sQI")
-#: Per-vector zone entry: zone flags, raw min, raw max, null count.
-_VZONE_ENTRY = struct.Struct("<B8s8sI")
+#: Per-vector zone entry: zone flags, min, max, null count — a packed
+#: 21-byte record whose bounds are int64 in int64 columns and float64
+#: in every other column (string columns store no bounds).
+_VZONE_FLOAT = np.dtype(
+    [("flags", "u1"), ("min", "<f8"), ("max", "<f8"), ("nulls", "<u4")]
+)
+_VZONE_INT = np.dtype(
+    [("flags", "u1"), ("min", "<i8"), ("max", "<i8"), ("nulls", "<u4")]
+)
 
 #: v2/v3 footer entry per row-group (offset, length, count, min, max,
 #: non-finite flag, and from v3 on the payload CRC) and per vector.
@@ -118,7 +125,7 @@ _LEGACY_ENTRY = {
     FORMAT_VERSION_V2: struct.Struct("<QQQddB"),
     FORMAT_VERSION_V3: struct.Struct("<QQQddBI"),
 }
-_LEGACY_ZONE = struct.Struct("<ddB")
+_LEGACY_ZONE = np.dtype([("min", "<f8"), ("max", "<f8"), ("special", "u1")])
 
 _ZONE_HAS_MINMAX = 1
 _ZONE_NON_FINITE = 2
@@ -341,6 +348,19 @@ def _legacy_zone(low: float, high: float, special: int) -> ChunkZone:
     return ChunkZone(low, high, bool(special), 0)
 
 
+def _legacy_zone_table(legacy: np.ndarray) -> np.ndarray:
+    """v2/v3 vector zones (:data:`_LEGACY_ZONE` records) as a new
+    :data:`_VZONE_FLOAT` table, :func:`_legacy_zone` record by record."""
+    bounded = ~(np.isnan(legacy["min"]) | np.isnan(legacy["max"]))
+    table = np.zeros(legacy.size, dtype=_VZONE_FLOAT)
+    table["flags"] = np.where(bounded, _ZONE_HAS_MINMAX, 0) | np.where(
+        legacy["special"] != 0, _ZONE_NON_FINITE, 0
+    )
+    table["min"] = np.where(bounded, legacy["min"], 0.0)
+    table["max"] = np.where(bounded, legacy["max"], 0.0)
+    return table
+
+
 def _pack_bound(column: Column, value: "float | int | None") -> bytes:
     if value is None:
         return b"\x00" * 8
@@ -368,15 +388,90 @@ def _zone_flags(zone: ChunkZone) -> int:
     return flags
 
 
+def _zone_dtype(column: Column) -> np.dtype:
+    return _VZONE_INT if column.type == INT64 else _VZONE_FLOAT
+
+
+def _zone_table(column: Column, zones: Sequence[ChunkZone]) -> np.ndarray:
+    """The footer records of ``zones`` (see :data:`_VZONE_FLOAT`)."""
+    table = np.zeros(len(zones), dtype=_zone_dtype(column))
+    table["flags"] = [_zone_flags(zone) for zone in zones]
+    table["min"] = [0 if z.min_value is None else z.min_value for z in zones]
+    table["max"] = [0 if z.max_value is None else z.max_value for z in zones]
+    table["nulls"] = [zone.null_count for zone in zones]
+    return table
+
+
+def _zone_survivors(table: np.ndarray, low: float, high: float) -> np.ndarray:
+    """Indices of the records in ``table`` that may hold a value in
+    ``[low, high]`` — :meth:`ChunkZone.may_contain_range` over the
+    whole table in one expression."""
+    flags = table["flags"]
+    keep = (flags & _ZONE_NON_FINITE) != 0
+    if table.dtype == _VZONE_INT:
+        bounds = _int_bounds(low, high)
+        if bounds is None:
+            return np.flatnonzero(keep)
+        low, high = bounds
+    keep |= (
+        ((flags & _ZONE_HAS_MINMAX) != 0)
+        & (table["max"] >= low)
+        & (table["min"] <= high)
+    )
+    return np.flatnonzero(keep)
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _int_bounds(low: float, high: float) -> "tuple[int, int] | None":
+    """The int64 range ``[lo, hi]`` holding exactly the integers ``v``
+    with ``low <= v <= high``, so int zones compare exactly (a float
+    comparison would round bounds past 2**53); ``None`` when empty."""
+    if math.isnan(low) or math.isnan(high):
+        return None
+    if low > _INT64.max or high < _INT64.min:
+        return None
+    lo = _INT64.min if low < _INT64.min else math.ceil(low)
+    hi = _INT64.max if high > _INT64.max else math.floor(high)
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class ChunkMeta:
-    """Footer entry for one (row-group, column) chunk."""
+    """Footer entry for one (row-group, column) chunk.
+
+    ``zone_table`` holds the per-vector zone maps as one record array
+    (see :data:`_VZONE_FLOAT`), read off the footer in one copy and
+    pruned in one expression; :attr:`vector_zones` builds the
+    :class:`ChunkZone` objects on access.
+    """
 
     offset: int
     length: int
     payload_crc: int
     zone: ChunkZone
-    vector_zones: tuple[ChunkZone, ...]
+    zone_table: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def vector_zones(self) -> tuple[ChunkZone, ...]:
+        """One :class:`ChunkZone` per vector, built from the table."""
+        table = self.zone_table
+        return tuple(
+            ChunkZone(
+                low if flags & _ZONE_HAS_MINMAX else None,
+                high if flags & _ZONE_HAS_MINMAX else None,
+                bool(flags & _ZONE_NON_FINITE),
+                nulls,
+            )
+            for flags, low, high, nulls in zip(
+                table["flags"].tolist(),
+                table["min"].tolist(),
+                table["max"].tolist(),
+                table["nulls"].tolist(),
+                strict=True,
+            )
+        )
 
 
 # -- quarantine reports -----------------------------------------------
@@ -746,7 +841,9 @@ class TableFileWriter:
             )
             zone = _chunk_zone(col, values, mask)
             vzones = _vector_zones_typed(col, values, mask, self._vector_size)
-            chunks.append((chunk, ChunkMeta(0, 0, 0, zone, vzones)))
+            chunks.append(
+                (chunk, ChunkMeta(0, 0, 0, zone, _zone_table(col, vzones)))
+            )
         self.append_chunks(n_rows, chunks)
 
     def append_chunks(
@@ -778,7 +875,7 @@ class TableFileWriter:
                     length=len(raw),
                     payload_crc=crc32c(raw),
                     zone=meta.zone,
-                    vector_zones=meta.vector_zones,
+                    zone_table=meta.zone_table,
                 )
             )
         self._rows.append(n_rows)
@@ -801,18 +898,10 @@ class TableFileWriter:
                         _pack_bound(col, meta.zone.min_value),
                         _pack_bound(col, meta.zone.max_value),
                         meta.zone.null_count,
-                        len(meta.vector_zones),
+                        len(meta.zone_table),
                     )
                 )
-                for zone in meta.vector_zones:
-                    parts.append(
-                        _VZONE_ENTRY.pack(
-                            _zone_flags(zone),
-                            _pack_bound(col, zone.min_value),
-                            _pack_bound(col, zone.max_value),
-                            zone.null_count,
-                        )
-                    )
+                parts.append(meta.zone_table.tobytes())
         return b"".join(parts)
 
     def close(self) -> None:
@@ -1111,22 +1200,15 @@ class TableFileReader:
                     ) = _CHUNK_ENTRY.unpack_from(data, pos)
                     pos += _CHUNK_ENTRY.size
                     self._check_section(rg, offset, length)
-                    if pos + n_vectors * _VZONE_ENTRY.size > self._footer_end:
+                    zone_dtype = _zone_dtype(col)
+                    zones_end = pos + n_vectors * zone_dtype.itemsize
+                    if zones_end > self._footer_end:
                         raise self._corrupt("footer truncated (zone maps)")
-                    vzones = []
-                    for _ in range(n_vectors):
-                        vflags, vraw_min, vraw_max, vnulls = (
-                            _VZONE_ENTRY.unpack_from(data, pos)
-                        )
-                        pos += _VZONE_ENTRY.size
-                        vzones.append(
-                            ChunkZone(
-                                _unpack_bound(col, vraw_min, vflags),
-                                _unpack_bound(col, vraw_max, vflags),
-                                bool(vflags & _ZONE_NON_FINITE),
-                                vnulls,
-                            )
-                        )
+                    # Copied off the buffer: a view would pin an mmap.
+                    zone_table = np.frombuffer(
+                        data, dtype=zone_dtype, count=n_vectors, offset=pos
+                    ).copy()
+                    pos = zones_end
                     metas.append(
                         ChunkMeta(
                             offset=offset,
@@ -1138,7 +1220,7 @@ class TableFileReader:
                                 bool(zflags & _ZONE_NON_FINITE),
                                 null_count,
                             ),
-                            vector_zones=tuple(vzones),
+                            zone_table=zone_table,
                         )
                     )
                 self._chunks.append(metas)
@@ -1172,15 +1254,14 @@ class TableFileReader:
             ):
                 n_vectors = struct.unpack_from("<I", data, pos)[0]
                 pos += 4
-                if pos + n_vectors * _LEGACY_ZONE.size > end:
+                if pos + n_vectors * _LEGACY_ZONE.itemsize > end:
                     raise self._corrupt("footer truncated (zone maps)")
-                zones = tuple(
-                    _legacy_zone(
-                        *_LEGACY_ZONE.unpack_from(data, pos + i * _LEGACY_ZONE.size)
+                zones = _legacy_zone_table(
+                    np.frombuffer(
+                        data, dtype=_LEGACY_ZONE, count=n_vectors, offset=pos
                     )
-                    for i in range(n_vectors)
                 )
-                pos += n_vectors * _LEGACY_ZONE.size
+                pos += n_vectors * _LEGACY_ZONE.itemsize
                 self._check_section(rg, offset, length)
                 self._rows.append(count)
                 self._chunks.append(
@@ -1190,7 +1271,7 @@ class TableFileReader:
                             length=length,
                             payload_crc=crc[0] if crc else 0,
                             zone=_legacy_zone(low, high, special),
-                            vector_zones=zones,
+                            zone_table=zones,
                         )
                     ]
                 )
@@ -1239,7 +1320,7 @@ class TableFileReader:
     def vector_count(self, column: str) -> int:
         """Number of vectors of one column across all row-groups."""
         ci = self._schema.index(column)
-        return sum(len(metas[ci].vector_zones) for metas in self._chunks)
+        return sum(len(metas[ci].zone_table) for metas in self._chunks)
 
     def chunk_meta(self, rowgroup: int, column: str) -> ChunkMeta:
         ci = self._schema.index(column)
@@ -1385,19 +1466,19 @@ class TableFileReader:
         """
         for rg in self._rowgroup_range(start, stop):
             meta = self._chunks[rg][ci]
-            zones = meta.vector_zones
+            n_vectors = len(meta.zone_table)
             if bounds is None:
-                yield rg, range(len(zones))
+                yield rg, range(n_vectors)
                 continue
             low, high = bounds
             survivors = (
-                [v for v, z in enumerate(zones) if z.may_contain_range(low, high)]
+                _zone_survivors(meta.zone_table, low, high).tolist()
                 if meta.zone.may_contain_range(low, high)
                 else []
             )
             if obs.ENABLED:
                 obs.metrics.counter_add(
-                    "tablefile.vectors_pruned", len(zones) - len(survivors)
+                    "tablefile.vectors_pruned", n_vectors - len(survivors)
                 )
                 obs.metrics.counter_add(
                     "tablefile.vectors_decoded", len(survivors)
@@ -1830,7 +1911,7 @@ class TableFileReader:
         vsize = self.vector_size
         needed = [
             v
-            for v in range(len(self._chunks[rowgroup][ci].vector_zones))
+            for v in range(len(self._chunks[rowgroup][ci].zone_table))
             if mask[v * vsize : (v + 1) * vsize].any()
         ]
         parts: list[np.ndarray] = []

@@ -1,6 +1,7 @@
 """Tests for vector-level zone maps and vector-granular scans."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from repro.data import get_dataset
 from repro import api
 from repro.storage.schema import INT64, STRING, Column, Schema
 from repro.storage.tablefile import (
-    _VZONE_ENTRY,
     ChunkZone,
     TableFileReader,
     TableFileWriter,
@@ -144,6 +144,10 @@ def _per_vector_zones(column, values, validity, vector_size):
         mask = None if validity is None else validity[start:stop]
         zones.append(_chunk_zone(column, values[start:stop], mask))
     return zones
+
+
+#: The footer's per-vector zone entry: flags, raw min, raw max, nulls.
+_VZONE_ENTRY = struct.Struct("<B8s8sI")
 
 
 def _packed(column, zones):
