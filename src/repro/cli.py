@@ -392,10 +392,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         byte_budget=args.cache_mb * (1 << 20), pool=pool
     )
     registry = DatasetRegistry(
-        cache=cache,
-        degraded=not args.strict,
-        mmap=args.mmap,
-        pool=pool,
+        cache=cache, degraded=not args.strict, mmap=args.mmap
     )
     for spec in args.data:
         name: str | None = None
@@ -705,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--pool-mb",
         type=int,
         default=64,
-        help="decode buffer-pool idle budget in MiB (0 disables pooling)",
+        help="cache-fill buffer-pool idle budget in MiB (0 disables pooling)",
     )
     p.add_argument(
         "--mmap",

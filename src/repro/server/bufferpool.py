@@ -1,14 +1,10 @@
 """A size-bucketed pool of reusable float64 decode buffers.
 
-Steady-state serving decodes the same column shapes over and over: scan
-requests need a full-column target, cache fills need a row-group
-target, and both sizes are quantized by the column layout.  Allocating
-(and zeroing, and faulting in) a fresh multi-megabyte array per request
-is pure overhead — the FCBench observation that allocation, not the
-codec, dominates served reads.  This pool keeps released buffers on
-per-size free lists so a warm server's ``scan``/``sum`` traffic
-performs **zero large allocations per request** (the response frame's
-serialized copy is the one remaining allocation; see
+Cache fills need a row-group-sized decode target, and the sizes are
+quantized by the column layout.  This pool keeps released buffers on
+per-size free lists for the next fill.  Its one user is
+:meth:`~repro.server.cache.DecodedVectorCache.load_into`: scans send
+the cached row-group arrays themselves and need no target (see
 ``docs/PERFORMANCE.md``).
 
 Ownership protocol — exactly one of the two per acquire:
@@ -37,10 +33,8 @@ from repro import obs
 from repro.concurrency import create_lock
 
 #: Default budget of *idle* bytes kept on free lists (outstanding
-#: buffers are the workload's, not the pool's).  64 MiB holds ~80 free
-#: full-column buffers at the CI serve shape (100k values); size it to
-#: ``max_inflight x largest served column`` to make steady state
-#: allocation-free (see docs/PERFORMANCE.md, "pool sizing").
+#: buffers are the workload's, not the pool's; see docs/PERFORMANCE.md,
+#: "pool sizing").
 DEFAULT_POOL_BYTES = 64 * 1024 * 1024
 
 #: Free buffers kept per size bucket; more than the worker-pool width

@@ -135,19 +135,24 @@ class ServerClient:
     ) -> None:
         self.close()
 
-    def _read_exactly(self, n: int) -> bytes:
-        chunks: list[bytes] = []
-        remaining = n
-        while remaining:
-            chunk = self._sock.recv(min(remaining, 1 << 20))
-            if not chunk:
+    def _read_exactly(self, n: int) -> bytearray:
+        """Receive exactly ``n`` bytes into one buffer the caller owns.
+
+        ``recv_into`` fills it in place: a scan payload lands in its
+        final buffer, with no chunk list and no join copy.
+        """
+        buffer = bytearray(n)
+        view = memoryview(buffer)
+        received = 0
+        while received < n:
+            got = self._sock.recv_into(view[received:])
+            if not got:
                 raise ConnectionError(
-                    f"server closed the connection with {remaining} of "
-                    f"{n} bytes unread"
+                    f"server closed the connection with {n - received} "
+                    f"of {n} bytes unread"
                 )
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+            received += got
+        return buffer
 
     def request(
         self,
@@ -157,6 +162,10 @@ class ServerClient:
         deadline_ms: float | None = None,
     ) -> tuple[dict[str, object], bytes]:
         """Send one request frame, return the (header, payload) response.
+
+        A non-empty payload is a ``bytearray`` the caller owns, received
+        in place, so :func:`~repro.server.protocol.values_from_bytes`
+        wraps it without a second copy.
 
         ``deadline_ms`` overrides the client-wide deadline for this one
         request; the socket timeout is tightened to the deadline (plus a
@@ -178,7 +187,7 @@ class ServerClient:
             header["deadline_ms"] = effective
         if fields:
             header.update(fields)
-        frame = protocol.encode_frame(header, payload)
+        frame = bytes(protocol.encode_frame(header, payload))
         attempts = self._request_retries + 1
         for attempt in range(attempts):
             try:

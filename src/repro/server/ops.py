@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from repro import api
 from repro.query.engine import comp_query, range_sum_query, sum_query
 from repro.server import protocol
@@ -43,10 +45,15 @@ class OpError(Exception):
 
 @dataclass(frozen=True)
 class OpResult:
-    """One successful response: header fields plus a raw payload."""
+    """One successful response: header fields plus its payload.
+
+    ``payload`` is one buffer or an ordered list of parts that the
+    service writes one after another (a scan's row-group arrays).  A
+    part must stay unchanged until the response is written.
+    """
 
     fields: dict[str, object] = field(default_factory=dict)
-    payload: bytes = b""
+    payload: protocol.Payload = b""
 
 
 #: An op handler: (request header, request payload) -> OpResult.
@@ -199,14 +206,10 @@ def build_ops(
             served = _resolve(registry, header)
             bounds = _range_bounds(header)
             rowgroups = _rowgroup_range(header, served)
-            # scan_payload owns the buffer lifecycle: full-column scans
-            # decode into a pooled target and release it once the
-            # response bytes exist, so steady state allocates nothing
-            # per request beyond the serialized frame itself.
-            body, count = served.scan_payload(bounds, rowgroups)
+            parts, count = served.scan_payload(bounds, rowgroups)
             fields: dict[str, object] = {"count": count}
             fields.update(_quarantine_fields(served))
-            return OpResult(fields=fields, payload=body)
+            return OpResult(fields=fields, payload=parts)
         if header.get("column") is not None:
             raise OpError(
                 protocol.ERR_BAD_REQUEST,
@@ -227,11 +230,11 @@ def build_ops(
                 protocol.ERR_NOT_FOUND, str(exc.args[0])
             ) from exc
         rowgroups = _rowgroup_range(header, projected[0])
-        blocks: list[bytes] = []
+        blocks: list[np.ndarray] = []
         counts: list[int] = []
         for served in projected:
-            body, count = served.scan_payload(bounds, rowgroups)
-            blocks.append(body)
+            column_parts, count = served.scan_payload(bounds, rowgroups)
+            blocks.extend(column_parts)
             counts.append(count)
         reports = [served.scan_report() for served in projected]
         fields = {
@@ -245,7 +248,7 @@ def build_ops(
                 r.values_quarantined for r in reports
             ),
         }
-        return OpResult(fields=fields, payload=b"".join(blocks))
+        return OpResult(fields=fields, payload=blocks)
 
     def op_sum(header: dict[str, object], payload: bytes) -> OpResult:
         served = _resolve(registry, header)

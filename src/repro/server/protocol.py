@@ -14,7 +14,10 @@ little-endian float64 values for ``scan``/``decompress``, the column
 wire encoding (below) for ``compress``.  Frames are strictly bounded:
 headers above :data:`MAX_HEADER_BYTES` and payloads above
 :data:`MAX_PAYLOAD_BYTES` are rejected before any allocation, so a
-malformed or hostile peer cannot balloon the server.
+malformed or hostile peer cannot balloon the server.  An encoded
+:class:`Frame` keeps the payload as the caller's buffers (a scan's
+row-group arrays), so a sender writes them one after another and never
+joins them.
 
 Response headers always contain ``ok`` (bool).  Failures carry
 ``error`` — one of the :data:`ERROR_CODES` — plus a human-readable
@@ -37,7 +40,8 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Callable
+from collections.abc import Sequence
+from typing import Callable, TypeAlias
 
 import numpy as np
 
@@ -90,16 +94,52 @@ class ProtocolError(ValueError):
     """A frame that does not follow the wire format."""
 
 
-def encode_frame(header: dict[str, object], payload: bytes = b"") -> bytes:
-    """Serialize one frame (header dict + raw payload) to bytes."""
+#: One C-contiguous piece of a frame payload.  Value arrays are ``<f8``.
+Part: TypeAlias = bytes | bytearray | memoryview | np.ndarray
+#: A frame payload: one buffer, or its pieces in wire order.
+Payload: TypeAlias = Part | Sequence[Part]
+
+
+class Frame:
+    """One encoded frame, unjoined: ``head`` then ``parts`` on the wire.
+
+    ``head`` is the prefix plus the JSON header; ``parts`` are byte
+    views of the caller's payload buffers, never copies of them.  A
+    part must not change until the frame is written: asyncio's socket
+    transport may keep a view of its unsent bytes (CPython 3.12+).
+    ``len()`` is the frame's size in bytes; ``bytes()`` joins it.
+    """
+
+    __slots__ = ("head", "parts")
+
+    def __init__(self, head: bytes, parts: tuple[memoryview, ...]) -> None:
+        self.head = head
+        self.parts = parts
+
+    def __len__(self) -> int:
+        return len(self.head) + sum(part.nbytes for part in self.parts)
+
+    def __bytes__(self) -> bytes:
+        return b"".join((self.head, *self.parts))
+
+
+def encode_frame(header: dict[str, object], payload: Payload = b"") -> Frame:
+    """Encode one frame (header dict + payload buffers), payload unjoined."""
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     if len(header_bytes) > MAX_HEADER_BYTES:
         raise ProtocolError(
             f"frame header is {len(header_bytes)} bytes "
             f"(limit {MAX_HEADER_BYTES})"
         )
-    prefix = _PREFIX.pack(FRAME_MAGIC, len(header_bytes), len(payload))
-    return prefix + header_bytes + payload
+    if isinstance(payload, (bytes, bytearray, memoryview, np.ndarray)):
+        payload = (payload,)
+    # cast("B") also rejects a non-contiguous buffer; byte-format views
+    # keep the transport's slicing (``view[sent:]``) in bytes.
+    views = (memoryview(part).cast("B") for part in payload)
+    parts = tuple(view for view in views if view.nbytes)
+    payload_len = sum(part.nbytes for part in parts)
+    prefix = _PREFIX.pack(FRAME_MAGIC, len(header_bytes), payload_len)
+    return Frame(prefix + header_bytes, parts)
 
 
 def parse_prefix(
@@ -154,7 +194,7 @@ def read_frame(
 
 def error_frame(
     code: str, message: str, request_id: object = None
-) -> bytes:
+) -> Frame:
     """An ``ok=False`` response frame carrying an error code + message."""
     if code not in ERROR_CODES:
         raise ValueError(f"unknown error code {code!r}")
@@ -170,9 +210,9 @@ def error_frame(
 
 def ok_frame(
     fields: dict[str, object] | None = None,
-    payload: bytes = b"",
+    payload: Payload = b"",
     request_id: object = None,
-) -> bytes:
+) -> Frame:
     """An ``ok=True`` response frame with result fields and a payload."""
     header: dict[str, object] = {"ok": True}
     if fields:
@@ -190,13 +230,18 @@ def values_to_bytes(values: np.ndarray) -> bytes:
     return np.ascontiguousarray(values, dtype="<f8").tobytes()
 
 
-def values_from_bytes(payload: bytes) -> np.ndarray:
-    """Decode a float64 payload (validates the length)."""
+def values_from_bytes(payload: bytes | bytearray) -> np.ndarray:
+    """Decode a float64 payload (validates the length).
+
+    The result is always writable: a writable buffer (a receive buffer
+    the caller owns) is wrapped in place, a read-only one is copied.
+    """
     if len(payload) % 8:
         raise ProtocolError(
             f"float64 payload length {len(payload)} is not a multiple of 8"
         )
-    return np.frombuffer(payload, dtype="<f8").copy()
+    values = np.frombuffer(payload, dtype="<f8")
+    return values if values.flags.writeable else values.copy()
 
 
 def column_to_bytes(column: CompressedRowGroups) -> bytes:

@@ -15,11 +15,10 @@ Every :class:`ServedColumn` routes decoded row-groups through the shared
 ``(file path, rowgroup index)`` — the same keying the local query engine
 uses, so a server and an in-process scan can share one cache.
 
-The registry also owns the serving tier's zero-copy knobs: ``mmap=True``
+The registry also owns the serving tier's zero-copy knob: ``mmap=True``
 memory-maps every registered column file (payloads decode straight out
-of the page cache), and a shared :class:`~repro.server.bufferpool
-.BufferPool` feeds scan targets and cache fills so steady-state traffic
-recycles buffers instead of allocating (see docs/PERFORMANCE.md).
+of the page cache).  A scan response is the decoded row-group arrays
+themselves, never a copy of them (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.server import protocol
-from repro.server.bufferpool import BufferPool
 from repro.server.cache import DecodedVectorCache
 from repro.storage.dataset_dir import MANIFEST_NAME, DatasetReader
 from repro.storage.schema import FLOAT64, Column, Schema
@@ -42,13 +39,7 @@ from repro.storage.tablefile import (
 
 
 class ServedColumn:
-    """One column under service: a degraded reader plus the shared cache.
-
-    ``pool``, when given, feeds full-column scan buffers: each scan
-    decodes into a recycled target, serializes the response while the
-    buffer is held, and releases it — zero large allocations on the
-    steady-state path (see :meth:`scan_payload`).
-    """
+    """One column under service: a degraded reader plus the shared cache."""
 
     def __init__(
         self,
@@ -57,14 +48,12 @@ class ServedColumn:
         path: str,
         reader: TableColumnReader,
         cache: DecodedVectorCache | None,
-        pool: BufferPool | None = None,
     ) -> None:
         self.dataset = dataset
         self.column = column
         self.path = path
         self.reader = reader
         self.cache = cache
-        self.pool = pool
 
     @property
     def value_count(self) -> int:
@@ -90,51 +79,39 @@ class ServedColumn:
         self,
         bounds: "tuple[float, float] | None" = None,
         rowgroups: "tuple[int, int] | None" = None,
-    ) -> tuple[bytes, int]:
-        """One scan response, serialized: ``(payload bytes, count)``.
+    ) -> tuple[list[np.ndarray], int]:
+        """One scan response: ``(payload parts, value count)``.
 
-        The full-column shape is the allocation-managed hot path.  With
-        a single cached row-group the resident cache array serializes
-        directly (zero copies, zero allocations); otherwise, with a
-        pool, row-groups decode into a recycled full-column buffer that
-        is released once the response bytes exist.  The serialized copy
-        ``values_to_bytes`` makes is the one allocation that remains —
-        the response frame must outlive the buffer's next reuse.
+        Every scan shape — full, ranged, partition-scoped (``rowgroups``,
+        the shard router's ``[start, stop)`` requests) and each column
+        of a projection — takes one path: the zone-map walk over the
+        row-groups, each survivor decoded through the shared cache and,
+        when ``bounds`` is given, filtered to it.  The parts are those
+        row-group arrays themselves, in order, so a scan copies nothing
+        into a response buffer: the service writes each part to the
+        socket as it is.
 
-        Every bounded or partition-scoped scan takes one path: the
-        zone-map walk over row-groups ``[start, stop)`` (``rowgroups``,
-        the shard router's partition-sized requests), each survivor
-        decoded through the shared cache and filtered to ``bounds``.
-        Cache keys stay per-(file, row-group), so a partition warms
-        exactly its own row-groups, and degraded readers quarantine
-        corrupt ones, so a scoped scan serves exactly the values a full
-        scan would serve for those row-groups.
+        A part is either a read-only cache resident or an array that
+        only this response owns (an uncached decode, a filtered
+        selection), so nothing mutates it while it is on the wire;
+        eviction only drops the cache's reference.  Degraded readers
+        quarantine corrupt row-groups, so a scoped scan serves exactly
+        the values a full scan would serve for those row-groups.
         """
-        if bounds is not None or rowgroups is not None:
-            chunks = []
-            for _, values in self.reader.iter_rowgroups(
-                self.cache, bounds, *(rowgroups or (0, None))
-            ):
-                if bounds is not None:
-                    low, high = bounds
-                    values = values[(values >= low) & (values <= high)]
-                chunks.append(values)
-            if not chunks:
-                return b"", 0
-            values = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-            return protocol.values_to_bytes(values), int(values.size)
-        single_cached = (
-            self.cache is not None and self.reader.rowgroup_count == 1
-        )
-        if self.pool is None or single_cached:
-            values = self.all_values()
-            return protocol.values_to_bytes(values), int(values.size)
-        buffer = self.pool.acquire(self.value_count)
-        try:
-            values = self.reader.read_all(cache=self.cache, out=buffer)
-            return protocol.values_to_bytes(values), int(values.size)
-        finally:
-            self.pool.release(buffer)
+        parts: list[np.ndarray] = []
+        count = 0
+        for _, values in self.reader.iter_rowgroups(
+            self.cache, bounds, *(rowgroups or (0, None))
+        ):
+            if bounds is not None:
+                low, high = bounds
+                values = values[(values >= low) & (values <= high)]
+            if values.size:
+                # The wire is little-endian float64: a no-op view on
+                # little-endian hosts, a converted copy elsewhere.
+                parts.append(np.asarray(values, dtype="<f8"))
+                count += int(values.size)
+        return parts, count
 
     def query_source(self, rowgroups: "tuple[int, int] | None" = None):
         """The engine-facing scan source for aggregate ops.
@@ -185,12 +162,10 @@ class DatasetRegistry:
         degraded: bool = True,
         *,
         mmap: bool = False,
-        pool: BufferPool | None = None,
     ) -> None:
         self.cache = cache
         self.degraded = degraded
         self.mmap = mmap
-        self.pool = pool
         #: dataset name -> column name -> ServedColumn
         self._datasets: dict[str, dict[str, ServedColumn]] = {}
         #: dataset name -> schema (synthesized for dataset directories)
@@ -218,7 +193,6 @@ class DatasetRegistry:
                 path=str(file_path),
                 reader=table.column_reader(col.name),
                 cache=self.cache,
-                pool=self.pool,
             )
             for col in table.schema
             if col.type == FLOAT64 and not col.nullable
@@ -253,7 +227,6 @@ class DatasetRegistry:
                     file_path, degraded=self.degraded, mmap=self.mmap
                 ),
                 cache=self.cache,
-                pool=self.pool,
             )
         self._datasets[dataset] = columns
         self._schemas[dataset] = Schema(

@@ -11,6 +11,8 @@ Design points, in the order they bite in production:
 - **The event loop never blocks.**  All codec/storage work runs in a
   ``ThreadPoolExecutor`` (``config.workers`` threads); the loop only
   parses frames and schedules.  reprolint RL6 enforces this split.
+  Framing a response copies no payload: the loop writes the frame
+  head, then each payload part (a scan's row-group arrays) as it is.
 - **Bounded admission, explicit backpressure.**  At most
   ``config.max_inflight`` requests may be admitted-but-unfinished; the
   request that would exceed the bound is answered immediately with an
@@ -251,11 +253,15 @@ class ReproServer:
         return header, payload
 
     async def _send(
-        self, writer: asyncio.StreamWriter, frame: bytes
+        self, writer: asyncio.StreamWriter, frame: protocol.Frame
     ) -> None:
         if writer.is_closing():
             raise _ClientGone()
-        writer.write(frame)
+        # Head, then each payload part as it stands: a scan's parts are
+        # its row-group arrays, never joined into one response buffer.
+        writer.write(frame.head)
+        for part in frame.parts:
+            writer.write(part)
         try:
             await asyncio.wait_for(
                 writer.drain(), self.config.write_timeout_s
@@ -333,7 +339,7 @@ class ReproServer:
         header: dict[str, object],
         payload: bytes,
         request_id: object,
-    ) -> bytes:
+    ) -> protocol.Frame:
         if self._loop is None:
             raise RuntimeError("server is not started")
         deadline_ms = header.get("deadline_ms")

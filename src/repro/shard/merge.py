@@ -4,8 +4,10 @@ The merge rules exist to keep one promise: **with every shard healthy, a
 routed response is byte- and value-identical to the same request served
 by one node** (pinned by ``tests/test_shard_router.py``).
 
-- *Scans* concatenate partition payloads in partition (row-group) order
-  — exactly the order a single node's row-group loop produces.
+- *Scans* return partition payloads as response parts in partition
+  (row-group) order — exactly the order a single node's row-group loop
+  produces.  The parts are the backend receive buffers or
+  ``memoryview`` slices of them; no scan merge joins or copies bytes.
 - *Sums* fold partition partials **left-to-right in partition order**,
   mirroring :class:`~repro.query.operators.EncodedSumOperator`'s
   ``total = term if not started else total + term`` accumulation.
@@ -34,7 +36,7 @@ class PartResult:
     partition: Partition
     #: Response header fields (empty when missing).
     fields: dict[str, object] = field(default_factory=dict)
-    payload: bytes = b""
+    payload: bytes | bytearray = b""
     missing: bool = False
 
 
@@ -68,30 +70,31 @@ def merge_tallies(parts: "list[PartResult]") -> dict[str, object]:
     return fields
 
 
-def merge_scan(parts: "list[PartResult]") -> tuple[dict[str, object], bytes]:
-    """Merge single-column scan partitions: ordered concatenation."""
+def merge_scan(
+    parts: "list[PartResult]",
+) -> tuple[dict[str, object], list[bytes | bytearray]]:
+    """Merge single-column scan partitions: payloads as ordered parts."""
     fields = merge_tallies(parts)
     fields["count"] = sum(
         _int_field(part.fields, "count") for part in parts
     )
-    payload = b"".join(part.payload for part in parts)
-    return fields, payload
+    return fields, [part.payload for part in parts if part.payload]
 
 
 def merge_scan_columns(
     parts: "list[PartResult]", n_columns: int
-) -> tuple[dict[str, object], bytes]:
+) -> tuple[dict[str, object], list[memoryview]]:
     """Merge projection partitions into one per-column-major payload.
 
     Each partition's payload is column-major *within the partition*
     (column 0's slice, then column 1's …, per its ``counts``); the
     single-node response is column-major over the whole table.  So the
-    merge re-slices: for each column, concatenate that column's slice
-    from every partition in order.  float64 values are 8 bytes each,
-    which makes the slicing arithmetic exact.
+    merge re-slices: for each column, that column's slice from every
+    partition in order, as ``memoryview`` parts.  float64 values are 8
+    bytes each, which makes the slicing arithmetic exact.
     """
     fields = merge_tallies(parts)
-    columns: list[list[bytes]] = [[] for _ in range(n_columns)]
+    columns: list[list[memoryview]] = [[] for _ in range(n_columns)]
     counts = [0] * n_columns
     for part in parts:
         if part.missing:
@@ -105,15 +108,16 @@ def merge_scan_columns(
                 f"partition {part.partition.key} returned malformed "
                 f"'counts': {part_counts!r}"
             )
+        view = memoryview(part.payload)
         offset = 0
         for index, raw in enumerate(part_counts):
             size = int(raw) * 8
-            columns[index].append(part.payload[offset : offset + size])
+            columns[index].append(view[offset : offset + size])
             counts[index] += int(raw)
             offset += size
     fields["counts"] = counts
     fields["count"] = sum(counts)
-    payload = b"".join(b"".join(slices) for slices in columns)
+    payload = [piece for slices in columns for piece in slices]
     # The schema echo comes from any shard that answered — they serve
     # identical files, so any copy is the canonical one.
     for part in parts:

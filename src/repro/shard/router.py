@@ -422,8 +422,7 @@ class ShardRouter:
             parts = self._scatter(
                 self._partitions(dataset, column), "scan", base, deadline
             )
-            fields, body = merge_scan(parts)
-            return OpResult(fields=fields, payload=body)
+            return OpResult(*merge_scan(parts))
         if header.get("column") is not None:
             raise OpError(
                 protocol.ERR_BAD_REQUEST,
@@ -471,8 +470,7 @@ class ShardRouter:
         parts = self._scatter(
             self._partitions(dataset, names[0]), "scan", base, deadline
         )
-        fields, body = merge_scan_columns(parts, len(names))
-        return OpResult(fields=fields, payload=body)
+        return OpResult(*merge_scan_columns(parts, len(names)))
 
     def _op_sum(
         self, header: dict[str, object], payload: bytes

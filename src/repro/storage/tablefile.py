@@ -2181,7 +2181,7 @@ class TableColumnReader:
         result holds every remaining value, in order); consult
         :meth:`scan_report` for what was skipped.
 
-        Allocation behaviour (the serving hot path leans on all three):
+        Allocation behaviour:
 
         - Without a cache, each row-group decodes *directly into its
           slice* of one output array — no per-group arrays, no

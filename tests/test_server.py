@@ -9,6 +9,10 @@ Event-gated injected op rather than sleeps.
 
 from __future__ import annotations
 
+import os
+import random
+import socket
+import sys
 import threading
 import time
 
@@ -20,6 +24,7 @@ from repro.server import (
     protocol,
 )
 from repro.server import (
+    BufferPool,
     DatasetRegistry,
     DecodedVectorCache,
     ServerClient,
@@ -407,15 +412,164 @@ class TestScopedScans:
         monkeypatch.setattr(TableColumnReader, "read_rowgroup", spy)
         for start, stop in ((0, 1), (1, 3), (3, 4)):
             decoded.clear()
-            body, count = served.scan_payload(bounds, (start, stop))
+            parts, count = served.scan_payload(bounds, (start, stop))
             assert sorted(decoded) == list(range(start, stop))
             want = values[start * self.RG : stop * self.RG]
             if bounds is not None:
                 want = want[(want >= bounds[0]) & (want <= bounds[1])]
             assert count == want.size
-            assert bitwise_equal(protocol.values_from_bytes(body), want)
+            assert bitwise_equal(np.concatenate(parts), want)
             if cached:  # only this partition's row-groups were added
                 assert cache.stats().entries == stop
+
+
+class TestPayloadLifetime:
+    """Scan payloads are row-group arrays; nothing rewrites them in flight.
+
+    A stress run in the ``serve-cold`` shape: a cache smaller than one
+    column (so every scan evicts), a pool behind the cache fills, more
+    server workers than cores, a shortened thread switch interval, a
+    client that reads its frames slowly (the transport holds unsent
+    parts), and a thread that invalidates and clears the cache while
+    responses are on the wire.  Every payload must still equal its
+    reference bit for bit.
+    """
+
+    RG = 8192
+    COLUMNS = 3
+    ROWGROUPS = 6
+    SECONDS = 3.0
+
+    class _KeyedCache(DecodedVectorCache):
+        """Remembers every key it was given, for the chaos thread."""
+
+        def __init__(self, byte_budget, pool):
+            super().__init__(byte_budget, pool=pool)
+            self.keys = []
+
+        def put(self, key, values):
+            if key not in self.keys:
+                self.keys.append(key)
+            return super().put(key, values)
+
+    def _slow_scan(self, port, dataset):
+        """One scan over a bare socket with a small receive buffer,
+        read in small sleeps-apart chunks; returns the payload bytes."""
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(30)
+            sock.connect(("127.0.0.1", port))
+            sock.sendall(
+                bytes(protocol.encode_frame({"op": "scan", "dataset": dataset}))
+            )
+            data = bytearray()
+
+            def fill(n):
+                while len(data) < n:
+                    chunk = sock.recv(min(8192, n - len(data)))
+                    if not chunk:
+                        raise ConnectionError("server closed mid-frame")
+                    data.extend(chunk)
+                    time.sleep(0.0005)
+
+            fill(protocol.PREFIX_LEN)
+            header_len, payload_len = protocol.parse_prefix(
+                bytes(data[: protocol.PREFIX_LEN])
+            )
+            start = protocol.PREFIX_LEN + header_len
+            fill(start + payload_len)
+        return bytes(data[start:])
+
+    def test_payloads_exact_under_eviction(self, tmp_path):
+        options = api.CompressionOptions(
+            vector_size=1024, rowgroup_vectors=self.RG // 1024
+        )
+        references = {}
+        for c in range(self.COLUMNS):
+            name = f"c{c}"
+            references[name] = _values(self.RG * self.ROWGROUPS, seed=c)
+            api.write(tmp_path / f"{name}.alpc", references[name], options)
+        # Smaller than one column: two row-groups' worth.
+        cache = self._KeyedCache(2 * self.RG * 8, BufferPool())
+        registry = DatasetRegistry(cache=cache)
+        for name in references:
+            registry.register_path(tmp_path / f"{name}.alpc")
+        workers = 2 * (os.cpu_count() or 1) + 2
+        handle = run_in_thread(
+            registry,
+            ServerConfig(port=0, workers=workers, max_inflight=64),
+        )
+        checked = []
+        failures = []
+        stop = threading.Event()
+
+        def expect(name, got):
+            want = references[name].astype("<f8")
+            ok = got.size == want.size and np.array_equal(
+                got.view(np.uint64), want.view(np.uint64)
+            )
+            checked.append(ok)
+            if not ok:
+                failures.append(name)
+
+        def fast_client(seed):
+            rng = random.Random(seed)
+            with _client(handle) as client:
+                while not stop.is_set():
+                    name = rng.choice(sorted(references))
+                    got, _ = client.scan(name)
+                    expect(name, got)
+
+        def slow_client():
+            rng = random.Random(99)
+            while not stop.is_set():
+                name = rng.choice(sorted(references))
+                payload = self._slow_scan(handle.port, name)
+                expect(name, np.frombuffer(payload, dtype="<f8"))
+
+        def chaos():
+            rng = random.Random(7)
+            while not stop.is_set():
+                if cache.keys and rng.random() < 0.8:
+                    cache.invalidate(rng.choice(cache.keys))
+                else:
+                    cache.clear()
+                time.sleep(0.0002)
+
+        errors = []
+
+        def guarded(target, *args):
+            try:
+                target(*args)
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                errors.append(exc)
+                stop.set()
+
+        threads = [
+            threading.Thread(target=guarded, args=(fast_client, s))
+            for s in range(3)
+        ]
+        threads.append(threading.Thread(target=guarded, args=(slow_client,)))
+        threads.append(threading.Thread(target=guarded, args=(chaos,)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(self.SECONDS)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            handle.shutdown()
+        assert not any(thread.is_alive() for thread in threads)
+        if errors:
+            raise errors[0]
+        assert failures == []
+        assert len(checked) >= 10
+        assert cache.stats().evictions > 0
 
 
 class TestCacheWarmth:

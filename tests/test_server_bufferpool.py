@@ -7,6 +7,7 @@ import pytest
 
 from repro import api
 from repro.bench.harness import LARGE_ALLOC_BYTES, traced_large_allocs
+from repro.server import protocol
 from repro.server.bufferpool import MAX_PER_BUCKET, BufferPool
 from repro.server.cache import DecodedVectorCache
 from repro.server.ops import build_ops
@@ -197,9 +198,9 @@ class TestZeroAllocServing:
     Asserted in-process at the op-handler layer (no sockets), with the
     tracemalloc peak-delta counter the bench records use: after warmup,
     a ``sum`` request — encoded-domain, tiny response — must allocate
-    nothing at or above :data:`LARGE_ALLOC_BYTES`, and a ``scan``
-    request nothing beyond the one documented response-serialization
-    copy.
+    nothing at or above :data:`LARGE_ALLOC_BYTES`, and a cached ``scan``
+    nothing response-sized: its payload parts are the cache's resident
+    row-group arrays and its frame joins none of them.
     """
 
     @pytest.fixture(scope="class")
@@ -210,7 +211,7 @@ class TestZeroAllocServing:
         api.write(path, values, api.CompressionOptions(rowgroup_vectors=10))
         pool = BufferPool()
         cache = DecodedVectorCache(pool=pool)
-        registry = DatasetRegistry(cache=cache, mmap=True, pool=pool)
+        registry = DatasetRegistry(cache=cache, mmap=True)
         registry.register_file(path, name="col")
         ops = build_ops(registry)
         yield registry, ops, pool
@@ -226,29 +227,30 @@ class TestZeroAllocServing:
     def test_scan_steady_state_allocates_only_the_response(self, served):
         registry, ops, pool = served
         request = {"dataset": "col"}
-        response_bytes = ops["scan"](request, b"").payload
-        hits_before = pool.stats().hits
+        ops["scan"](request, b"")  # fills the cache
+        pool_before = pool.stats()
         allocs = traced_large_allocs(lambda: ops["scan"](request, b""))
-        # The serialized response frame is the one remaining large
-        # allocation; the decode target itself came from the pool.
-        budget = len(response_bytes) // LARGE_ALLOC_BYTES + 2
-        assert allocs <= budget
-        assert pool.stats().hits > hits_before  # buffers recycled
+        # No response-sized allocation: the payload is the cached
+        # row-group arrays, and a warm scan never touches the pool.
+        assert allocs <= 1
+        assert pool.stats() == pool_before
 
-    def test_scan_without_pool_allocates_more(self, served):
-        # Control: the same scan with the pool detached allocates the
-        # decode target on top of the response copy.
-        registry, ops, pool = served
-        column = registry.column("col", None)
+    def test_scan_response_frame_is_the_cached_arrays(self, served):
+        registry, ops, _ = served
         request = {"dataset": "col"}
-        response_bytes = ops["scan"](request, b"").payload
-        pooled = traced_large_allocs(lambda: ops["scan"](request, b""))
-        column.pool = None
-        try:
-            unpooled = traced_large_allocs(lambda: ops["scan"](request, b""))
-        finally:
-            column.pool = pool
-        # Detached, the decode target is a fresh full-column allocation
-        # on top of the response copy.
-        assert unpooled > pooled
-        assert len(response_bytes) > LARGE_ALLOC_BYTES
+        column = registry.column("col", None)
+
+        def respond():
+            result = ops["scan"](request, b"")
+            return protocol.ok_frame(result.fields, result.payload, 1)
+
+        frame = respond()
+        assert len(frame) > 8 * LARGE_ALLOC_BYTES
+        # Op handler plus frame encoding: no copy of the payload.
+        assert traced_large_allocs(respond) <= 1
+        residents = [
+            values for _, values in column.reader.iter_rowgroups(column.cache)
+        ]
+        assert len(frame.parts) == len(residents)
+        for part, resident in zip(frame.parts, residents, strict=True):
+            assert np.shares_memory(np.frombuffer(part, np.uint8), resident)

@@ -11,8 +11,8 @@ from repro.core.compressor import compress, decompress
 from repro.server import protocol
 
 
-def _read_frame_from_bytes(data: bytes, **kwargs):
-    view = memoryview(data)
+def _read_frame_from_bytes(frame, **kwargs):
+    view = memoryview(bytes(frame))
     offset = 0
 
     def read_exactly(n: int) -> bytes:
@@ -41,7 +41,7 @@ class TestFrames:
         assert payload == b""
 
     def test_bad_magic_rejected(self):
-        frame = bytearray(protocol.encode_frame({"op": "ping"}))
+        frame = bytearray(bytes(protocol.encode_frame({"op": "ping"})))
         frame[:4] = b"XXXX"
         with pytest.raises(protocol.ProtocolError, match="magic"):
             _read_frame_from_bytes(bytes(frame))
@@ -193,7 +193,8 @@ class TestProjectionNegotiation:
             request_id=1,
         )
         got = protocol.ok_frame(result.fields, result.payload, request_id=1)
-        assert got == expected
+        assert bytes(got) == bytes(expected)
+        assert len(got) == len(expected)
         assert "schema" not in result.fields
 
     def test_columns_header_gets_schema_echo(self, ops_and_values):
@@ -207,9 +208,15 @@ class TestProjectionNegotiation:
         ]
         n = len(columns["ts"])
         assert result.fields["counts"] == [n, n]
-        values = protocol.values_from_bytes(result.payload)
-        assert np.array_equal(values[:n], columns["value"])
-        assert np.array_equal(values[n:], columns["ts"])
+        got = protocol.ok_frame(result.fields, result.payload, request_id=1)
+        expected = protocol.ok_frame(
+            result.fields,
+            protocol.values_to_bytes(
+                np.concatenate([columns["value"], columns["ts"]])
+            ),
+            request_id=1,
+        )
+        assert bytes(got) == bytes(expected)
 
     def test_column_and_columns_are_exclusive(self, ops_and_values):
         from repro.server.ops import OpError
@@ -226,3 +233,125 @@ class TestProjectionNegotiation:
                 b"",
             )
         assert err.value.code == protocol.ERR_BAD_REQUEST
+
+
+class TestWireByteIdentity:
+    """A served scan's raw bytes equal the joined single-buffer frame.
+
+    The server writes a scan response as the frame head followed by the
+    row-group arrays themselves; on the wire that must be exactly
+    ``encode_frame(header, values_to_bytes(expected))`` for every scan
+    shape, on a cold (decoding) and a warm (cached) request alike.
+    """
+
+    VECTOR_SIZE = 128
+    ROWGROUP_VECTORS = 4
+    RG = VECTOR_SIZE * ROWGROUP_VECTORS
+    N = 8 * RG
+
+    @pytest.fixture(scope="class")
+    def server(self, tmp_path_factory):
+        from repro import api
+        from repro.server import (
+            DatasetRegistry,
+            DecodedVectorCache,
+            ServerConfig,
+            run_in_thread,
+        )
+
+        tmp = tmp_path_factory.mktemp("wire")
+        rng = np.random.default_rng(5)
+        columns = {
+            "ts": np.cumsum(rng.random(self.N)),
+            "value": np.round(rng.normal(20, 5, self.N), 2),
+        }
+        options = api.CompressionOptions(
+            vector_size=self.VECTOR_SIZE,
+            rowgroup_vectors=self.ROWGROUP_VECTORS,
+        )
+        api.write_table(tmp / "t.alpc", columns, options)
+        # A one-column file with row-group 1 corrupted: served degraded.
+        api.write(tmp / "dmg.alpc", columns["value"], options)
+        with api.open(tmp / "dmg.alpc") as reader:
+            offset = reader.metadata[1].offset
+        data = bytearray((tmp / "dmg.alpc").read_bytes())
+        data[offset] ^= 0x20
+        (tmp / "dmg.alpc").write_bytes(bytes(data))
+
+        registry = DatasetRegistry(cache=DecodedVectorCache(8 << 20))
+        registry.register_path(tmp / "t.alpc", name="t")
+        registry.register_path(tmp / "dmg.alpc", name="dmg")
+        handle = run_in_thread(registry, ServerConfig(port=0, workers=2))
+        try:
+            yield handle.port, columns
+        finally:
+            handle.shutdown()
+
+    @staticmethod
+    def _raw_response(port, request):
+        """One request over a bare socket: (raw frame bytes, header)."""
+        import socket
+
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            sock.sendall(bytes(protocol.encode_frame(request)))
+            data = bytearray()
+
+            def fill(n):
+                while len(data) < n:
+                    chunk = sock.recv(1 << 16)
+                    if not chunk:
+                        raise ConnectionError("server closed mid-frame")
+                    data.extend(chunk)
+
+            fill(protocol.PREFIX_LEN)
+            header_len, payload_len = protocol.parse_prefix(
+                bytes(data[: protocol.PREFIX_LEN])
+            )
+            fill(protocol.PREFIX_LEN + header_len + payload_len)
+        header = protocol.decode_header(
+            bytes(data[protocol.PREFIX_LEN : protocol.PREFIX_LEN + header_len])
+        )
+        return bytes(data), header
+
+    def _expected(self, case, columns):
+        value, rg = columns["value"], self.RG
+        in_range = (value >= 18.0) & (value <= 22.0)
+        return {
+            "full": value,
+            "ranged": value[in_range],
+            "partition": value[2 * rg : 5 * rg],
+            "partition-ranged": value[2 * rg : 5 * rg][
+                in_range[2 * rg : 5 * rg]
+            ],
+            "empty": value[:0],
+            "projection": np.concatenate([value, columns["ts"]]),
+            "degraded": np.concatenate([value[:rg], value[2 * rg :]]),
+        }[case]
+
+    REQUESTS = {
+        "full": {"dataset": "t", "column": "value"},
+        "ranged": {"dataset": "t", "column": "value", "low": 18.0,
+                   "high": 22.0},
+        "partition": {"dataset": "t", "column": "value", "rowgroups": [2, 5]},
+        "partition-ranged": {"dataset": "t", "column": "value",
+                             "rowgroups": [2, 5], "low": 18.0, "high": 22.0},
+        "empty": {"dataset": "t", "column": "value", "low": 1e6, "high": 2e6},
+        "projection": {"dataset": "t", "columns": ["value", "ts"]},
+        "degraded": {"dataset": "dmg"},
+    }
+
+    @pytest.mark.parametrize("case", sorted(REQUESTS))
+    def test_raw_bytes_equal_joined_frame(self, server, case):
+        port, columns = server
+        expected = self._expected(case, columns)
+        for request_id in (1, 2):  # cold (decode), then warm (cached)
+            request = {"op": "scan", "id": request_id, **self.REQUESTS[case]}
+            raw, header = self._raw_response(port, request)
+            assert header["ok"] is True
+            assert header["count"] == expected.size
+            assert header["rowgroups_quarantined"] == int(case == "degraded")
+            assert raw == bytes(
+                protocol.encode_frame(
+                    header, protocol.values_to_bytes(expected)
+                )
+            )

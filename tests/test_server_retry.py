@@ -85,7 +85,7 @@ class FlakyServer:
                     {"pong": True}, b"", header.get("id")
                 )
                 try:
-                    conn.sendall(frame)
+                    conn.sendall(bytes(frame))
                 except OSError:
                     return
 
@@ -206,8 +206,10 @@ class TestRequestRetry:
                     )
                     seen.append(header.get("deadline_ms"))
                     conn.sendall(
-                        protocol.ok_frame(
-                            {"pong": True}, b"", header.get("id")
+                        bytes(
+                            protocol.ok_frame(
+                                {"pong": True}, b"", header.get("id")
+                            )
                         )
                     )
 
