@@ -12,19 +12,34 @@ reports:
 We compress every dataset with the instrumented compressor and print
 the same statistics, then run the brute-force-vs-sampling ratio
 comparison on a subset.
+
+Two timing tables follow, report-only (no check): the sampler's share
+of ``compress`` time per dataset (the two sampling levels timed alone
+against the whole compression of the same column), and
+``compress_parallel(threads=2)`` against ``compress`` on a few
+multi-row-group columns.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from repro.bench.harness import bench_n
+from repro.bench.harness import bench_n, time_callable
 from repro.bench.report import format_table, shape_check
 from repro.core.alp import alp_encode_vector
-from repro.core.compressor import compress
-from repro.core.constants import VECTOR_SIZE
-from repro.core.sampler import find_best_combination
+from repro.core.compressor import compress, compress_parallel
+from repro.core.constants import ROWGROUP_SIZE, VECTOR_SIZE
+from repro.core.sampler import (
+    find_best_combination,
+    first_level_sample,
+    second_level_sample_rowgroup,
+)
 from repro.data import DATASET_ORDER, DATASETS
+
+#: Columns the thread-parallel compressor is timed on (four row-groups).
+PARALLEL_DATASETS = ("City-Temp", "Stocks-DE", "NYC/29", "POI-lat")
 
 BRUTE_FORCE_DATASETS = (
     "City-Temp",
@@ -73,6 +88,51 @@ def _brute_force_gap(dataset_cache):
             ).size_bits()
         gaps[name] = (sampled_bits - brute_bits) / brute_bits
     return gaps
+
+
+def _sample_only(values: np.ndarray) -> None:
+    """The sampling ``compress`` runs, alone: level one per row-group,
+    level two where more than one candidate survived."""
+    for start in range(0, values.size, ROWGROUP_SIZE):
+        rowgroup = values[start : start + ROWGROUP_SIZE]
+        first = first_level_sample(rowgroup)
+        if not first.use_rd and len(first.candidates) > 1:
+            second_level_sample_rowgroup(rowgroup, first.candidates)
+
+
+def _sampler_share(dataset_cache) -> list[list[str]]:
+    """Per dataset: compress ms, sampler ms, sampler share of compress."""
+    n = bench_n()
+    rows = []
+    for name in DATASET_ORDER:
+        values = dataset_cache(name, n)
+        whole = time_callable(partial(compress, values), n, stat="median")
+        sampling = time_callable(
+            partial(_sample_only, values), n, stat="median"
+        )
+        rows.append(
+            [
+                name,
+                f"{whole.seconds * 1e3:.2f}",
+                f"{sampling.seconds * 1e3:.2f}",
+                f"{sampling.seconds / whole.seconds * 100:.0f}%",
+            ]
+        )
+    return rows
+
+
+def _parallel_speedup(dataset_cache) -> list[list[str]]:
+    """``compress`` seconds over ``compress_parallel(threads=2)`` seconds."""
+    n = 4 * ROWGROUP_SIZE
+    rows = []
+    for name in PARALLEL_DATASETS:
+        values = dataset_cache(name, n)
+        serial = time_callable(partial(compress, values), n, stat="median")
+        threaded = time_callable(
+            partial(compress_parallel, values, threads=2), n, stat="median"
+        )
+        rows.append([name, f"{serial.seconds / threaded.seconds:.2f}x"])
+    return rows
 
 
 def test_sampling_overhead(benchmark, emit, dataset_cache):
@@ -135,6 +195,18 @@ def test_sampling_overhead(benchmark, emit, dataset_cache):
         ["dataset", "sampled vs brute-force size"],
         gap_rows,
         title="Brute force gap — extra size of sampled (e,f) choices",
+    )
+    report += "\n\n" + format_table(
+        ["dataset", "compress ms", "sampler ms", "sampler share"],
+        _sampler_share(dataset_cache),
+        title=f"Sampler share of compress time ({bench_n()} values, median "
+        "of 5)",
+    )
+    report += "\n\n" + format_table(
+        ["dataset", "compress / compress_parallel(threads=2)"],
+        _parallel_speedup(dataset_cache),
+        title=f"Thread-parallel compress ({4 * ROWGROUP_SIZE} values, "
+        "median of 5)",
     )
     report += "\n" + "\n".join(checks)
     emit("sampling_overhead", report)

@@ -57,7 +57,14 @@ A ``kernels/rowgroup-decode`` record times
 :func:`~repro.core.compressor.decode_rowgroup_into` (one unpack per bit
 width, one ALP_rd unpack per stream) against the per-vector decode loop
 it replaced, on four row-groups each of City-Temp, NYC/29 and POI-lat;
-``counters["rowgroup.<dataset>_speedup_vs_vector"]`` are floored.
+``counters["rowgroup.<dataset>_speedup_vs_vector"]`` are floored.  A
+``kernels/rowgroup-encode`` record is its write-side mirror: the
+row-group encode (one ALP pass, one pack per bit width, one ALP_rd
+dictionary pass, batched int64 frames) against the per-vector encode
+loop, on City-Temp (k' = 1), Stocks-DE (k' > 1), POI-lat (ALP_rd) and
+an int64 timestamp column, outputs byte-identical;
+``counters["rowgroup.<dataset>_speedup_vs_vector_encode"]`` are
+floored too.
 
 Records follow the ``BENCH_*.json`` schema (see
 :mod:`repro.bench.records`): ``bits_per_value`` is the field width and
@@ -69,6 +76,7 @@ regression gate's ratio check doubles as a layout invariant; the
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -599,6 +607,27 @@ def _decode_per_vector(rowgroup, out: np.ndarray) -> None:
         pos += vector.count
 
 
+def _paired_times(
+    before, after, repeats: int
+) -> tuple[float, float, float]:
+    """Median seconds of ``before`` and ``after`` and their speedup.
+
+    The two callables alternate so host-speed drift hits both alike;
+    the speedup is the median of the ``repeats`` adjacent-pair ratios.
+    """
+    before_times, after_times = [], []
+    for _ in range(repeats):
+        for fn, times in ((before, before_times), (after, after_times)):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+    return (
+        float(np.median(before_times)),
+        float(np.median(after_times)),
+        float(np.median(np.array(before_times) / np.array(after_times))),
+    )
+
+
 def _bench_rowgroup_decode(repeats: int, calibration: float) -> BenchRecord:
     """Row-group decode vs the per-vector loop (``kernels/rowgroup-decode``).
 
@@ -638,22 +667,12 @@ def _bench_rowgroup_decode(repeats: int, calibration: float) -> BenchRecord:
         decoded = np.concatenate([out for _, out in parts])
         if not np.array_equal(decoded.view(np.uint64), values.view(np.uint64)):
             raise AssertionError(f"{name}: row-group decode is not bit-exact")
-        # Alternate the two paths so host-speed drift hits both alike;
-        # each ratio comes from one adjacent pair of calls.
-        loop_times, rowgroup_times = [], []
-        for _ in range(repeats):
-            for fn, times in (
-                (per_vector, loop_times),
-                (per_rowgroup, rowgroup_times),
-            ):
-                start = time.perf_counter()
-                fn()
-                times.append(time.perf_counter() - start)
-        counters[f"rowgroup.{name}{VECTOR_SPEEDUP}"] = float(
-            np.median(np.array(loop_times) / np.array(rowgroup_times))
+        loop_s, rowgroup_s, speedup = _paired_times(
+            per_vector, per_rowgroup, repeats
         )
-        loop_seconds += float(np.median(loop_times))
-        rowgroup_seconds += float(np.median(rowgroup_times))
+        counters[f"rowgroup.{name}{VECTOR_SPEEDUP}"] = speedup
+        loop_seconds += loop_s
+        rowgroup_seconds += rowgroup_s
         total_bits += column.size_bits()
         total_values += values.size
     nbytes = total_values * 8
@@ -670,6 +689,123 @@ def _bench_rowgroup_decode(repeats: int, calibration: float) -> BenchRecord:
         decompress_mbps=rowgroup_mbps,
         compress_rel=loop_mbps / calibration,
         decompress_rel=rowgroup_mbps / calibration,
+        counters=counters,
+    )
+
+
+#: Columns the row-group encode kernel compresses: k' = 1, k' > 1
+#: (every Stocks-DE row-group keeps two candidates), ALP_rd, and an
+#: int64 timestamp column like the end-to-end benchmark's ``ts``.
+ROWGROUP_ENCODE_DATASETS = ("City-Temp", "Stocks-DE", "POI-lat", "ts")
+#: Counter suffix of the row-group encode speedups.
+ENCODE_SPEEDUP = "_speedup_vs_vector_encode"
+
+
+def _ts_column(n: int) -> np.ndarray:
+    """Epoch-millisecond timestamps 0.5-1.5 s apart (an int64 column)."""
+    rng = np.random.default_rng(0x7473)
+    steps = np.round(rng.uniform(500.0, 1500.0, n)).astype(np.int64)
+    return 1_600_000_000_000 + np.cumsum(steps)
+
+
+def _float_chunks(chunks: list[np.ndarray]) -> list[bytes]:
+    """Serialized :func:`~repro.core.compressor.compress_rowgroup` of
+    each float64 row-group."""
+    from repro.core.compressor import compress_rowgroup
+    from repro.storage.serializer import serialize_rowgroup
+
+    return [serialize_rowgroup(compress_rowgroup(c)[0]) for c in chunks]
+
+
+def _float_chunks_per_vector(chunks: list[np.ndarray]) -> list[bytes]:
+    """The same through the per-vector reference encoder."""
+    from repro.core.compressor import compress_rowgroup_reference
+    from repro.storage.serializer import serialize_rowgroup
+
+    return [serialize_rowgroup(compress_rowgroup_reference(c)) for c in chunks]
+
+
+def _int_chunks(chunks: list[np.ndarray]) -> list[bytes]:
+    """The table writer's int64 chunk payload of each row-group."""
+    from repro.storage.tablefile import _encode_int_payload
+
+    return [_encode_int_payload(c, VECTOR_SIZE, None)[0] for c in chunks]
+
+
+def _int_chunks_per_vector(chunks: list[np.ndarray]) -> list[bytes]:
+    """The same from one FFOR and one delta encode per vector, keeping
+    the smaller payload (FFOR on a tie) as the writer does."""
+    from repro.storage.tablefile import _encode_int_payload_reference
+
+    return [
+        min(
+            _encode_int_payload_reference(c, VECTOR_SIZE, "ffor"),
+            _encode_int_payload_reference(c, VECTOR_SIZE, "delta"),
+            key=len,
+        )
+        for c in chunks
+    ]
+
+
+def _bench_rowgroup_encode(repeats: int, calibration: float) -> BenchRecord:
+    """Row-group encode vs the per-vector loop (``kernels/rowgroup-encode``).
+
+    :data:`ROWGROUP_DECODE_ROWGROUPS` full row-groups of each of
+    :data:`ROWGROUP_ENCODE_DATASETS`.  Float columns time
+    :func:`~repro.core.compressor.compress_rowgroup` against
+    :func:`~repro.core.compressor.compress_rowgroup_reference` (sampling
+    included on both sides); the int64 column times the table writer's
+    chunk encoder against one ``ffor_encode`` / ``delta_encode`` call
+    per vector.  The serialized outputs must be byte-identical.
+    ``compress_mbps`` is the row-group path, ``decompress_mbps`` the
+    per-vector loop, both over all four columns, and
+    ``counters["rowgroup.<dataset>_speedup_vs_vector_encode"]`` their
+    ratio per column, each floored in the kernel baseline.
+    """
+    from repro.core.constants import ROWGROUP_SIZE
+    from repro.data import get_dataset
+
+    counters: dict[str, float] = {}
+    loop_seconds = rowgroup_seconds = 0.0
+    total_bytes = total_values = 0
+    n = ROWGROUP_DECODE_ROWGROUPS * ROWGROUP_SIZE
+    for name in ROWGROUP_ENCODE_DATASETS:
+        values = _ts_column(n) if name == "ts" else get_dataset(name, n=n)
+        chunks = [
+            values[start : start + ROWGROUP_SIZE]
+            for start in range(0, n, ROWGROUP_SIZE)
+        ]
+        if name == "ts":
+            per_vector = functools.partial(_int_chunks_per_vector, chunks)
+            per_rowgroup = functools.partial(_int_chunks, chunks)
+        else:
+            per_vector = functools.partial(_float_chunks_per_vector, chunks)
+            per_rowgroup = functools.partial(_float_chunks, chunks)
+        encoded = per_rowgroup()
+        if encoded != per_vector():
+            raise AssertionError(f"{name}: row-group encode is not byte-exact")
+        loop_s, rowgroup_s, speedup = _paired_times(
+            per_vector, per_rowgroup, repeats
+        )
+        counters[f"rowgroup.{name}{ENCODE_SPEEDUP}"] = speedup
+        loop_seconds += loop_s
+        rowgroup_seconds += rowgroup_s
+        total_bytes += sum(len(payload) for payload in encoded)
+        total_values += values.size
+    nbytes = total_values * 8
+    rowgroup_mbps = nbytes / rowgroup_seconds / 1e6
+    loop_mbps = nbytes / loop_seconds / 1e6
+    bits_per_value = total_bytes * 8 / total_values
+    return BenchRecord(
+        dataset="kernels/rowgroup-encode",
+        codec="encode",
+        n=total_values,
+        bits_per_value=bits_per_value,
+        compression_ratio=64.0 / bits_per_value,
+        compress_mbps=rowgroup_mbps,
+        decompress_mbps=loop_mbps,
+        compress_rel=rowgroup_mbps / calibration,
+        decompress_rel=loop_mbps / calibration,
         counters=counters,
     )
 
@@ -696,6 +832,7 @@ def kernel_bench_records(repeats: int = 5) -> list[BenchRecord]:
     raw.append(_bench_io(repeats, cal_before))
     raw.append(_bench_crc32c(repeats, cal_before))
     raw.append(_bench_rowgroup_decode(repeats, cal_before))
+    raw.append(_bench_rowgroup_encode(repeats, cal_before))
     calibration = (cal_before + calibration_mbps(repeats=repeats)) / 2
 
     # Re-anchor every record on the averaged calibration.
@@ -741,9 +878,9 @@ def main(argv: list[str] | None = None) -> int:
         if speedup is not None:
             extra = f"  ({speedup:.1f}x vs scalar reference)"
         per_column = [
-            f"{name[len('rowgroup.') : -len(VECTOR_SPEEDUP)]} {value:.2f}x"
+            f"{name[len('rowgroup.') :].rsplit('_speedup', 1)[0]} {value:.2f}x"
             for name, value in record.counters.items()
-            if name.endswith(VECTOR_SPEEDUP)
+            if name.endswith((VECTOR_SPEEDUP, ENCODE_SPEEDUP))
         ]
         if per_column:
             extra = f"  ({', '.join(per_column)} vs per-vector)"

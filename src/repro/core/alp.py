@@ -20,6 +20,7 @@ implementation-sweep benchmark compares.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ from repro.encodings.ffor import (
     ffor_decode,
     ffor_decode_unfused,
     ffor_encode,
+    ffor_encode_rowgroup,
     ffor_sum,
     ffor_sum_reference,
 )
@@ -110,9 +112,8 @@ def _finish_vector(
 ) -> AlpVector:
     """Exception patching + FFOR for one analyzed vector.
 
-    Shared tail of :func:`alp_encode_vector` and the batched
-    :func:`alp_encode_rowgroup`; both paths therefore produce identical
-    payload bytes for identical inputs.
+    The per-vector path of :func:`alp_encode_vector`; the batched
+    :func:`alp_encode_rowgroup` produces identical vectors.
     """
     exc_positions = np.flatnonzero(exceptions)
     if exc_positions.size:
@@ -147,7 +148,8 @@ def alp_encode_vector(
 
     The caller is expected to have chosen (e, f) via the sampler; this
     function performs the encode, verification, exception patching and
-    FFOR steps.
+    FFOR steps.  It is the per-vector reference of
+    :func:`alp_encode_rowgroup`.
     """
     with obs.span("alp.encode_vector"):
         values = np.ascontiguousarray(values, dtype=np.float64)
@@ -156,30 +158,104 @@ def alp_encode_vector(
 
 
 def alp_encode_rowgroup(
-    values: np.ndarray, exponent: int, factor: int, vector_size: int
+    values: np.ndarray,
+    exponents: int | Sequence[int],
+    factors: int | Sequence[int],
+    vector_size: int,
 ) -> list[AlpVector]:
-    """Encode a whole row-group under one (e, f) as a list of vectors.
+    """Encode a whole row-group as a list of vectors, one pass per step.
 
-    This is the batched common case (a single surviving candidate, so
-    level-two sampling is skipped): ALP_enc + ALP_dec + the exception
-    test run *once* over the full row-group instead of once per vector,
-    and only the per-vector tail (exception patching + FFOR) loops.
-    Output is vector-for-vector identical to calling
-    :func:`alp_encode_vector` on each chunk.
+    ``exponents`` / ``factors`` are one ``(e, f)`` for every vector (a
+    single surviving level-one candidate) or one per vector (level two's
+    winners).  ALP_enc, ALP_dec, the bitwise exception test and the
+    FIND_FIRST_ENCODED patch each run once over the ``(vectors, vector
+    size)`` grid, each vector's ``(e, f)`` broadcast along its row, and
+    the FFOR frames come from
+    :func:`~repro.encodings.ffor.ffor_encode_rowgroup`.  A short tail
+    vector takes the per-vector path.  Output is vector-for-vector
+    identical to :func:`alp_encode_vector` on each chunk.
     """
     with obs.span("alp.encode_rowgroup"):
         values = np.ascontiguousarray(values, dtype=np.float64)
-        encoded, exceptions = alp_analyze(values, exponent, factor)
-        return [
-            _finish_vector(
-                values[start : start + vector_size],
-                encoded[start : start + vector_size],
-                exceptions[start : start + vector_size],
-                exponent,
-                factor,
+        n_full = values.size // vector_size
+        n_vectors = -(-values.size // vector_size)
+        exps = np.broadcast_to(
+            np.asarray(exponents, dtype=np.int64), n_vectors
+        )
+        facts = np.broadcast_to(np.asarray(factors, dtype=np.int64), n_vectors)
+        vectors = _encode_grid(
+            values[: n_full * vector_size].reshape(n_full, vector_size),
+            exps[:n_full],
+            facts[:n_full],
+        )
+        if n_full < n_vectors:
+            tail = values[n_full * vector_size :]
+            e, f = int(exps[-1]), int(facts[-1])
+            encoded, exceptions = alp_analyze(tail, e, f)
+            vectors.append(_finish_vector(tail, encoded, exceptions, e, f))
+        return vectors
+
+
+def _encode_grid(
+    grid: np.ndarray, exponents: np.ndarray, factors: np.ndarray
+) -> list[AlpVector]:
+    """ALP-encode the rows of a float64 ``(vectors, count)`` grid."""
+    n_rows, count = grid.shape
+    if n_rows == 0:
+        return []
+    # The same two multiplies per element as alp_analyze, each row with
+    # its own (e, f), so rounding is unchanged.  One (e, f) for every
+    # row stays a scalar: numpy's broadcast-column loops are ~3x slower.
+    uniform = bool(
+        (exponents == exponents[0]).all() and (factors == factors[0]).all()
+    )
+
+    def scale(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+        return table[index[0]] if uniform else table[index][:, None]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = grid * scale(F10, exponents)
+        scaled *= scale(IF10, factors)
+        encoded = fast_round(scaled)
+        decoded = np.multiply(encoded, scale(F10, factors), out=scaled)
+        decoded *= scale(IF10, exponents)
+    exceptions = decoded.view(np.uint64) != grid.view(np.uint64)
+    del scaled, decoded
+    rows, positions = np.divmod(np.flatnonzero(exceptions), count)
+    exc_values = grid[rows, positions]
+    if rows.size:
+        # FIND_FIRST_ENCODED per row: the first non-exception's integer,
+        # or 0 for an all-exception row.
+        valid = ~exceptions
+        first = np.argmax(valid, axis=1)
+        row_ids = np.arange(n_rows)
+        fill = np.where(valid[row_ids, first], encoded[row_ids, first], 0)
+        encoded[rows, positions] = fill[rows]
+    frames = ffor_encode_rowgroup(encoded.reshape(-1), count)
+    # fits: positions < vector size <= 65535 (checked at compress time)
+    positions = positions.astype(np.uint16)
+    ends = np.cumsum(np.bincount(rows, minlength=n_rows)).tolist()
+    if obs.ENABLED:
+        obs.metrics.counter_add("alp.vectors_encoded", n_rows)
+        obs.metrics.counter_add("alp.exceptions", int(rows.size))
+    vectors = []
+    start = 0
+    # Iterates vectors (grid rows), not values.  # reprolint: ignore[RL2]
+    for frame, e, f, end in zip(
+        frames, exponents.tolist(), factors.tolist(), ends, strict=True
+    ):
+        vectors.append(
+            AlpVector(
+                ffor=frame,
+                exponent=e,
+                factor=f,
+                exc_values=exc_values[start:end],
+                exc_positions=positions[start:end],
+                count=count,
             )
-            for start in range(0, values.size, vector_size)
-        ]
+        )
+        start = end
+    return vectors
 
 
 def alp_decode_vector(

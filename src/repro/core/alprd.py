@@ -32,6 +32,7 @@ from repro.core.sampler import equidistant_indices
 from repro.encodings.bitpack import (
     UNPACK_PASS_ROWS,
     pack_bits,
+    packed_size_bytes,
     unpack_bits,
     vector_grid,
 )
@@ -186,22 +187,81 @@ def decode_vector_bits(
     return (left << np.uint64(parameters.right_bit_width)) | right
 
 
+def encode_rowgroup_bits(
+    bits: np.ndarray, parameters: AlpRdParameters, vector_size: int
+) -> tuple[AlpRdVector, ...]:
+    """Encode raw bit patterns as ``vector_size`` vectors, batched.
+
+    Every vector shares the cut and the dictionary, so the split into
+    left and right parts and the dictionary lookup run once over the
+    ``(vectors, vector size)`` grid, the right parts pack in one 2-D
+    :func:`~repro.encodings.bitpack.pack_bits` call and the codes in
+    another, and the left-part exceptions are split per vector from one
+    ``np.flatnonzero``.  A short tail vector takes
+    :func:`encode_vector_bits`.  Output is identical to
+    :func:`encode_vector_bits` on each chunk; both the float64 and the
+    float32 ALP_rd encoders come here.
+    """
+    bits = np.ascontiguousarray(bits, dtype=np.uint64)
+    n_full = bits.size // vector_size
+    vectors: list[AlpRdVector] = []
+    if n_full:
+        grid = bits[: n_full * vector_size].reshape(n_full, vector_size)
+        right_width = parameters.right_bit_width
+        code_width = parameters.dictionary.code_width
+        # fits: left parts are at most MAX_RD_LEFT_BITS = 16 bits wide
+        left = (grid >> np.uint64(right_width)).astype(np.uint16)
+        codes, found = parameters.dictionary.lookup(left)
+        rows, positions = np.divmod(np.flatnonzero(~found), vector_size)
+        # fits: positions < vector size <= 65535
+        positions = positions.astype(np.uint16)
+        exc_values = left[rows, positions]
+        ends = np.cumsum(np.bincount(rows, minlength=n_full)).tolist()
+        del left, found
+        left_packed = pack_bits(codes, code_width)
+        del codes
+        right_packed = pack_bits(
+            grid & np.uint64((1 << right_width) - 1), right_width
+        )
+        left_bytes = packed_size_bytes(vector_size, code_width)
+        right_bytes = packed_size_bytes(vector_size, right_width)
+        start = 0
+        for row, end in enumerate(ends):
+            vectors.append(
+                AlpRdVector(
+                    left_payload=left_packed[
+                        row * left_bytes : (row + 1) * left_bytes
+                    ],
+                    right_payload=right_packed[
+                        row * right_bytes : (row + 1) * right_bytes
+                    ],
+                    exc_positions=positions[start:end],
+                    exc_values=exc_values[start:end],
+                    count=vector_size,
+                )
+            )
+            start = end
+    if bits.size > n_full * vector_size:
+        vectors.append(
+            encode_vector_bits(bits[n_full * vector_size :], parameters)
+        )
+    return tuple(vectors)
+
+
 def alprd_encode(
     rowgroup: np.ndarray,
     vector_size: int = VECTOR_SIZE,
     parameters: AlpRdParameters | None = None,
 ) -> AlpRdRowGroup:
-    """Encode a float64 row-group with ALP_rd."""
+    """Encode a float64 row-group with ALP_rd (see
+    :func:`encode_rowgroup_bits`)."""
     with obs.span("alprd.encode"):
         rowgroup = np.ascontiguousarray(rowgroup, dtype=np.float64)
         if parameters is None:
             with obs.span("alprd.fit_parameters"):
                 parameters = fit_parameters(rowgroup, total_bits=64)
-        bits = double_to_bits(rowgroup)
-        vectors = tuple(
-            encode_vector_bits(bits[start : start + vector_size], parameters)
-            for start in range(0, max(bits.size, 1), vector_size)
-            if bits[start : start + vector_size].size
+        vectors = encode_rowgroup_bits(
+            double_to_bits(rowgroup), parameters, vector_size
         )
         if obs.ENABLED:
             obs.metrics.counter_add("alprd.vectors_encoded", len(vectors))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.alputil.bits import bits_to_double
+from repro.alputil.bits import bits_to_double, double_to_bits
 from repro.core.alp import (
     AlpVector,
     alp_decode_vector,
@@ -29,6 +29,8 @@ from repro.core.alprd import (
     alprd_decode,
     alprd_encode,
     decode_vector_bits,
+    encode_vector_bits,
+    fit_parameters,
 )
 from repro.core.constants import (
     ROWGROUP_VECTORS,
@@ -178,15 +180,14 @@ def _compress_rowgroup(
         )
 
     tried_counts: list[int] = []
+    exponents: int | list[int]
+    factors: int | list[int]
     if len(first.candidates) == 1:
         # The common case: one surviving candidate means every vector
-        # skips level two, so the whole row-group encodes as a single
-        # batched ALP_enc/ALP_dec pass instead of ~100 per-vector ones.
+        # skips level two and encodes under the same (e, f).
         combo = first.candidates[0]
-        vectors = alp_encode_rowgroup(
-            rowgroup, combo.exponent, combo.factor, vector_size
-        )
-        skipped = len(vectors)
+        exponents, factors = combo.exponent, combo.factor
+        skipped = -(-rowgroup.size // vector_size)
         obs.counter_add("sampler.second_level_skipped", skipped)
     else:
         # Multiple candidates: level-two sampling for every vector runs
@@ -195,19 +196,16 @@ def _compress_rowgroup(
         seconds = second_level_sample_rowgroup(
             rowgroup, first.candidates, vector_size=vector_size
         )
-        vectors = []
-        skipped = 0
-        for vi, start in enumerate(range(0, rowgroup.size, vector_size)):
-            chunk = rowgroup[start : start + vector_size]
-            second = seconds[vi]
-            if second.skipped:
-                skipped += 1
-            else:
-                tried_counts.append(second.combinations_tried)
-            combo = second.combination
-            vectors.append(
-                alp_encode_vector(chunk, combo.exponent, combo.factor)
-            )
+        exponents = [second.combination.exponent for second in seconds]
+        factors = [second.combination.factor for second in seconds]
+        skipped = sum(second.skipped for second in seconds)
+        tried_counts = [
+            second.combinations_tried
+            for second in seconds
+            if not second.skipped
+        ]
+    # One batched ALP_enc/ALP_dec/FFOR pass over the whole row-group.
+    vectors = alp_encode_rowgroup(rowgroup, exponents, factors, vector_size)
 
     if obs.ENABLED:
         obs.metrics.counter_add(
@@ -225,6 +223,61 @@ def _compress_rowgroup(
         ),
         tried_counts,
         skipped,
+    )
+
+
+def compress_rowgroup_reference(
+    rowgroup: np.ndarray,
+    vector_size: int = VECTOR_SIZE,
+    force_scheme: str | None = None,
+) -> CompressedRowGroup:
+    """Per-vector-loop reference of :func:`compress_rowgroup`.
+
+    The same sampling, then one :func:`~repro.core.alp.alp_encode_vector`
+    or :func:`~repro.core.alprd.encode_vector_bits` call per vector, as
+    the encoder ran before row-group batching.  Kept as the ground truth
+    for the row-group encode equivalence tests and the
+    ``kernels/rowgroup-encode`` record; serialized output is identical.
+    """
+    rowgroup = np.ascontiguousarray(rowgroup, dtype=np.float64)
+    first = first_level_sample(rowgroup, vector_size=vector_size)
+    use_rd = first.use_rd if force_scheme is None else force_scheme == "alprd"
+    chunks = [
+        rowgroup[start : start + vector_size]
+        for start in range(0, rowgroup.size, vector_size)
+    ]
+    if use_rd:
+        parameters = fit_parameters(rowgroup, total_bits=64)
+        rd = AlpRdRowGroup(
+            parameters=parameters,
+            vectors=tuple(
+                encode_vector_bits(double_to_bits(chunk), parameters)
+                for chunk in chunks
+            ),
+            count=rowgroup.size,
+        )
+        return CompressedRowGroup(
+            alp=None, rd=rd, first_level=first, count=rowgroup.size
+        )
+    if len(first.candidates) == 1:
+        combos = [first.candidates[0]] * len(chunks)
+    else:
+        combos = [
+            second.combination
+            for second in second_level_sample_rowgroup(
+                rowgroup, first.candidates, vector_size=vector_size
+            )
+        ]
+    alp = AlpRowGroup(
+        vectors=tuple(
+            alp_encode_vector(chunk, combo.exponent, combo.factor)
+            for chunk, combo in zip(chunks, combos, strict=True)
+        ),
+        candidates=first.candidates,
+        count=rowgroup.size,
+    )
+    return CompressedRowGroup(
+        alp=alp, rd=None, first_level=first, count=rowgroup.size
     )
 
 

@@ -22,7 +22,7 @@ from repro.core.alprd import (
     AlpRdParameters,
     AlpRdVector,
     decode_vector_bits,
-    encode_vector_bits,
+    encode_rowgroup_bits,
     find_best_cut,
 )
 from repro.core.constants import VECTOR_SIZE
@@ -211,13 +211,9 @@ def compress_f32(
         params = find_best_cut(
             bits[equidistant_indices(bits.size, 256)], total_bits=32
         )
-        vectors = tuple(
-            encode_vector_bits(bits[s : s + vector_size], params)
-            for s in range(0, values.size, vector_size)
-        )
         return CompressedFloatColumn(
             scheme="alprd",
-            vectors=vectors,
+            vectors=encode_rowgroup_bits(bits, params, vector_size),
             rd_parameters=params,
             count=values.size,
         )

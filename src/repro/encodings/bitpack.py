@@ -152,12 +152,22 @@ def pack_bits(
     ``max_value`` lets callers that already reduced the maximum (every
     width computation does) skip the validation re-scan.
 
+    ``values`` may also be a 2-D ``(rows, count)`` matrix of equal-width
+    rows, mirroring the list form of :func:`unpack_bits`: the result is
+    every row's own payload back to back, row ``r`` at bytes
+    ``[r * n, (r + 1) * n)`` with ``n = packed_size_bytes(count,
+    width)``.  Every row is packed with the one-row plan, so the cached
+    geometry stays the size of one vector however many rows one call
+    packs.
+
     >>> unpack_bits(pack_bits(np.array([1, 2, 3], dtype=np.uint64), 2), 2, 3)
     array([1, 2, 3], dtype=uint64)
     """
     if width < 0 or width > 64:
         raise ValueError(f"bit width must be in [0, 64], got {width}")
     values = np.ascontiguousarray(values, dtype=np.uint64)
+    if values.ndim not in (1, 2):
+        raise ValueError(f"values must be 1-D or 2-D, got {values.ndim}-D")
     if values.size:
         vmax = int(values.max()) if max_value is None else max_value
         if width == 0:
@@ -167,7 +177,13 @@ def pack_bits(
         elif vmax >> width:
             raise ValueError(f"value {vmax} does not fit in {width} bits")
         else:
-            packed = _pack_words(values, width)
+            rows = values.reshape(-1, values.shape[-1])
+            # Passes of UNPACK_PASS_ROWS rows bound the word scatter's
+            # temporaries, however many rows one call packs.
+            packed = b"".join(
+                _pack_words(rows[at : at + UNPACK_PASS_ROWS], width)
+                for at in range(0, rows.shape[0], UNPACK_PASS_ROWS)
+            )
     else:
         packed = b""
     if obs.ENABLED:
@@ -177,21 +193,21 @@ def pack_bits(
     return packed
 
 
-def _pack_words(values: np.ndarray, width: int) -> bytes:
-    """Word-parallel packing core (validated inputs, width in 1..64)."""
+def _pack_words(rows: np.ndarray, width: int) -> bytes:
+    """Word-parallel packing core: a ``(rows, count)`` grid, width 1..64."""
     cast = _CAST_DTYPES.get(width)
     if cast is not None:
         # Byte-exact fast path: the field bytes *are* the value's low
         # bytes in big-endian order, so one dtype cast emits the stream.
-        return values.astype(cast).tobytes()
-    count = values.size
+        return rows.astype(cast).tobytes()
+    n_rows, count = rows.shape
     nbytes = (count * width + 7) // 8
     if width % 8 == 0:
         # Remaining byte-aligned widths (24/40/48/56): slice the low
         # ``width // 8`` byte columns out of the big-endian value bytes.
         k = width // 8
         return (
-            values.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - k :]
+            rows.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - k :]
         ).tobytes()
     (
         n_words,
@@ -205,14 +221,61 @@ def _pack_words(values: np.ndarray, width: int) -> bytes:
     # Left-align each field in its own 64-bit window, shift it down to
     # its in-word position, and OR together every field starting in the
     # same word.  Fields crossing a word boundary contribute their low
-    # bits to the next word in a second, conflict-free pass.
-    field = values << np.uint64(64 - width)
-    hi = field >> offset
-    words = np.zeros(n_words, dtype=np.uint64)
-    np.bitwise_or.reduceat(hi, boundaries, out=words[:n_start_words])
+    # bits to the next word in a second, conflict-free pass.  Row ``r``
+    # reuses the one-row plan: its OR segments start ``r * count``
+    # fields further on, and its spills land in its own row of words.
+    field = rows << np.uint64(64 - width)
+    hi = (field >> offset).reshape(-1)
+    if n_rows > 1:
+        boundaries = (
+            boundaries + np.arange(0, n_rows * count, count)[:, None]
+        ).reshape(-1)
+    heads = np.bitwise_or.reduceat(hi, boundaries).reshape(
+        n_rows, n_start_words
+    )
+    if n_words > n_start_words:
+        words = np.zeros((n_rows, n_words), dtype=np.uint64)
+        words[:, :n_start_words] = heads
+    else:
+        words = heads
     if s_idx.size:
-        words[s_idx] |= field[straddle] << s_shift
-    return words.astype(">u8").tobytes()[:nbytes]
+        words[:, s_idx] |= field[:, straddle] << s_shift
+    stream = words.astype(">u8")
+    if nbytes == n_words * 8:
+        return stream.tobytes()
+    # Rows that end inside a word keep only their own bytes.
+    return stream.view(np.uint8)[:, :nbytes].tobytes()
+
+
+def pack_rows(
+    rows: np.ndarray, maxima: np.ndarray
+) -> tuple[list[int], list[bytes]]:
+    """Pack each row of a ``(rows, count)`` grid at its own bit width.
+
+    ``maxima`` holds each row's largest value (width computations
+    reduce it anyway); row ``r`` packs at ``maxima[r].bit_length()``
+    bits, and its payload is exactly what :func:`pack_bits` returns for
+    it alone.  The rows sharing a width pack in one 2-D
+    :func:`pack_bits` call — a handful per row-group instead of one per
+    vector — and the result is cut into per-row payloads.  Returns
+    ``(widths, payloads)``.
+    """
+    n_rows, count = rows.shape
+    # Exact for every uint64, one call per row, not per value.
+    widths = [int(m).bit_length() for m in maxima.tolist()]
+    width_of = np.array(widths, dtype=np.int64)
+    payloads = [b""] * n_rows
+    for width in sorted(set(widths)):
+        members = np.flatnonzero(width_of == width)
+        group = rows if members.size == n_rows else rows[members]
+        packed = pack_bits(group, width, max_value=int(maxima[members].max()))
+        if not packed:
+            continue
+        nbytes = packed_size_bytes(count, width)
+        # Iterates the group's vectors, not values.  # reprolint: ignore[RL2]
+        for at, row in enumerate(members.tolist()):
+            payloads[row] = packed[at * nbytes : (at + 1) * nbytes]
+    return widths, payloads
 
 
 def pack_bits_bitmatrix(values: np.ndarray, width: int) -> bytes:
@@ -240,9 +303,10 @@ def pack_bits_bitmatrix(values: np.ndarray, width: int) -> bytes:
     return np.packbits(bits.ravel()).tobytes()
 
 
-#: Vectors one pass of the :func:`unpack_bits` gather covers.  Passes
-#: keep every temporary at ``16 * 1024 * 8`` bytes (128 KiB) for
-#: 1024-value vectors, however many vectors one call unpacks.
+#: Vectors one pass of the :func:`unpack_bits` gather (or of a 2-D
+#: :func:`pack_bits` scatter) covers.  Passes keep every temporary at
+#: ``16 * 1024 * 8`` bytes (128 KiB) for 1024-value vectors, however
+#: many vectors one call unpacks or packs.
 UNPACK_PASS_ROWS = 16
 
 

@@ -106,6 +106,29 @@ class SkewedDictionary:
         width = max(int(entries.size - 1).bit_length(), 0)
         return cls(entries=entries, code_width=width)
 
+    def lookup(self, left_parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Map left parts to ``(codes, found)`` with one sorted search.
+
+        ``found`` marks the parts the dictionary holds; the others get
+        code 0, a placeholder that stays within the packed width.  The
+        array may have any shape (a row-group's ``(vectors, vector
+        size)`` grid looks up at once); uint16 parts are searched as
+        they are, so a row-group's lookup stays a quarter the size.
+        """
+        left = np.asarray(left_parts)
+        if left.dtype != np.uint16:
+            left = left.astype(np.uint64)
+        sorter = np.argsort(self.entries, kind="stable")
+        # Entries are 16-bit values: exact as uint16 or uint64.
+        sorted_entries = self.entries[sorter].astype(left.dtype)
+        idx = np.searchsorted(sorted_entries, left)
+        np.minimum(idx, sorted_entries.size - 1, out=idx)
+        found = sorted_entries[idx] == left
+        # fits: codes address at most 2**MAX_SKEWED_DICT_BITS = 8 entries
+        codes = sorter.astype(np.uint8)[idx]
+        codes[~found] = 0
+        return codes, found
+
     def encode(
         self, left_parts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -116,13 +139,7 @@ class SkewedDictionary:
         true 16-bit value and position are returned for separate storage.
         """
         left = np.asarray(left_parts, dtype=np.uint64)
-        sorter = np.argsort(self.entries, kind="stable")
-        sorted_entries = self.entries[sorter].astype(np.uint64)
-        idx = np.searchsorted(sorted_entries, left)
-        idx_clipped = np.minimum(idx, sorted_entries.size - 1)
-        found = sorted_entries[idx_clipped] == left
-        codes = np.zeros(left.size, dtype=np.uint64)
-        codes[found] = sorter[idx_clipped[found]].astype(np.uint64)
+        codes, found = self.lookup(left)
         # fits: positions < vector size <= 65535
         exc_positions = np.flatnonzero(~found).astype(np.uint16)
         # fits: left parts are at most MAX_RD_LEFT_BITS = 16 bits wide

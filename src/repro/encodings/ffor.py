@@ -25,6 +25,7 @@ from repro.encodings.bitpack import (
     UNPACK_PASS_ROWS,
     Buffer,
     pack_bits,
+    pack_rows,
     uint64_sum_bounded,
     unpack_bits,
     unpack_sum,
@@ -73,6 +74,52 @@ def ffor_encode(values: np.ndarray) -> FforEncoded:
     return FforEncoded(
         payload=payload, reference=reference, bit_width=width, count=values.size
     )
+
+
+def ffor_encode_rowgroup(
+    values: np.ndarray, vector_size: int
+) -> list[FforEncoded]:
+    """FFOR-encode consecutive vectors of ``vector_size`` values at once.
+
+    The mirror of :func:`ffor_decode_rowgroup`: the per-vector minima,
+    residuals, maxima and bit widths come from whole-grid reductions
+    over the ``(vectors, vector size)`` grid, and the vectors of each
+    distinct width pack in one :func:`~repro.encodings.bitpack.pack_rows`
+    pass.  A short tail vector encodes as a grid of one row.  Output is
+    identical to :func:`ffor_encode` on each ``vector_size`` chunk.
+    """
+    values = np.ascontiguousarray(values, dtype=np.int64)
+    n_full = values.size // vector_size
+    frames = _ffor_encode_grid(
+        values[: n_full * vector_size].reshape(n_full, vector_size)
+    )
+    if values.size > n_full * vector_size:
+        frames += _ffor_encode_grid(values[n_full * vector_size :][None, :])
+    return frames
+
+
+def _ffor_encode_grid(grid: np.ndarray) -> list[FforEncoded]:
+    """FFOR frames of the rows of an int64 ``(vectors, count)`` grid."""
+    n_rows, count = grid.shape
+    if n_rows == 0:
+        return []
+    references = grid.min(axis=1)
+    residuals = grid.view(np.uint64) - references.view(np.uint64)[:, None]
+    widths, payloads = pack_rows(residuals, residuals.max(axis=1))
+    if obs.ENABLED:
+        obs.metrics.counter_add("ffor.vectors_encoded", n_rows)
+        obs.metrics.counter_add(
+            "ffor.packed_bytes", sum(len(p) for p in payloads)
+        )
+        obs.metrics.counter_add("ffor.bit_width_sum", sum(widths))
+    return [
+        FforEncoded(
+            payload=payload, reference=reference, bit_width=width, count=count
+        )
+        for payload, reference, width in zip(
+            payloads, references.tolist(), widths, strict=True
+        )
+    ]
 
 
 def ffor_decode(

@@ -151,7 +151,16 @@ class ByteReader:
         return self._pos
 
 
-#: FFOR frame head: reference, bit width, payload length.
+#: Row-group head: scheme tag, value count, then a u8 (candidate count
+#: for ALP, right bit width for ALP_rd).
+_ROWGROUP_HEAD = struct.Struct("<BIB")
+#: Two u8s: an (exponent, factor) candidate, or ALP_rd's total bits and
+#: dictionary size.
+_PAIR = struct.Struct("<BB")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+#: FFOR (and delta) frame head: reference, bit width, payload length;
+#: the frame's u32 value count follows the payload.
 _FFOR_HEAD = struct.Struct("<qBI")
 #: ALP vector head: exponent, factor, count, then the FFOR frame head.
 _ALP_HEAD = struct.Struct("<BBHqBI")
@@ -163,14 +172,6 @@ _LE_U16 = np.dtype("<u2")
 _LE_F64 = np.dtype("<f8")
 
 
-def _write_ffor(w: ByteWriter, ffor: FforEncoded) -> None:
-    w.i64(ffor.reference)
-    w.u8(ffor.bit_width)
-    w.u32(len(ffor.payload))
-    w.raw(ffor.payload)
-    w.u32(ffor.count)
-
-
 def _read_ffor(r: ByteReader) -> FforEncoded:
     reference, bit_width, payload_len = r.unpack(_FFOR_HEAD)
     payload = r.raw(payload_len)
@@ -178,16 +179,6 @@ def _read_ffor(r: ByteReader) -> FforEncoded:
     return FforEncoded(
         payload=payload, reference=reference, bit_width=bit_width, count=count
     )
-
-
-def _write_alp_vector(w: ByteWriter, vector: AlpVector) -> None:
-    w.u8(vector.exponent)
-    w.u8(vector.factor)
-    w.u16(vector.count)
-    _write_ffor(w, vector.ffor)
-    w.u16(vector.exc_positions.size)
-    w.array(vector.exc_positions.astype("<u2"))
-    w.array(vector.exc_values.astype("<f8"))
 
 
 def _read_alp_vector(r: ByteReader) -> AlpVector:
@@ -213,17 +204,6 @@ def _read_alp_vector(r: ByteReader) -> AlpVector:
     )
 
 
-def _write_rd_vector(w: ByteWriter, vector: AlpRdVector) -> None:
-    w.u16(vector.count)
-    w.u32(len(vector.left_payload))
-    w.raw(vector.left_payload)
-    w.u32(len(vector.right_payload))
-    w.raw(vector.right_payload)
-    w.u16(vector.exc_positions.size)
-    w.array(vector.exc_positions.astype("<u2"))
-    w.array(vector.exc_values.astype("<u2"))
-
-
 def _read_rd_vector(r: ByteReader) -> AlpRdVector:
     count, left_len = r.unpack(_RD_HEAD)
     left = r.raw(left_len)
@@ -241,34 +221,62 @@ def _read_rd_vector(r: ByteReader) -> AlpRdVector:
 
 
 def serialize_rowgroup(rowgroup: CompressedRowGroup) -> bytes:
-    """Serialize one compressed row-group to bytes."""
-    w = ByteWriter()
+    """Serialize one compressed row-group to bytes.
+
+    Every vector is one precompiled ``struct`` head, its payload(s) and
+    one ``struct`` tail appended to a single part list, joined once.
+    """
+    parts: list[bytes] = []
     if rowgroup.alp is not None:
-        w.u8(_SCHEME_ALP)
-        w.u32(rowgroup.count)
         alp = rowgroup.alp
-        w.u8(len(alp.candidates))
+        parts.append(
+            _ROWGROUP_HEAD.pack(_SCHEME_ALP, rowgroup.count, len(alp.candidates))
+        )
         for candidate in alp.candidates:
-            w.u8(candidate.exponent)
-            w.u8(candidate.factor)
-        w.u16(len(alp.vectors))
+            parts.append(_PAIR.pack(candidate.exponent, candidate.factor))
+        parts.append(_U16.pack(len(alp.vectors)))
         for vector in alp.vectors:
-            _write_alp_vector(w, vector)
+            ffor = vector.ffor
+            n_exc = vector.exc_positions.size
+            parts.append(
+                _ALP_HEAD.pack(
+                    vector.exponent,
+                    vector.factor,
+                    vector.count,
+                    ffor.reference,
+                    ffor.bit_width,
+                    len(ffor.payload),
+                )
+            )
+            parts.append(ffor.payload)
+            parts.append(_ALP_TAIL.pack(ffor.count, n_exc))
+            if n_exc:
+                parts.append(vector.exc_positions.astype(_LE_U16).tobytes())
+                parts.append(vector.exc_values.astype(_LE_F64).tobytes())
     else:
         if rowgroup.rd is None:
             raise ValueError("row-group has neither ALP nor ALP_rd payload")
         rd = rowgroup.rd
-        w.u8(_SCHEME_ALPRD)
-        w.u32(rowgroup.count)
-        w.u8(rd.parameters.right_bit_width)
-        w.u8(rd.parameters.total_bits)
         entries = rd.parameters.dictionary.entries
-        w.u8(entries.size)
-        w.array(entries.astype("<u2"))
-        w.u16(len(rd.vectors))
+        parts.append(
+            _ROWGROUP_HEAD.pack(
+                _SCHEME_ALPRD, rowgroup.count, rd.parameters.right_bit_width
+            )
+        )
+        parts.append(_PAIR.pack(rd.parameters.total_bits, entries.size))
+        parts.append(entries.astype(_LE_U16).tobytes())
+        parts.append(_U16.pack(len(rd.vectors)))
         for vector in rd.vectors:
-            _write_rd_vector(w, vector)
-    return w.getvalue()
+            n_exc = vector.exc_positions.size
+            parts.append(_RD_HEAD.pack(vector.count, len(vector.left_payload)))
+            parts.append(vector.left_payload)
+            parts.append(_U32.pack(len(vector.right_payload)))
+            parts.append(vector.right_payload)
+            parts.append(_U16.pack(n_exc))
+            if n_exc:
+                parts.append(vector.exc_positions.astype(_LE_U16).tobytes())
+                parts.append(vector.exc_values.astype(_LE_U16).tobytes())
+    return b"".join(parts)
 
 
 def deserialize_rowgroup(

@@ -63,8 +63,18 @@ from repro.core.compressor import (
 )
 from repro.core.constants import ROWGROUP_VECTORS, VECTOR_SIZE
 from repro.encodings.bitpack import bit_width_required, pack_bits, unpack_bits
-from repro.encodings.delta import DeltaEncoded, delta_decode, delta_encode
-from repro.encodings.ffor import FforEncoded, ffor_decode, ffor_encode
+from repro.encodings.delta import (
+    DeltaEncoded,
+    delta_decode,
+    delta_encode,
+    delta_encode_rowgroup,
+)
+from repro.encodings.ffor import (
+    FforEncoded,
+    ffor_decode,
+    ffor_encode,
+    ffor_encode_rowgroup,
+)
 from repro.storage.errors import (
     BufferLifetimeError,
     CorruptFileError,
@@ -82,8 +92,9 @@ from repro.storage.schema import (
 from repro.storage.serializer import (
     ByteReader,
     ByteWriter,
+    _FFOR_HEAD,
+    _U32,
     _read_ffor,
-    _write_ffor,
     deserialize_rowgroup,
     empty_stats,
     serialize_rowgroup,
@@ -561,14 +572,6 @@ def _fill_nulls(
     return out
 
 
-def _write_delta(w: ByteWriter, enc: DeltaEncoded) -> None:
-    w.i64(enc.first_value)
-    w.u8(enc.bit_width)
-    w.u32(len(enc.payload))
-    w.raw(enc.payload)
-    w.u32(enc.count)
-
-
 def _read_delta(r: ByteReader) -> DeltaEncoded:
     first_value = r.i64()
     bit_width = r.u8()
@@ -590,21 +593,23 @@ def _encode_int_payload(
     One frame per vector keeps vector-granular random access (the zone
     map skip path decodes only surviving vectors).  Without a pinned
     codec both encodings are produced and the smaller payload wins.
+    Each encoding runs once over the whole chunk
+    (:func:`~repro.encodings.ffor.ffor_encode_rowgroup`,
+    :func:`~repro.encodings.delta.delta_encode_rowgroup`).
     """
-    vectors = [
-        values[start : start + vector_size]
-        for start in range(0, values.size, vector_size)
-    ]
 
     def build(name: str) -> bytes:
-        w = ByteWriter()
-        w.u32(len(vectors))
-        for vec in vectors:
-            if name == "ffor":
-                _write_ffor(w, ffor_encode(vec))
-            else:
-                _write_delta(w, delta_encode(vec))
-        return w.getvalue()
+        if name == "ffor":
+            frames = [
+                (f.reference, f.bit_width, f.payload, f.count)
+                for f in ffor_encode_rowgroup(values, vector_size)
+            ]
+        else:
+            frames = [
+                (d.first_value, d.bit_width, d.payload, d.count)
+                for d in delta_encode_rowgroup(values, vector_size)
+            ]
+        return _int_frames(frames)
 
     if codec == "ffor":
         return build("ffor"), CODEC_INT_FFOR
@@ -615,6 +620,35 @@ def _encode_int_payload(
     if len(delta_bytes) < len(ffor_bytes):
         return delta_bytes, CODEC_INT_DELTA
     return ffor_bytes, CODEC_INT_FFOR
+
+
+def _int_frames(frames: "list[tuple[int, int, bytes, int]]") -> bytes:
+    """u32 frame count, then per frame: i64 head value (FFOR reference
+    or delta first value), u8 bit width, u32 payload length, payload,
+    u32 value count."""
+    parts = [_U32.pack(len(frames))]
+    for head, width, payload, count in frames:
+        parts.append(_FFOR_HEAD.pack(head, width, len(payload)))
+        parts.append(payload)
+        parts.append(_U32.pack(count))
+    return b"".join(parts)
+
+
+def _encode_int_payload_reference(
+    values: np.ndarray, vector_size: int, codec: str
+) -> bytes:
+    """Per-vector reference of :func:`_encode_int_payload` for one codec:
+    one :func:`ffor_encode` or :func:`delta_encode` call per vector."""
+    frames = []
+    for start in range(0, values.size, vector_size):
+        vector = values[start : start + vector_size]
+        if codec == "ffor":
+            f = ffor_encode(vector)
+            frames.append((f.reference, f.bit_width, f.payload, f.count))
+        else:
+            d = delta_encode(vector)
+            frames.append((d.first_value, d.bit_width, d.payload, d.count))
+    return _int_frames(frames)
 
 
 def _encode_string_payload(values: np.ndarray) -> bytes:

@@ -418,8 +418,9 @@ class TestKernelRecords:
         # record, the two encoded-query records (q-sum, q-cmp), the
         # zone-map table-scan record (q-table), the cold-read I/O
         # record (kernels/io), the CRC32C record (kernels/crc32c) and
-        # the row-group decode record (kernels/rowgroup-decode).
-        assert len(records) == 2 * len(KERNEL_WIDTHS) + 7
+        # the row-group decode and encode records
+        # (kernels/rowgroup-decode, kernels/rowgroup-encode).
+        assert len(records) == 2 * len(KERNEL_WIDTHS) + 8
         by_dataset = {r.dataset: r for r in records}
         for name, counter in (
             ("kernels/q-sum", "query.sum_speedup_vs_decode"),
@@ -429,6 +430,13 @@ class TestKernelRecords:
             *(
                 ("kernels/rowgroup-decode", f"rowgroup.{name}_speedup_vs_vector")
                 for name in ("City-Temp", "NYC/29", "POI-lat")
+            ),
+            *(
+                (
+                    "kernels/rowgroup-encode",
+                    f"rowgroup.{name}_speedup_vs_vector_encode",
+                )
+                for name in ("City-Temp", "Stocks-DE", "POI-lat", "ts")
             ),
         ):
             assert by_dataset[name].counters[counter] > 0
