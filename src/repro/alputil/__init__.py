@@ -10,6 +10,7 @@ The subpackage is intentionally dependency-free (numpy only) and contains:
 """
 
 from repro.alputil.bits import (
+    bit_length64,
     double_to_bits,
     bits_to_double,
     float32_to_bits,
@@ -27,6 +28,7 @@ from repro.alputil.decimals import decimal_places, decimal_places_array, magnitu
 __all__ = [
     "BitReader",
     "BitWriter",
+    "bit_length64",
     "bits_to_double",
     "bits_to_float32",
     "decimal_places",

@@ -81,26 +81,29 @@ def ieee754_mantissa(values: np.ndarray) -> np.ndarray:
     return bits & np.uint64((1 << DOUBLE_MANTISSA_BITS) - 1)
 
 
+def bit_length64(bits: np.ndarray) -> np.ndarray:
+    """Vectorized ``int.bit_length`` of each uint64 (0 for 0), as int64.
+
+    Exact and loop-free: each value's nonzero 32-bit half converts to
+    float64 without rounding, and ``frexp`` returns its bit length as
+    the binary exponent.  (Converting the whole 64-bit value would round
+    near powers of two above 2**53.)
+    """
+    bits = np.asarray(bits, dtype=np.uint64)
+    high = bits >> np.uint64(32)
+    has_high = high != 0
+    half = np.where(has_high, high, bits & np.uint64(0xFFFFFFFF))
+    exponent = np.frexp(half.astype(np.float64))[1]
+    return np.where(has_high, 32, 0) + exponent.astype(np.int64)
+
+
 def leading_zeros64(bits: np.ndarray) -> np.ndarray:
     """Vectorized count of leading zero bits of each uint64.
 
     ``leading_zeros64(0) == 64`` by convention, matching the behaviour the
     XOR schemes rely on (an all-zero XOR result means "identical value").
     """
-    bits = np.asarray(bits, dtype=np.uint64)
-    out = np.full(bits.shape, 64, dtype=np.int64)
-    nonzero = bits != 0
-    if np.any(nonzero):
-        nz = bits[nonzero]
-        # bit_length via log2 is unsafe near 2**53; do it with shifts.
-        count = np.zeros(nz.shape, dtype=np.int64)
-        work = nz.copy()
-        for shift in (32, 16, 8, 4, 2, 1):
-            mask = work >= (np.uint64(1) << np.uint64(shift))
-            count[mask] += shift
-            work[mask] >>= np.uint64(shift)
-        out[nonzero] = 63 - count
-    return out
+    return 64 - bit_length64(bits)
 
 
 def trailing_zeros64(bits: np.ndarray) -> np.ndarray:
@@ -109,14 +112,10 @@ def trailing_zeros64(bits: np.ndarray) -> np.ndarray:
     ``trailing_zeros64(0) == 64`` by convention.
     """
     bits = np.asarray(bits, dtype=np.uint64)
-    out = np.full(bits.shape, 64, dtype=np.int64)
-    nonzero = bits != 0
-    if np.any(nonzero):
-        nz = bits[nonzero]
-        # Isolate lowest set bit, then count its position.
-        lowest = nz & (np.uint64(0) - nz)
-        out[nonzero] = 63 - leading_zeros64(lowest)
-    return out
+    # Isolate the lowest set bit (0 stays 0); its bit length is one more
+    # than the trailing-zero count.
+    lowest = bits & (np.uint64(0) - bits)
+    return np.where(bits == 0, 64, bit_length64(lowest) - 1)
 
 
 def xor_with_previous(values: np.ndarray) -> np.ndarray:

@@ -64,7 +64,11 @@ dictionary pass, batched int64 frames) against the per-vector encode
 loop, on City-Temp (k' = 1), Stocks-DE (k' > 1), POI-lat (ALP_rd) and
 an int64 timestamp column, outputs byte-identical;
 ``counters["rowgroup.<dataset>_speedup_vs_vector_encode"]`` are
-floored too.
+floored too.  A ``kernels/sampler`` record times both sampling levels
+(the batched kernel) against the loop references that estimate one
+combination at a time through ``estimate_size_bits``, on City-Temp
+(k' = 1), Stocks-DE (k' > 1) and POI-lat (ALP_rd), decisions identical;
+``counters["sampler.<dataset>_speedup_vs_loop"]`` are floored.
 
 Records follow the ``BENCH_*.json`` schema (see
 :mod:`repro.bench.records`): ``bits_per_value`` is the field width and
@@ -810,6 +814,140 @@ def _bench_rowgroup_encode(repeats: int, calibration: float) -> BenchRecord:
     )
 
 
+#: Columns the sampler kernel samples: k' = 1 (City-Temp), k' > 1
+#: (Stocks-DE, level two runs) and ALP_rd (POI-lat, level one decides).
+SAMPLER_DATASETS = ("City-Temp", "Stocks-DE", "POI-lat")
+#: Row-groups per column the sampler kernel samples per call.
+SAMPLER_ROWGROUPS = 2
+#: Counter suffix of the sampler speedups.
+SAMPLER_SPEEDUP = "_speedup_vs_loop"
+
+
+def _sample_batched(chunks: list[np.ndarray]) -> list[tuple]:
+    """Both sampling levels of each row-group, as ``compress`` runs them:
+    ``(candidates, use_rd, estimate, per-vector (e, f, tried) or None)``
+    with ``estimate`` the level-one bits/value."""
+    from repro.core.sampler import (
+        first_level_sample,
+        second_level_sample_rowgroup,
+    )
+
+    decisions = []
+    for chunk in chunks:
+        first = first_level_sample(chunk)
+        winners = None
+        if not first.use_rd and first.k_prime > 1:
+            choices = second_level_sample_rowgroup(chunk, first.candidates)
+            winners = list(
+                zip(
+                    choices.exponents.tolist(),
+                    choices.factors.tolist(),
+                    choices.tried.tolist(),
+                    strict=True,
+                )
+            )
+        decisions.append(
+            (
+                first.candidates,
+                first.use_rd,
+                first.best_estimated_bits_per_value,
+                winners,
+            )
+        )
+    return decisions
+
+
+def _sample_loop(chunks: list[np.ndarray]) -> list[tuple]:
+    """The same decisions from the loop references: one
+    ``estimate_size_bits`` call per (vector, combination)."""
+    from repro.core.sampler import (
+        first_level_sample_loop,
+        second_level_sample_loop,
+    )
+
+    decisions = []
+    for chunk in chunks:
+        first = first_level_sample_loop(chunk)
+        winners = None
+        if not first.use_rd and first.k_prime > 1:
+            winners = []
+            for start in range(0, chunk.size, VECTOR_SIZE):
+                second = second_level_sample_loop(
+                    chunk[start : start + VECTOR_SIZE], first.candidates
+                )
+                combo = second.combination
+                winners.append(
+                    (combo.exponent, combo.factor, second.combinations_tried)
+                )
+        decisions.append(
+            (
+                first.candidates,
+                first.use_rd,
+                first.best_estimated_bits_per_value,
+                winners,
+            )
+        )
+    return decisions
+
+
+def _bench_sampler(repeats: int, calibration: float) -> BenchRecord:
+    """Batched two-level sampling vs the loop references
+    (``kernels/sampler``).
+
+    :data:`SAMPLER_ROWGROUPS` full row-groups of each of
+    :data:`SAMPLER_DATASETS`: ``compress_mbps`` is
+    :func:`~repro.core.sampler.first_level_sample` plus
+    :func:`~repro.core.sampler.second_level_sample_rowgroup` where more
+    than one candidate survives, ``decompress_mbps`` the per-vector,
+    per-combination loop references, both over all three columns, and
+    ``counters["sampler.<dataset>_speedup_vs_loop"]`` their ratio per
+    column, each floored in the kernel baseline.  Candidates, the ALP_rd
+    decision, the level-one estimate and every vector's winner must be
+    identical.  ``bits_per_value`` is the mean level-one estimate.
+    """
+    from repro.core.constants import ROWGROUP_SIZE
+    from repro.data import get_dataset
+
+    counters: dict[str, float] = {}
+    loop_seconds = batched_seconds = 0.0
+    estimates: list[float] = []
+    total_values = 0
+    n = SAMPLER_ROWGROUPS * ROWGROUP_SIZE
+    for name in SAMPLER_DATASETS:
+        values = get_dataset(name, n=n)
+        chunks = [
+            values[start : start + ROWGROUP_SIZE]
+            for start in range(0, n, ROWGROUP_SIZE)
+        ]
+        batched = functools.partial(_sample_batched, chunks)
+        loop = functools.partial(_sample_loop, chunks)
+        decisions = batched()
+        if decisions != loop():
+            raise AssertionError(f"{name}: batched sampling decisions differ")
+        loop_s, batched_s, speedup = _paired_times(loop, batched, repeats)
+        counters[f"sampler.{name}{SAMPLER_SPEEDUP}"] = speedup
+        loop_seconds += loop_s
+        batched_seconds += batched_s
+        estimates.extend(estimate for _, _, estimate, _ in decisions)
+        total_values += values.size
+    nbytes = total_values * 8
+    batched_mbps = nbytes / batched_seconds / 1e6
+    loop_mbps = nbytes / loop_seconds / 1e6
+    bits_per_value = float(np.mean(estimates))
+    return BenchRecord(
+        dataset="kernels/sampler",
+        codec="sample",
+        n=total_values,
+        bits_per_value=bits_per_value,
+        compression_ratio=64.0 / bits_per_value,
+        compress_mbps=batched_mbps,
+        decompress_mbps=loop_mbps,
+        compress_rel=batched_mbps / calibration,
+        decompress_rel=loop_mbps / calibration,
+        counters=counters,
+    )
+
+
 def kernel_bench_records(repeats: int = 5) -> list[BenchRecord]:
     """All kernel micro-benchmark records (see module docstring).
 
@@ -833,6 +971,7 @@ def kernel_bench_records(repeats: int = 5) -> list[BenchRecord]:
     raw.append(_bench_crc32c(repeats, cal_before))
     raw.append(_bench_rowgroup_decode(repeats, cal_before))
     raw.append(_bench_rowgroup_encode(repeats, cal_before))
+    raw.append(_bench_sampler(repeats, cal_before))
     calibration = (cal_before + calibration_mbps(repeats=repeats)) / 2
 
     # Re-anchor every record on the averaged calibration.
@@ -884,6 +1023,13 @@ def main(argv: list[str] | None = None) -> int:
         ]
         if per_column:
             extra = f"  ({', '.join(per_column)} vs per-vector)"
+        per_column = [
+            f"{name[len('sampler.') : -len(SAMPLER_SPEEDUP)]} {value:.1f}x"
+            for name, value in record.counters.items()
+            if name.endswith(SAMPLER_SPEEDUP)
+        ]
+        if per_column:
+            extra = f"  ({', '.join(per_column)} vs loop references)"
         for name, value in record.counters.items():
             if name.endswith(SPEEDUP_SUFFIX):
                 extra = f"  ({value:.2f}x fused vs decode-first)"

@@ -180,8 +180,8 @@ def _compress_rowgroup(
         )
 
     tried_counts: list[int] = []
-    exponents: int | list[int]
-    factors: int | list[int]
+    exponents: int | np.ndarray
+    factors: int | np.ndarray
     if len(first.candidates) == 1:
         # The common case: one surviving candidate means every vector
         # skips level two and encodes under the same (e, f).
@@ -191,19 +191,14 @@ def _compress_rowgroup(
         obs.counter_add("sampler.second_level_skipped", skipped)
     else:
         # Multiple candidates: level-two sampling for every vector runs
-        # as one batched (k' x vectors x s) evaluation, then each vector
+        # as one batched (s x vectors x k') evaluation, then each vector
         # encodes under its own winner.
-        seconds = second_level_sample_rowgroup(
+        choices = second_level_sample_rowgroup(
             rowgroup, first.candidates, vector_size=vector_size
         )
-        exponents = [second.combination.exponent for second in seconds]
-        factors = [second.combination.factor for second in seconds]
-        skipped = sum(second.skipped for second in seconds)
-        tried_counts = [
-            second.combinations_tried
-            for second in seconds
-            if not second.skipped
-        ]
+        exponents, factors = choices.exponents, choices.factors
+        skipped = 0
+        tried_counts = choices.tried.tolist()
     # One batched ALP_enc/ALP_dec/FFOR pass over the whole row-group.
     vectors = alp_encode_rowgroup(rowgroup, exponents, factors, vector_size)
 
@@ -260,18 +255,19 @@ def compress_rowgroup_reference(
             alp=None, rd=rd, first_level=first, count=rowgroup.size
         )
     if len(first.candidates) == 1:
-        combos = [first.candidates[0]] * len(chunks)
+        combo = first.candidates[0]
+        exponents = [combo.exponent] * len(chunks)
+        factors = [combo.factor] * len(chunks)
     else:
-        combos = [
-            second.combination
-            for second in second_level_sample_rowgroup(
-                rowgroup, first.candidates, vector_size=vector_size
-            )
-        ]
+        choices = second_level_sample_rowgroup(
+            rowgroup, first.candidates, vector_size=vector_size
+        )
+        exponents = choices.exponents.tolist()
+        factors = choices.factors.tolist()
     alp = AlpRowGroup(
         vectors=tuple(
-            alp_encode_vector(chunk, combo.exponent, combo.factor)
-            for chunk, combo in zip(chunks, combos, strict=True)
+            alp_encode_vector(chunk, e, f)
+            for chunk, e, f in zip(chunks, exponents, factors, strict=True)
         ),
         candidates=first.candidates,
         count=rowgroup.size,

@@ -22,11 +22,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from repro import obs
-from repro.alputil.bits import leading_zeros64
+from repro.alputil.bits import bit_length64
 from repro.core.constants import (
     EXCEPTION_SIZE_BITS,
     F10,
@@ -36,9 +37,9 @@ from repro.core.constants import (
     SAMPLES_PER_ROWGROUP,
     SAMPLES_PER_VECTOR_FIRST_LEVEL,
     SAMPLES_PER_VECTOR_SECOND_LEVEL,
+    SWEET_SPOT,
     VECTOR_SIZE,
 )
-from repro.core.fastround import fast_round
 
 
 @dataclass(frozen=True, order=True)
@@ -79,45 +80,74 @@ _E_ALL, _F_ALL = _build_search_space()
 SEARCH_SPACE_SIZE = _E_ALL.size
 
 
+#: The search space as ExponentFactor objects, index-aligned with
+#: ``_E_ALL`` / ``_F_ALL``.
+_COMBOS = tuple(
+    ExponentFactor(int(e), int(f)) for e, f in zip(_E_ALL, _F_ALL, strict=True)
+)
+
+
 def estimate_sizes_matrix(
     samples: np.ndarray, exponents: np.ndarray, factors: np.ndarray
 ) -> np.ndarray:
-    """Estimated bits per (combination, sampled vector), fully batched.
+    """Estimated bits per (sampled vector, combination), fully batched.
 
-    ``samples`` is a (vectors x samples-per-vector) float64 matrix;
-    ``exponents`` / ``factors`` are parallel int arrays of combinations.
-    Returns an int64 matrix of shape (combinations, vectors).  This one
-    kernel powers both sampling levels: the first level evaluates the
-    full 253-combination search space over all m sampled vectors at
-    once, the second level evaluates the k' surviving candidates over a
-    single vector's sample.
+    ``samples`` is a (samples-per-vector x vectors) float64 matrix, one
+    sampled vector per column; ``exponents`` / ``factors`` are parallel
+    int arrays of combinations.  Returns an int64 matrix of shape
+    (vectors, combinations), equal entry for entry to
+    :func:`repro.core.alp.estimate_size_bits` of that column under that
+    combination.  This one kernel powers both sampling levels: level one
+    evaluates the full 253-combination search space over the m sampled
+    vectors, level two the k' surviving candidates over every vector of
+    a row-group.
+
+    The work is a (samples, vectors, combinations) cube, combinations
+    innermost, reduced over its leading axis (a leading-axis reduction
+    is one elementwise pass per sample row, several times cheaper than
+    reducing a short innermost axis).  It stays in the float domain:
+    ``trunc`` of the clipped sweet-spot result is exactly the int64 cast
+    :func:`~repro.core.fastround.fast_round` makes, and a NaN sample,
+    which ``fast_round`` maps to 0, is forced to be an exception here.
     """
-    samples = np.ascontiguousarray(samples, dtype=np.float64)
-    n_samples = samples.shape[1]
+    samples = np.asarray(samples, dtype=np.float64)
+    n_samples, n_vectors = samples.shape
+    if n_samples == 0:
+        return np.zeros((n_vectors, len(exponents)), dtype=np.int64)
+    column = samples[:, :, None]
     # The multiplication structure must match alp_analyze exactly (two
     # separate multiplies, not a precomputed product): a different rounding
     # path would make the sampler mispredict the encoder's exceptions.
-    e_mul = F10[exponents][:, None, None]
-    f_inv = IF10[factors][:, None, None]
-    f_mul = F10[factors][:, None, None]
-    e_inv = IF10[exponents][:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        encoded = fast_round(samples[None, :, :] * e_mul * f_inv)
-        decoded = encoded * f_mul * e_inv
-    exceptions = decoded.view(np.uint64) != samples.view(np.uint64)
-
-    int_min = np.iinfo(np.int64).min
-    int_max = np.iinfo(np.int64).max
-    masked_max = np.where(exceptions, int_min, encoded).max(axis=2)
-    masked_min = np.where(exceptions, int_max, encoded).min(axis=2)
-    n_exc = exceptions.sum(axis=2)
-    n_valid = n_samples - n_exc
-
-    spread = np.where(
-        n_valid > 0, masked_max - masked_min, 0
-    ).astype(np.uint64)
-    width = 64 - leading_zeros64(spread)
-    return (n_valid * width + n_exc * EXCEPTION_SIZE_BITS).astype(np.int64)
+        encoded = column * F10[exponents]
+        encoded *= IF10[factors]
+        encoded += SWEET_SPOT
+        encoded -= SWEET_SPOT
+        np.clip(encoded, -(2.0**62), 2.0**62, out=encoded)
+        np.trunc(encoded, out=encoded)
+        decoded = encoded * F10[factors]
+        decoded *= IF10[exponents]
+    valid = decoded.view(np.uint64) == column.view(np.uint64)
+    nan = np.isnan(samples)
+    if nan.any():
+        valid &= ~nan[:, :, None]
+    # Counts fit the narrow accumulator; summing uint8 is ~6x faster.
+    count_type = np.uint8 if n_samples <= 0xFF else np.int64
+    n_valid = np.add.reduce(
+        valid.view(np.uint8), axis=0, dtype=count_type
+    ).astype(np.int64)
+    np.copyto(encoded, np.nan, where=~valid)
+    high = np.fmax.reduce(encoded, axis=0)
+    low = np.fmin.reduce(encoded, axis=0)
+    all_exceptions = n_valid == 0
+    high[all_exceptions] = 0.0
+    low[all_exceptions] = 0.0
+    # Both bounds are integers within +-2**62, so the casts are exact;
+    # the int64 difference wraps into the exact uint64 spread.
+    spread = (high.astype(np.int64) - low.astype(np.int64)).view(np.uint64)
+    return n_valid * bit_length64(spread) + (
+        n_samples - n_valid
+    ) * EXCEPTION_SIZE_BITS
 
 
 def estimate_sizes_all_combinations(sample: np.ndarray) -> np.ndarray:
@@ -125,18 +155,15 @@ def estimate_sizes_all_combinations(sample: np.ndarray) -> np.ndarray:
 
     Returns an array aligned with the module's search-space ordering.
     """
-    sample = np.ascontiguousarray(sample, dtype=np.float64)
-    if sample.size == 0:
-        return np.zeros(SEARCH_SPACE_SIZE, dtype=np.int64)
-    return estimate_sizes_matrix(sample[None, :], _E_ALL, _F_ALL)[:, 0]
+    sample = np.asarray(sample, dtype=np.float64).ravel()
+    return estimate_sizes_matrix(sample[:, None], _E_ALL, _F_ALL)[0]
 
 
 def find_best_combination(sample: np.ndarray) -> tuple[ExponentFactor, int]:
     """Full-search the best (e, f) for a sample; returns (combo, est. bits)."""
     sizes = estimate_sizes_all_combinations(sample)
     best = int(np.argmin(sizes))
-    combo = ExponentFactor(int(_E_ALL[best]), int(_F_ALL[best]))
-    return combo, int(sizes[best])
+    return _COMBOS[best], int(sizes[best])
 
 
 @lru_cache(maxsize=256)
@@ -161,6 +188,59 @@ def sample_vector(values: np.ndarray, wanted: int) -> np.ndarray:
     return values[equidistant_indices(values.size, wanted)]
 
 
+def _sample_positions(
+    size: int, vector_size: int, vector_ids: list[int], wanted: int
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Sample positions of some vectors of a ``size``-value row-group.
+
+    Each vector contributes :func:`sample_vector`'s positions, offset to
+    its start; vectors without values contribute nothing.  Vectors are
+    grouped by sample length (only a short tail vector differs), one
+    ``(vector ids, positions)`` pair per group, ``positions`` a
+    (length x vectors) matrix with one column per vector, so that
+    ``rowgroup[positions]`` is the group's sample matrix in one gather.
+    """
+    groups: dict[int, tuple[list[int], list[np.ndarray]]] = {}
+    for vi in vector_ids:
+        start = vi * vector_size
+        count = min(vector_size, size - start)
+        if count <= 0:
+            continue
+        positions = start + equidistant_indices(count, wanted)
+        ids, columns = groups.setdefault(positions.size, ([], []))
+        ids.append(vi)
+        columns.append(positions)
+    result = []
+    for ids, columns in groups.values():
+        id_array = np.asarray(ids, dtype=np.int64)
+        matrix = np.stack(columns, axis=1)
+        id_array.flags.writeable = False
+        matrix.flags.writeable = False
+        result.append((id_array, matrix))
+    return tuple(result)
+
+
+@lru_cache(maxsize=64)
+def _first_level_positions(
+    size: int, vector_size: int, vectors_sampled: int, wanted: int
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Level one's sample positions: ``wanted`` values from each of
+    ``vectors_sampled`` equidistant vectors (cached, read-only)."""
+    n_vectors = max(1, -(-size // vector_size))
+    vector_ids = equidistant_indices(n_vectors, vectors_sampled).tolist()
+    return _sample_positions(size, vector_size, vector_ids, wanted)
+
+
+@lru_cache(maxsize=64)
+def _second_level_positions(
+    size: int, vector_size: int, wanted: int
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Level two's sample positions: ``wanted`` values from every vector
+    (cached, read-only)."""
+    n_vectors = -(-size // vector_size)
+    return _sample_positions(size, vector_size, list(range(n_vectors)), wanted)
+
+
 @dataclass(frozen=True)
 class FirstLevelResult:
     """Outcome of the row-group (first) sampling level.
@@ -181,6 +261,14 @@ class FirstLevelResult:
         return len(self.candidates)
 
 
+#: Level one's outcome when no vector had a value to sample.
+_NOTHING_SAMPLED = FirstLevelResult(
+    candidates=(ExponentFactor(0, 0),),
+    use_rd=False,
+    best_estimated_bits_per_value=0.0,
+)
+
+
 def first_level_sample(
     rowgroup: np.ndarray,
     vector_size: int = VECTOR_SIZE,
@@ -192,10 +280,10 @@ def first_level_sample(
     """Row-group sampling: full search on m x n sampled values (§3.2).
 
     The full searches of all m sampled vectors run as *one* batched
-    (253 x m*n) evaluation (vectors whose tail chunk yields a shorter
-    sample are batched separately per sample length, so estimates stay
-    identical to the per-vector loop in
-    :func:`first_level_sample_loop`).
+    (n samples x m vectors x 253 combinations) evaluation.  A tail
+    vector whose sample is shorter is evaluated on its own, so estimates
+    stay identical to the per-vector loop in
+    :func:`first_level_sample_loop`.
     """
     from repro.core.constants import RD_SIZE_THRESHOLD_BITS
 
@@ -204,69 +292,59 @@ def first_level_sample(
 
     with obs.span("sampler.first_level"):
         rowgroup = np.ascontiguousarray(rowgroup, dtype=np.float64)
-        n_vectors = max(1, (rowgroup.size + vector_size - 1) // vector_size)
-        vector_indices = equidistant_indices(n_vectors, vectors_sampled)
-
-        by_length: dict[int, list[np.ndarray]] = {}
-        # Iterates the m = 8 sampled vector indices, not per-value data;
-        # the per-value work is vectorized.  # reprolint: ignore[RL2]
-        for vi in vector_indices.tolist():
-            chunk = rowgroup[vi * vector_size : (vi + 1) * vector_size]
-            if chunk.size == 0:
-                continue
-            sample = sample_vector(chunk, values_per_vector)
-            by_length.setdefault(sample.size, []).append(sample)
-
-        votes: Counter[ExponentFactor] = Counter()
+        votes = np.zeros(SEARCH_SPACE_SIZE, dtype=np.int64)
         best_ratio = float("inf")
         sampled = 0
-        for length, sample_list in by_length.items():
-            sizes = estimate_sizes_matrix(
-                np.stack(sample_list), _E_ALL, _F_ALL
-            )
+        for _, positions in _first_level_positions(
+            rowgroup.size, vector_size, vectors_sampled, values_per_vector
+        ):
+            sizes = estimate_sizes_matrix(rowgroup[positions], _E_ALL, _F_ALL)
             # np.argmin takes the first minimum, preserving the search
             # space's high-e/high-f-first tie-break per vector.
-            best = np.argmin(sizes, axis=0)
-            # One vote per sampled vector (m = 8 per row-group), not a
-            # per-value loop.  # reprolint: ignore[RL2]
-            for column, ci in enumerate(best.tolist()):
-                votes[ExponentFactor(int(_E_ALL[ci]), int(_F_ALL[ci]))] += 1
-                best_ratio = min(best_ratio, int(sizes[ci, column]) / length)
-            sampled += len(sample_list)
+            votes += np.bincount(
+                np.argmin(sizes, axis=1), minlength=SEARCH_SPACE_SIZE
+            )
+            best_ratio = min(best_ratio, int(sizes.min()) / positions.shape[0])
+            sampled += positions.shape[1]
+        if not sampled:
+            result = _NOTHING_SAMPLED
+        else:
+            # Most frequent first; the stable sort keeps search-space
+            # order among ties: higher exponent, then higher factor.
+            ranked = np.argsort(-votes, kind="stable")
+            kept = min(max_candidates, int(np.count_nonzero(votes)))
+            result = FirstLevelResult(
+                candidates=tuple(_COMBOS[i] for i in ranked[:kept].tolist()),
+                use_rd=best_ratio >= rd_threshold_bits,
+                best_estimated_bits_per_value=best_ratio,
+            )
 
     if obs.ENABLED:
         obs.metrics.counter_add("sampler.first_level_runs", 1)
         obs.metrics.counter_add("sampler.first_level_vectors", sampled)
-    return _rank_first_level(votes, best_ratio, max_candidates, rd_threshold_bits)
+        if sampled:
+            obs.metrics.counter_add(
+                "sampler.candidates_kept", len(result.candidates)
+            )
+    return result
 
 
-def _rank_first_level(
-    votes: Counter[ExponentFactor],
-    best_ratio: float,
-    max_candidates: int,
-    rd_threshold_bits: float,
-) -> FirstLevelResult:
-    """Turn per-vector winner votes into the ranked candidate set."""
-    if not votes:
-        return FirstLevelResult(
-            candidates=(ExponentFactor(0, 0),),
-            use_rd=False,
-            best_estimated_bits_per_value=0.0,
-        )
+def _best_combination_reference(
+    sample: np.ndarray,
+) -> tuple[ExponentFactor, int]:
+    """Full search through the encoder's own size estimate, one
+    combination at a time; the first minimum in search-space order wins."""
+    from repro.core.alp import estimate_size_bits
 
-    # Most frequent first; ties prefer higher exponent, then higher factor.
-    ranked = sorted(
-        votes.items(),
-        key=lambda item: (-item[1], -item[0].exponent, -item[0].factor),
+    best_combo = _COMBOS[0]
+    best_size = estimate_size_bits(
+        sample, best_combo.exponent, best_combo.factor
     )
-    candidates = tuple(combo for combo, _ in ranked[:max_candidates])
-    if obs.ENABLED:
-        obs.metrics.counter_add("sampler.candidates_kept", len(candidates))
-    return FirstLevelResult(
-        candidates=candidates,
-        use_rd=best_ratio >= rd_threshold_bits,
-        best_estimated_bits_per_value=best_ratio,
-    )
+    for combo in _COMBOS[1:]:
+        size = estimate_size_bits(sample, combo.exponent, combo.factor)
+        if size < best_size:
+            best_combo, best_size = combo, size
+    return best_combo, best_size
 
 
 def first_level_sample_loop(
@@ -277,11 +355,15 @@ def first_level_sample_loop(
     max_candidates: int = MAX_COMBINATIONS,
     rd_threshold_bits: float | None = None,
 ) -> FirstLevelResult:
-    """Per-vector-loop reference of :func:`first_level_sample`.
+    """Per-vector, per-combination loop reference of
+    :func:`first_level_sample`.
 
-    One full search per sampled vector, exactly as the batched version
-    but dispatched m times.  Kept (un-instrumented) as the ground truth
-    for the sampler-equivalence tests; results are identical.
+    Each sampled vector is searched one combination at a time with
+    :func:`repro.core.alp.estimate_size_bits` (the encoder's own
+    ``alp_analyze``), and the votes are ranked by an explicit
+    (count, exponent, factor) sort, so it shares no code with the
+    batched kernel.  Kept (un-instrumented) as the ground truth for the
+    sampler-equivalence tests; results are identical.
     """
     from repro.core.constants import RD_SIZE_THRESHOLD_BITS
 
@@ -299,10 +381,21 @@ def first_level_sample_loop(
         if chunk.size == 0:
             continue
         sample = sample_vector(chunk, values_per_vector)
-        combo, est_bits = find_best_combination(sample)
+        combo, est_bits = _best_combination_reference(sample)
         votes[combo] += 1
         best_ratio = min(best_ratio, est_bits / sample.size)
-    return _rank_first_level(votes, best_ratio, max_candidates, rd_threshold_bits)
+    if not votes:
+        return _NOTHING_SAMPLED
+    # Most frequent first; ties prefer higher exponent, then higher factor.
+    ranked = sorted(
+        votes.items(),
+        key=lambda item: (-item[1], -item[0].exponent, -item[0].factor),
+    )
+    return FirstLevelResult(
+        candidates=tuple(combo for combo, _ in ranked[:max_candidates]),
+        use_rd=best_ratio >= rd_threshold_bits,
+        best_estimated_bits_per_value=best_ratio,
+    )
 
 
 @dataclass(frozen=True)
@@ -314,13 +407,67 @@ class SecondLevelResult:
     skipped: bool  # True when k' == 1 and no sampling happened
 
 
-def _estimate_for_candidates(
-    sample: np.ndarray, candidate: ExponentFactor
-) -> int:
-    """Size estimate of one candidate on the per-vector sample."""
-    from repro.core.alp import estimate_size_bits
+class VectorChoices(NamedTuple):
+    """Level two's outcome for every vector of a row-group.
 
-    return estimate_size_bits(sample, candidate.exponent, candidate.factor)
+    Three int64 arrays with one entry per vector: the winning exponent
+    and factor, and how many candidates the greedy walk tried (0 when
+    k' == 1 and level two was skipped).
+    """
+
+    exponents: np.ndarray
+    factors: np.ndarray
+    tried: np.ndarray
+
+
+def _candidate_arrays(
+    candidates: tuple[ExponentFactor, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates' exponents and factors as parallel int64 arrays."""
+    if not candidates:
+        raise ValueError("second_level_sample needs at least one candidate")
+    return (
+        np.array([c.exponent for c in candidates], dtype=np.int64),
+        np.array([c.factor for c in candidates], dtype=np.int64),
+    )
+
+
+def _greedy_walk(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The §3.2 greedy early-exit walk, for every vector at once.
+
+    ``sizes`` is a (vectors x k') matrix of size estimates, candidates
+    in rank order.  Each vector walks its row and stops after two
+    consecutive candidates that do no better than its best so far; the
+    k' - 1 steps run as whole-column numpy operations.  Returns
+    ``(winner index, combinations tried, early exits)`` — per vector the
+    same as walking its row lazily, one candidate at a time.
+    """
+    n_vectors, k = sizes.shape
+    best = sizes[:, 0]
+    winner = np.zeros(n_vectors, dtype=np.int64)
+    tried = np.ones(n_vectors, dtype=np.int64)
+    streak = np.zeros(n_vectors, dtype=np.int64)
+    walking = np.ones(n_vectors, dtype=bool)
+    for j in range(1, k):
+        tried += walking
+        better = walking & (sizes[:, j] < best)
+        best = np.where(better, sizes[:, j], best)
+        winner[better] = j
+        streak = np.where(better, 0, streak + walking)
+        walking &= streak < 2
+    return winner, tried, n_vectors - int(np.count_nonzero(walking))
+
+
+def _count_second_level(
+    vectors: int, tried: np.ndarray, early_exits: int
+) -> None:
+    """Level two's counters: vectors sampled, combinations tried, early
+    exits."""
+    if obs.ENABLED:
+        obs.metrics.counter_add("sampler.second_level_runs", vectors)
+        obs.metrics.counter_add("sampler.combinations_tried", int(tried.sum()))
+        if early_exits:
+            obs.metrics.counter_add("sampler.early_exits", early_exits)
 
 
 def second_level_sample(
@@ -335,60 +482,23 @@ def second_level_sample(
     search stops and the best so far wins.  With a single candidate the
     whole step is skipped.
     """
-    if not candidates:
-        raise ValueError("second_level_sample needs at least one candidate")
     if len(candidates) == 1:
         obs.counter_add("sampler.second_level_skipped")
         return SecondLevelResult(
             combination=candidates[0], combinations_tried=0, skipped=True
         )
 
+    exponents, factors = _candidate_arrays(candidates)
     with obs.span("sampler.second_level"):
-        sample = sample_vector(
-            np.ascontiguousarray(vector, dtype=np.float64), samples
-        )
-        # All k' candidates in one (k' x s) evaluation; the paper's greedy
-        # early-exit walk is then replayed over the size array, so the
-        # winner and ``combinations_tried`` match the lazy loop exactly.
-        exponents = np.asarray([c.exponent for c in candidates], dtype=np.int64)
-        factors = np.asarray([c.factor for c in candidates], dtype=np.int64)
-        sizes = estimate_sizes_matrix(sample[None, :], exponents, factors)[:, 0]
-        best_combo, tried, early_exit = _greedy_walk(candidates, sizes.tolist())
-    if obs.ENABLED:
-        obs.metrics.counter_add("sampler.second_level_runs", 1)
-        obs.metrics.counter_add("sampler.combinations_tried", tried)
-        if early_exit:
-            obs.metrics.counter_add("sampler.early_exits", 1)
+        sample = sample_vector(np.asarray(vector, dtype=np.float64), samples)
+        sizes = estimate_sizes_matrix(sample[:, None], exponents, factors)
+        winner, tried, early_exits = _greedy_walk(sizes)
+    _count_second_level(1, tried, early_exits)
     return SecondLevelResult(
-        combination=best_combo, combinations_tried=tried, skipped=False
+        combination=candidates[int(winner[0])],
+        combinations_tried=int(tried[0]),
+        skipped=False,
     )
-
-
-def _greedy_walk(
-    candidates: tuple[ExponentFactor, ...], sizes: list[int]
-) -> tuple[ExponentFactor, int, bool]:
-    """The §3.2 greedy early-exit walk over per-candidate size estimates.
-
-    Returns ``(winner, combinations_tried, early_exit)``.  Stops after
-    two consecutive candidates that do no better than the best so far —
-    identical control flow whether the sizes were computed lazily (loop
-    reference) or upfront (batched path).
-    """
-    best_combo = candidates[0]
-    best_size = sizes[0]
-    worse_streak = 0
-    tried = 1
-    for candidate, size in zip(candidates[1:], sizes[1:], strict=True):
-        tried += 1
-        if size < best_size:
-            best_size = size
-            best_combo = candidate
-            worse_streak = 0
-        else:
-            worse_streak += 1
-            if worse_streak >= 2:
-                return best_combo, tried, True
-    return best_combo, tried, False
 
 
 def second_level_sample_rowgroup(
@@ -396,64 +506,40 @@ def second_level_sample_rowgroup(
     candidates: tuple[ExponentFactor, ...],
     vector_size: int = VECTOR_SIZE,
     samples: int = SAMPLES_PER_VECTOR_SECOND_LEVEL,
-) -> list[SecondLevelResult]:
+) -> VectorChoices:
     """Level-two sampling for every vector of a row-group, batched.
 
-    One (k' x vectors x s) evaluation replaces the per-vector calls to
-    :func:`second_level_sample`; the greedy early-exit walk then replays
-    per vector over its own size column.  Winners, try counts and early
-    exits are identical to calling :func:`second_level_sample` on each
-    chunk (vectors with a shorter tail sample are batched separately per
-    sample length so their estimates do not change).
+    The full vectors' samples come from one gather and one
+    (s x vectors x k') evaluation (a shorter tail sample is evaluated
+    on its own), and the greedy early-exit walk replays over the
+    (vectors x k') size matrix in at most k' - 1 numpy steps.  Winners
+    and try counts are identical to calling :func:`second_level_sample`
+    on each chunk.
     """
-    if not candidates:
-        raise ValueError("second_level_sample needs at least one candidate")
+    exponents, factors = _candidate_arrays(candidates)
     rowgroup = np.ascontiguousarray(rowgroup, dtype=np.float64)
-    n_vectors = (rowgroup.size + vector_size - 1) // vector_size
+    n_vectors = -(-rowgroup.size // vector_size)
     if len(candidates) == 1:
         obs.counter_add("sampler.second_level_skipped", n_vectors)
-        return [
-            SecondLevelResult(
-                combination=candidates[0], combinations_tried=0, skipped=True
-            )
-        ] * n_vectors
+        return VectorChoices(
+            exponents=np.full(n_vectors, exponents[0]),
+            factors=np.full(n_vectors, factors[0]),
+            tried=np.zeros(n_vectors, dtype=np.int64),
+        )
 
     with obs.span("sampler.second_level"):
-        by_length: dict[int, list[int]] = {}
-        sample_rows: list[np.ndarray] = []
-        for vi in range(n_vectors):
-            chunk = rowgroup[vi * vector_size : (vi + 1) * vector_size]
-            sample_rows.append(sample_vector(chunk, samples))
-            by_length.setdefault(sample_rows[-1].size, []).append(vi)
-
-        exponents = np.asarray([c.exponent for c in candidates], dtype=np.int64)
-        factors = np.asarray([c.factor for c in candidates], dtype=np.int64)
-        results: list[SecondLevelResult | None] = [None] * n_vectors
-        early_exits = 0
-        tried_total = 0
-        for vector_ids in by_length.values():
-            sizes = estimate_sizes_matrix(
-                np.stack([sample_rows[vi] for vi in vector_ids]),
-                exponents,
-                factors,
+        sizes = np.empty((n_vectors, len(candidates)), dtype=np.int64)
+        for vector_ids, positions in _second_level_positions(
+            rowgroup.size, vector_size, samples
+        ):
+            sizes[vector_ids] = estimate_sizes_matrix(
+                rowgroup[positions], exponents, factors
             )
-            for column, vi in enumerate(vector_ids):
-                best_combo, tried, early_exit = _greedy_walk(
-                    candidates, sizes[:, column].tolist()
-                )
-                results[vi] = SecondLevelResult(
-                    combination=best_combo,
-                    combinations_tried=tried,
-                    skipped=False,
-                )
-                tried_total += tried
-                early_exits += early_exit
-    if obs.ENABLED:
-        obs.metrics.counter_add("sampler.second_level_runs", n_vectors)
-        obs.metrics.counter_add("sampler.combinations_tried", tried_total)
-        if early_exits:
-            obs.metrics.counter_add("sampler.early_exits", early_exits)
-    return results  # type: ignore[return-value]
+        winner, tried, early_exits = _greedy_walk(sizes)
+    _count_second_level(n_vectors, tried, early_exits)
+    return VectorChoices(
+        exponents=exponents[winner], factors=factors[winner], tried=tried
+    )
 
 
 def second_level_sample_loop(
@@ -468,6 +554,8 @@ def second_level_sample_loop(
     ground truth for the sampler-equivalence tests; results are
     identical to the batched version.
     """
+    from repro.core.alp import estimate_size_bits
+
     if not candidates:
         raise ValueError("second_level_sample needs at least one candidate")
     if len(candidates) == 1:
@@ -478,11 +566,13 @@ def second_level_sample_loop(
         np.ascontiguousarray(vector, dtype=np.float64), samples
     )
     best_combo = candidates[0]
-    best_size = _estimate_for_candidates(sample, best_combo)
+    best_size = estimate_size_bits(
+        sample, best_combo.exponent, best_combo.factor
+    )
     worse_streak = 0
     tried = 1
     for candidate in candidates[1:]:
-        size = _estimate_for_candidates(sample, candidate)
+        size = estimate_size_bits(sample, candidate.exponent, candidate.factor)
         tried += 1
         if size < best_size:
             best_size = size

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.alputil.bits import (
+    bit_length64,
     bits_to_double,
     bits_to_float32,
     double_to_bits,
@@ -96,6 +97,27 @@ class TestZeroCounts:
 
     def test_trailing_zeros_odd(self):
         assert trailing_zeros64(np.array([7], dtype=np.uint64))[0] == 0
+
+    def test_bit_length_exact_at_every_power_of_two(self):
+        # 2**k - 1, 2**k and 2**k + 1 straddle each boundary; above 2**53
+        # a plain float64 conversion would round them together.
+        xs = [0, 2**64 - 1] + [
+            x
+            for k in range(64)
+            for x in (2**k - 1, 2**k, 2**k + 1)
+            if x < 2**64
+        ]
+        arr = np.array(xs, dtype=np.uint64)
+        assert bit_length64(arr).tolist() == [x.bit_length() for x in xs]
+        assert leading_zeros64(arr).tolist() == [64 - x.bit_length() for x in xs]
+        assert trailing_zeros64(arr).tolist() == [
+            64 if x == 0 else (x & -x).bit_length() - 1 for x in xs
+        ]
+
+    def test_bit_length_keeps_shape(self):
+        arr = np.array([[0, 1], [2**40, 2**64 - 1]], dtype=np.uint64)
+        assert bit_length64(arr).tolist() == [[0, 1], [41, 64]]
+        assert bit_length64(arr).dtype == np.int64
 
     @given(st.integers(min_value=0, max_value=2**64 - 1))
     def test_matches_python_bit_tricks(self, x):

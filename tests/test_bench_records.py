@@ -419,8 +419,9 @@ class TestKernelRecords:
         # zone-map table-scan record (q-table), the cold-read I/O
         # record (kernels/io), the CRC32C record (kernels/crc32c) and
         # the row-group decode and encode records
-        # (kernels/rowgroup-decode, kernels/rowgroup-encode).
-        assert len(records) == 2 * len(KERNEL_WIDTHS) + 8
+        # (kernels/rowgroup-decode, kernels/rowgroup-encode) and the
+        # sampler record (kernels/sampler).
+        assert len(records) == 2 * len(KERNEL_WIDTHS) + 9
         by_dataset = {r.dataset: r for r in records}
         for name, counter in (
             ("kernels/q-sum", "query.sum_speedup_vs_decode"),
@@ -437,6 +438,10 @@ class TestKernelRecords:
                     f"rowgroup.{name}_speedup_vs_vector_encode",
                 )
                 for name in ("City-Temp", "Stocks-DE", "POI-lat", "ts")
+            ),
+            *(
+                ("kernels/sampler", f"sampler.{name}_speedup_vs_loop")
+                for name in ("City-Temp", "Stocks-DE", "POI-lat")
             ),
         ):
             assert by_dataset[name].counters[counter] > 0
