@@ -13,11 +13,9 @@ We compress every dataset with the instrumented compressor and print
 the same statistics, then run the brute-force-vs-sampling ratio
 comparison on a subset.
 
-Two timing tables follow, report-only (no check): the sampler's share
+A timing table follows, report-only (no check): the sampler's share
 of ``compress`` time per dataset (the two sampling levels timed alone
-against the whole compression of the same column), and
-``compress_parallel(threads=2)`` against ``compress`` on a few
-multi-row-group columns.
+against the whole compression of the same column).
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import numpy as np
 from repro.bench.harness import bench_n, time_callable
 from repro.bench.report import format_table, shape_check
 from repro.core.alp import alp_encode_vector
-from repro.core.compressor import compress, compress_parallel
+from repro.core.compressor import compress
 from repro.core.constants import ROWGROUP_SIZE, VECTOR_SIZE
 from repro.core.sampler import (
     find_best_combination,
@@ -37,9 +35,6 @@ from repro.core.sampler import (
     second_level_sample_rowgroup,
 )
 from repro.data import DATASET_ORDER, DATASETS
-
-#: Columns the thread-parallel compressor is timed on (four row-groups).
-PARALLEL_DATASETS = ("City-Temp", "Stocks-DE", "NYC/29", "POI-lat")
 
 BRUTE_FORCE_DATASETS = (
     "City-Temp",
@@ -121,20 +116,6 @@ def _sampler_share(dataset_cache) -> list[list[str]]:
     return rows
 
 
-def _parallel_speedup(dataset_cache) -> list[list[str]]:
-    """``compress`` seconds over ``compress_parallel(threads=2)`` seconds."""
-    n = 4 * ROWGROUP_SIZE
-    rows = []
-    for name in PARALLEL_DATASETS:
-        values = dataset_cache(name, n)
-        serial = time_callable(partial(compress, values), n, stat="median")
-        threaded = time_callable(
-            partial(compress_parallel, values, threads=2), n, stat="median"
-        )
-        rows.append([name, f"{serial.seconds / threaded.seconds:.2f}x"])
-    return rows
-
-
 def test_sampling_overhead(benchmark, emit, dataset_cache):
     (skipped, total, tried, per_dataset), gaps = benchmark.pedantic(
         lambda: (
@@ -201,12 +182,6 @@ def test_sampling_overhead(benchmark, emit, dataset_cache):
         _sampler_share(dataset_cache),
         title=f"Sampler share of compress time ({bench_n()} values, median "
         "of 5)",
-    )
-    report += "\n\n" + format_table(
-        ["dataset", "compress / compress_parallel(threads=2)"],
-        _parallel_speedup(dataset_cache),
-        title=f"Thread-parallel compress ({4 * ROWGROUP_SIZE} values, "
-        "median of 5)",
     )
     report += "\n" + "\n".join(checks)
     emit("sampling_overhead", report)

@@ -65,10 +65,9 @@ import numpy as np
 
 from repro.core.compressor import (
     CompressedRowGroups,
+    check_geometry,
     compress as _compress,
-    compress_parallel as _compress_parallel,
     decompress as _decompress,
-    decompress_parallel as _decompress_parallel,
 )
 from repro.core.constants import ROWGROUP_VECTORS, VECTOR_SIZE
 from repro.query.table import FilterPredicate
@@ -144,9 +143,6 @@ class CompressionOptions:
     Attributes:
         vector_size: values per ALP vector (the paper's ``v``).
         rowgroup_vectors: vectors per row-group (the paper's ``w``).
-        threads: worker threads for :func:`compress`; ``1`` is serial,
-            more dispatches row-groups to a thread pool (bit-identical
-            output either way).
         force_scheme: ``"alp"`` or ``"alprd"`` bypasses the adaptive
             ALP-vs-ALP_rd cutoff decision; ``None`` keeps it adaptive.
             Applies to float64 columns table-wide.
@@ -161,7 +157,6 @@ class CompressionOptions:
 
     vector_size: int = VECTOR_SIZE
     rowgroup_vectors: int = ROWGROUP_VECTORS
-    threads: int = 1
     force_scheme: str | None = None
     column_codecs: tuple[tuple[str, str], ...] = ()
 
@@ -171,12 +166,7 @@ class CompressionOptions:
                 f"force_scheme must be one of {_SCHEMES}, "
                 f"got {self.force_scheme!r}"
             )
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if self.rowgroup_vectors < 1:
-            raise ValueError(
-                f"rowgroup_vectors must be >= 1, got {self.rowgroup_vectors}"
-            )
+        check_geometry(self.vector_size, self.rowgroup_vectors)
         codecs = self.column_codecs
         items = codecs.items() if isinstance(codecs, Mapping) else codecs
         normalized = tuple(sorted((str(k), str(v)) for k, v in items))
@@ -401,20 +391,8 @@ class TableHandle:
 def compress(
     values: np.ndarray, options: CompressionOptions | None = None
 ) -> CompressedRowGroups:
-    """Compress a float64 column under one options object.
-
-    ``options.threads > 1`` routes through the thread-pooled
-    compressor; the result is bit-identical to the serial path.
-    """
+    """Compress a float64 column under one options object."""
     opts = options or DEFAULT_OPTIONS
-    if opts.threads > 1:
-        return _compress_parallel(
-            values,
-            threads=opts.threads,
-            vector_size=opts.vector_size,
-            rowgroup_vectors=opts.rowgroup_vectors,
-            force_scheme=opts.force_scheme,
-        )
     return _compress(
         values,
         vector_size=opts.vector_size,
@@ -424,23 +402,14 @@ def compress(
 
 
 def decompress(
-    column: CompressedRowGroups,
-    options: CompressionOptions | None = None,
-    *,
-    out: np.ndarray | None = None,
+    column: CompressedRowGroups, *, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Decompress a column back to float64, bit-exactly.
 
-    Like :func:`compress`, ``options.threads > 1`` routes through the
-    thread-pooled decoder (row-groups decode into disjoint slices of one
-    output array); the result is bit-identical to the serial path.
     ``out``, when given, must be a writable C-contiguous float64 array
     of exactly ``column.count`` values; the decode writes in place and
     allocates no output array.
     """
-    opts = options or DEFAULT_OPTIONS
-    if opts.threads > 1:
-        return _decompress_parallel(column, threads=opts.threads, out=out)
     return _decompress(column, out=out)
 
 

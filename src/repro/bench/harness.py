@@ -200,7 +200,7 @@ def dataset_vector(name: str, vector_size: int = VECTOR_SIZE) -> np.ndarray:
 
 
 def alp_vector_speed(
-    values: np.ndarray, repeats: int = 5
+    values: np.ndarray, repeats: int = 5, calls: int = 1, stat: str = "best"
 ) -> tuple[SpeedResult, SpeedResult]:
     """ALP micro-benchmark speeds under the paper's protocol (§4.2).
 
@@ -210,6 +210,12 @@ def alp_vector_speed(
     once per 100 vectors in real compression, so the per-vector cost is
     second-level sampling + encode (+ FFOR), and decode is UNFFOR +
     ALP_dec + patch.
+
+    One timed unit runs the vector ``calls`` times and ``stat`` is taken
+    over ``repeats`` units (see :func:`time_callable`).  The defaults,
+    one call best-of, are the paper tables' protocol; a gated record
+    uses longer units and the median, which one ~50 us call cannot give
+    steadily.
     """
     from repro.core.alp import alp_decode_vector, alp_encode_vector
     from repro.core.sampler import first_level_sample, second_level_sample
@@ -221,10 +227,22 @@ def alp_vector_speed(
         combo = second_level_sample(values, candidates).combination
         return alp_encode_vector(values, combo.exponent, combo.factor)
 
-    compress_speed = time_callable(compress_once, values.size, repeats=repeats)
+    def compress_unit() -> None:
+        for _ in range(calls):
+            compress_once()
+
+    count = values.size * calls
+    compress_speed = time_callable(
+        compress_unit, count, repeats=repeats, stat=stat
+    )
     encoded = compress_once()
+
+    def decompress_unit() -> None:
+        for _ in range(calls):
+            alp_decode_vector(encoded)
+
     decompress_speed = time_callable(
-        lambda: alp_decode_vector(encoded), values.size, repeats=repeats
+        decompress_unit, count, repeats=repeats, stat=stat
     )
     return compress_speed, decompress_speed
 

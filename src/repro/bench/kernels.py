@@ -14,7 +14,8 @@ decompress = ``unpack_bits``) and one ``ffor`` record (compress =
 ``ffor_encode``, decompress = fused ``ffor_decode``); a
 ``kernels/alp-vector`` record times the end-to-end per-vector ALP
 encode (level-two sampling + ALP_enc + FFOR) and decode (UNFFOR +
-ALP_dec + patch), the paper's §4.2 micro-benchmark unit.  The ``pack``
+ALP_dec + patch), the paper's §4.2 micro-benchmark unit, as the median
+over units of :data:`ALP_VECTOR_CALLS` calls.  The ``pack``
 records also carry the measured speedup over the retired bit-matrix
 packer (:func:`repro.encodings.bitpack.pack_bits_bitmatrix`) in their
 ``counters``.
@@ -27,7 +28,7 @@ against the decode-then-aggregate baseline on real-shaped columns:
   :func:`~repro.encodings.bitpack.unpack_sum` + once-per-vector
   scaling), ``decompress_mbps`` the decode-first path (UNFFOR +
   ALP_dec + ``np.sum``), and ``counters["query.sum_speedup_vs_decode"]``
-  their ratio;
+  the median ratio of interleaved pairs (:func:`_paired_times`);
 - ``kernels/q-cmp`` — a selective (98th-percentile) range COUNT on a
   Stocks-DE column: fused unpack-compare with FFOR-header vector
   skipping versus decode-then-mask, ratio under
@@ -98,6 +99,10 @@ KERNEL_VECTOR_SIZE = VECTOR_SIZE
 #: Vectors processed per timed call, so one call takes long enough that
 #: ``perf_counter`` granularity and scheduler noise do not dominate.
 KERNEL_VECTORS = 64
+
+#: Per-vector ALP calls in one timed unit of ``kernels/alp-vector``:
+#: one ~50 us call is too short to time steadily, 32 take 1-4 ms.
+ALP_VECTOR_CALLS = 32
 
 #: Column the encoded-domain SUM kernel is measured on (exception-light,
 #: narrow residual widths — the fold regime of ``unpack_sum``).
@@ -220,10 +225,10 @@ def _bench_alp_vector(repeats: int, calibration: float) -> BenchRecord:
 
     values = get_dataset("City-Temp", n=KERNEL_VECTOR_SIZE)
     compress_speed, decompress_speed = alp_vector_speed(
-        values, repeats=repeats
+        values, repeats=repeats, calls=ALP_VECTOR_CALLS, stat="median"
     )
-    compress_mbps = values.nbytes / compress_speed.seconds / 1e6
-    decompress_mbps = values.nbytes / decompress_speed.seconds / 1e6
+    compress_mbps = compress_speed.values_per_second * 8 / 1e6
+    decompress_mbps = decompress_speed.values_per_second * 8 / 1e6
     from repro.core.alp import alp_encode_vector
     from repro.core.sampler import find_best_combination
 
@@ -275,8 +280,9 @@ def _bench_query_sum(repeats: int, calibration: float) -> BenchRecord:
     def decode_first() -> float:
         return sum(float(np.sum(alp_decode_vector(v))) for v in vectors)
 
-    fused_mbps = _per_vector_mbps(fused, values.nbytes, repeats)
-    decode_mbps = _per_vector_mbps(decode_first, values.nbytes, repeats)
+    decode_s, fused_s, speedup = _paired_times(decode_first, fused, repeats)
+    fused_mbps = values.nbytes / fused_s / 1e6
+    decode_mbps = values.nbytes / decode_s / 1e6
     return BenchRecord(
         dataset="kernels/q-sum",
         codec="alp",
@@ -287,7 +293,7 @@ def _bench_query_sum(repeats: int, calibration: float) -> BenchRecord:
         decompress_mbps=decode_mbps,
         compress_rel=fused_mbps / calibration,
         decompress_rel=decode_mbps / calibration,
-        counters={"query.sum_speedup_vs_decode": fused_mbps / decode_mbps},
+        counters={"query.sum_speedup_vs_decode": speedup},
     )
 
 
@@ -310,8 +316,9 @@ def _bench_query_cmp(repeats: int, calibration: float) -> BenchRecord:
             total += int(((decoded >= low) & (decoded <= high)).sum())
         return total
 
-    fused_mbps = _per_vector_mbps(fused, values.nbytes, repeats)
-    decode_mbps = _per_vector_mbps(decode_first, values.nbytes, repeats)
+    decode_s, fused_s, speedup = _paired_times(decode_first, fused, repeats)
+    fused_mbps = values.nbytes / fused_s / 1e6
+    decode_mbps = values.nbytes / decode_s / 1e6
     return BenchRecord(
         dataset="kernels/q-cmp",
         codec="alp",
@@ -322,7 +329,7 @@ def _bench_query_cmp(repeats: int, calibration: float) -> BenchRecord:
         decompress_mbps=decode_mbps,
         compress_rel=fused_mbps / calibration,
         decompress_rel=decode_mbps / calibration,
-        counters={"query.cmp_speedup_vs_decode": fused_mbps / decode_mbps},
+        counters={"query.cmp_speedup_vs_decode": speedup},
     )
 
 

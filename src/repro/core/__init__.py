@@ -26,10 +26,8 @@ from repro.core.alprd import (
 )
 from repro.core.autotune import choose_codec
 from repro.core.compressor import (
-    CompressedColumn,
     CompressedRowGroups,
     compress,
-    compress_parallel,
     decompress,
 )
 from repro.core.sampler import (
@@ -42,7 +40,6 @@ from repro.core.sampler import (
 __all__ = [
     "AlpRdRowGroup",
     "AlpVector",
-    "CompressedColumn",
     "CompressedRowGroups",
     "ExponentFactor",
     "alp_decode_vector",
@@ -51,7 +48,6 @@ __all__ = [
     "alprd_encode",
     "choose_codec",
     "compress",
-    "compress_parallel",
     "decompress",
     "find_best_combination",
     "first_level_sample",

@@ -76,12 +76,20 @@ class CompressedRowGroup:
         """'alp' or 'alprd'."""
         return "alp" if self.alp is not None else "alprd"
 
+    @property
+    def vector_count(self) -> int:
+        """Number of vectors in this row-group."""
+        return len(self._payload().vectors)
+
     def size_bits(self) -> int:
         """Compressed footprint of this row-group."""
+        return self._payload().size_bits() + 8  # scheme tag
+
+    def _payload(self) -> AlpRowGroup | AlpRdRowGroup:
         payload = self.alp if self.alp is not None else self.rd
         if payload is None:
             raise ValueError("row-group has neither ALP nor ALP_rd payload")
-        return payload.size_bits() + 8  # scheme tag
+        return payload
 
 
 @dataclass(frozen=True)
@@ -132,8 +140,17 @@ class CompressedRowGroups:
         return any(rg.scheme == "alprd" for rg in self.rowgroups)
 
 
-#: Backwards-friendly alias used by the storage layer.
-CompressedColumn = CompressedRowGroups
+def check_geometry(vector_size: int, rowgroup_vectors: int = 1) -> None:
+    """Reject a vector or row-group size no column can be cut into."""
+    if not 1 <= vector_size <= 65_535:
+        # Exception positions and serialized vector counts are 16-bit.
+        raise ValueError(
+            f"vector_size must be in [1, 65535], got {vector_size}"
+        )
+    if rowgroup_vectors < 1:
+        raise ValueError(
+            f"rowgroup_vectors must be >= 1, got {rowgroup_vectors}"
+        )
 
 
 def compress_rowgroup(
@@ -146,11 +163,7 @@ def compress_rowgroup(
     ``force_scheme`` ("alp" or "alprd") bypasses the adaptive decision,
     which the ablation benchmarks use to measure the fallback's cost.
     """
-    if not 1 <= vector_size <= 65_535:
-        # Exception positions and serialized vector counts are 16-bit.
-        raise ValueError(
-            f"vector_size must be in [1, 65535], got {vector_size}"
-        )
+    check_geometry(vector_size)
     with obs.span("compressor.rowgroup"):
         return _compress_rowgroup(rowgroup, vector_size, force_scheme)
 
@@ -289,6 +302,7 @@ def compress(
     bit-exactly through :func:`decompress`, including NaN payloads,
     infinities and signed zeros.
     """
+    check_geometry(vector_size, rowgroup_vectors)
     with obs.span("compressor.compress"):
         values = np.ascontiguousarray(values, dtype=np.float64)
         rowgroup_size = vector_size * rowgroup_vectors
@@ -304,12 +318,8 @@ def compress(
             all_tried.extend(tried)
             skipped_total += skipped
 
-        vectors_encoded = sum(
-            len(rg.alp.vectors) if rg.alp else len(rg.rd.vectors)
-            for rg in rowgroups
-        )
         stats = CompressionStats(
-            vectors_encoded=vectors_encoded,
+            vectors_encoded=sum(rg.vector_count for rg in rowgroups),
             second_level_skipped=skipped_total,
             combinations_tried=tuple(all_tried),
             rd_rowgroups=sum(1 for rg in rowgroups if rg.scheme == "alprd"),
@@ -344,76 +354,13 @@ def _record_column_metrics(column: CompressedRowGroups) -> None:
     )
 
 
-def compress_parallel(
-    values: np.ndarray,
-    threads: int = 2,
-    vector_size: int = VECTOR_SIZE,
-    rowgroup_vectors: int = ROWGROUP_VECTORS,
-    force_scheme: str | None = None,
-) -> CompressedRowGroups:
-    """Compress row-groups concurrently with a thread pool.
-
-    Row-groups are independent by construction (sampling is row-group
-    scoped), so the result is bit-identical to :func:`compress` — order,
-    parameters and payloads included.  numpy kernels release the GIL for
-    part of the work, so two threads help even in CPython.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    rowgroup_size = vector_size * rowgroup_vectors
-    chunks = [
-        values[start : start + rowgroup_size]
-        for start in range(0, values.size, rowgroup_size)
-    ]
-    if threads <= 1 or len(chunks) <= 1:
-        return compress(
-            values,
-            vector_size=vector_size,
-            rowgroup_vectors=rowgroup_vectors,
-            force_scheme=force_scheme,
-        )
-
-    def work(chunk: np.ndarray) -> CompressedRowGroup:
-        return compress_rowgroup(
-            chunk, vector_size=vector_size, force_scheme=force_scheme
-        )
-
-    with obs.span("compressor.compress_parallel"):
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, chunks))
-
-    rowgroups = [rg for rg, _, _ in results]
-    all_tried = [t for _, tried, _ in results for t in tried]
-    skipped_total = sum(skipped for _, _, skipped in results)
-    stats = CompressionStats(
-        vectors_encoded=sum(
-            len(rg.alp.vectors) if rg.alp else len(rg.rd.vectors)
-            for rg in rowgroups
-        ),
-        second_level_skipped=skipped_total,
-        combinations_tried=tuple(all_tried),
-        rd_rowgroups=sum(1 for rg in rowgroups if rg.scheme == "alprd"),
-        alp_rowgroups=sum(1 for rg in rowgroups if rg.scheme == "alp"),
-    )
-    column = CompressedRowGroups(
-        rowgroups=tuple(rowgroups),
-        count=values.size,
-        vector_size=vector_size,
-        stats=stats,
-    )
-    _record_column_metrics(column)
-    return column
-
-
 def decode_rowgroup_into(rg: CompressedRowGroup, out: np.ndarray) -> None:
     """Decode one row-group into a preallocated float64 slice.
 
-    The canonical decode path: :func:`decompress`,
-    :func:`decompress_parallel` and the storage readers'
-    ``read_rowgroup``/``read_all`` ``out=`` variants all funnel through
-    here.  ``out`` must be a writable C-contiguous float64 array (or
-    slice) of exactly ``rg.count`` values.
+    The canonical decode path: :func:`decompress` and the storage
+    readers' ``read_rowgroup``/``read_all`` ``out=`` variants all funnel
+    through here.  ``out`` must be a writable C-contiguous float64 array
+    (or slice) of exactly ``rg.count`` values.
 
     ALP row-groups decode per row-group, not per vector, where the work
     allows it: every vector's FFOR integers unpack into ``out`` itself
@@ -492,38 +439,6 @@ def decompress(
         for rg in column.rowgroups:
             decode_rowgroup_into(rg, out[pos : pos + rg.count])
             pos += rg.count
-        if obs.ENABLED:
-            obs.metrics.counter_add("compressor.values_decoded", column.count)
-        return out
-
-
-def decompress_parallel(
-    column: CompressedRowGroups, threads: int = 2, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Decompress row-groups concurrently with a thread pool.
-
-    Each row-group decodes into a disjoint slice of one preallocated
-    output array, so workers never touch the same memory and the result
-    is bit-identical to :func:`decompress` — including when the caller
-    provides the array via ``out=`` (same contract as
-    :func:`decompress`).  Like :func:`compress_parallel`, the win comes
-    from numpy kernels releasing the GIL for part of the decode.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    if threads <= 1 or len(column.rowgroups) <= 1:
-        return decompress(column, out=out)
-    out = coerce_decode_out(column.count, out)
-    if column.count == 0:
-        return out
-    with obs.span("compressor.decompress_parallel"):
-        slices = []
-        pos = 0
-        for rg in column.rowgroups:
-            slices.append((rg, out[pos : pos + rg.count]))
-            pos += rg.count
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda item: decode_rowgroup_into(*item), slices))
         if obs.ENABLED:
             obs.metrics.counter_add("compressor.values_decoded", column.count)
         return out

@@ -21,9 +21,7 @@ SPAN_NAMES: frozenset[str] = frozenset(
         "alprd.encode",
         "alprd.fit_parameters",
         "compressor.compress",
-        "compressor.compress_parallel",
         "compressor.decompress",
-        "compressor.decompress_parallel",
         "compressor.rowgroup",
         "query.comp",
         "query.range_count",
@@ -81,8 +79,6 @@ COUNTER_NAMES: frozenset[str] = frozenset(
         "predicates.vectors_accepted",
         "predicates.vectors_skipped",
         "query.batches_fallback",
-        "query.dispatch_fallback",
-        "query.dispatch_fastpath",
         "query.range_queries",
         "query.sum_encoded",
         "query.sum_queries",

@@ -22,7 +22,7 @@ same shape embedded in the ``BENCH_*.json`` benchmark records — see
 ``docs/OBSERVABILITY.md``).
 
 Thread-safety: counter/gauge/span aggregation is lock-protected, and the
-span nesting stack is thread-local, so ``compress_parallel`` and
+span nesting stack is thread-local, so server workers and
 partitioned query scans record correctly (their spans nest under the
 worker thread's own stack, not the spawning thread's).
 """

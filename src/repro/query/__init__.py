@@ -10,9 +10,12 @@ same machinery:
   ALP/PDE, stream-decode for the XOR family, block-decode for the
   general-purpose codec),
 - :mod:`repro.query.operators` — Scan / Filter / Aggregate operators in
-  the pull-based, vector-at-a-time style,
-- :mod:`repro.query.engine` — query helpers (scan / sum / compression)
-  plus multi-threaded partitioned execution for the scaling experiment.
+  the pull-based, vector-at-a-time style, and the encoded-domain SUM and
+  range operators that run on still-compressed ALP vectors,
+- :mod:`repro.query.engine` — query helpers (scan / sum / range /
+  compression): sources with ``encoded_batches`` take the encoded
+  operators, every other source decodes first; plus multi-threaded
+  partitioned execution for the scaling experiment.
 """
 
 from repro.query.engine import (

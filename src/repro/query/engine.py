@@ -4,10 +4,11 @@ Three queries, matching the paper:
 
 - :func:`scan_query` — decompress the whole column through the scan
   operator (materializing every vector, discarding it);
-- :func:`sum_query` — SUM aggregation, through the encoded-domain fast
-  path when the source registers one (late materialization: packed
-  integers are reduced and scaled once per vector, doubles are never
-  built), falling back to scan + vectorized float summing;
+- :func:`sum_query` — SUM aggregation, through the encoded-domain
+  operators when the source yields encoded batches (late
+  materialization: packed integers are reduced and scaled once per
+  vector, doubles are never built), otherwise scan + vectorized float
+  summing;
 - :func:`comp_query` — compress the column and serialize it, including
   the metadata the paper mentions (offsets, parameters).
 
@@ -16,10 +17,11 @@ aggregates: range predicates are translated to exact integer bounds and
 evaluated fused inside the unpack loop on encoded sources, with
 FFOR-header (and, for file sources, zone-map) skipping.
 
-Fast paths are resolved through :mod:`repro.query.dispatch` — the
-engine never names a concrete source type; sources register their own
-handlers.  Every query also has an explicit ``*_decoded`` form, which
-is both the fallback and the oracle the property tests compare against.
+A source takes the encoded path when it has an ``encoded_batches``
+method (:class:`~repro.query.sources.AlpSource` and
+:class:`~repro.query.sources.FileColumnSource`).  Every query also has
+an explicit ``*_decoded`` form, which is both the path for every other
+source and the oracle the property tests compare against.
 
 :func:`run_partitioned` executes a query over N partitions with a thread
 pool; numpy kernels release the GIL for part of their work, so the
@@ -36,13 +38,17 @@ from typing import Callable
 import numpy as np
 
 from repro import obs
-from repro.query.dispatch import dispatch
 from repro.query.operators import (
     AggregateOperator,
+    EncodedRangeAggregateOperator,
+    EncodedRangeCountOperator,
+    EncodedScanOperator,
+    EncodedSumOperator,
     FilterOperator,
     ScanOperator,
 )
-from repro.query.sources import ColumnSource, make_source
+from repro.query.sources import AlpSource, ColumnSource, make_source
+from repro.storage.serializer import serialize_rowgroup
 
 
 def scan_query(source: ColumnSource) -> int:
@@ -59,18 +65,25 @@ def scan_query(source: ColumnSource) -> int:
         return scanned
 
 
+def _encoded(source: ColumnSource) -> bool:
+    """True when ``source`` can feed the encoded-domain operators."""
+    return hasattr(source, "encoded_batches")
+
+
 def sum_query(source: ColumnSource) -> float:
     """SUM aggregation; encoded-domain when the source supports it."""
     with obs.span("query.sum"):
-        result = float(
-            dispatch("sum", source, default=sum_query_decoded)
-        )
+        if _encoded(source):
+            obs.counter_add("query.sum_encoded")
+            result = EncodedSumOperator(EncodedScanOperator(source)).result()
+        else:
+            result = sum_query_decoded(source)
     obs.counter_add("query.sum_queries")
-    return result
+    return float(result)
 
 
 def sum_query_decoded(source: ColumnSource) -> float:
-    """The decode-then-aggregate SUM: fallback path and test oracle."""
+    """The decode-then-aggregate SUM: default path and test oracle."""
     return AggregateOperator(ScanOperator(source), kind="sum").result()
 
 
@@ -79,21 +92,21 @@ def range_sum_query(
 ) -> tuple[float, int]:
     """Filtered SUM: ``(sum, count)`` of values in ``[low, high]``."""
     with obs.span("query.range_sum"):
-        result = dispatch(
-            "range_sum",
-            source,
-            low,
-            high,
-            default=range_sum_query_decoded,
-        )
+        if _encoded(source):
+            scan = EncodedScanOperator(source, value_range=(low, high))
+            total, count = EncodedRangeAggregateOperator(
+                scan, low, high
+            ).result()
+        else:
+            total, count = range_sum_query_decoded(source, low, high)
     obs.counter_add("query.range_queries")
-    return float(result[0]), int(result[1])
+    return float(total), int(count)
 
 
 def range_sum_query_decoded(
     source: ColumnSource, low: float, high: float
 ) -> tuple[float, int]:
-    """Decode-then-filter-then-sum: fallback path and test oracle."""
+    """Decode-then-filter-then-sum: default path and test oracle."""
     total = 0.0
     count = 0
     for vector in FilterOperator(ScanOperator(source), low, high):
@@ -107,23 +120,19 @@ def range_count_query(
 ) -> int:
     """COUNT of values in ``[low, high]``."""
     with obs.span("query.range_count"):
-        result = int(
-            dispatch(
-                "range_count",
-                source,
-                low,
-                high,
-                default=range_count_query_decoded,
-            )
-        )
+        if _encoded(source):
+            scan = EncodedScanOperator(source, value_range=(low, high))
+            result = EncodedRangeCountOperator(scan, low, high).result()
+        else:
+            result = range_count_query_decoded(source, low, high)
     obs.counter_add("query.range_queries")
-    return result
+    return int(result)
 
 
 def range_count_query_decoded(
     source: ColumnSource, low: float, high: float
 ) -> int:
-    """Decode-then-filter-then-count: fallback path and test oracle."""
+    """Decode-then-filter-then-count: default path and test oracle."""
     count = 0
     for vector in FilterOperator(ScanOperator(source), low, high):
         count += vector.size
@@ -133,19 +142,19 @@ def range_count_query_decoded(
 def comp_query(codec_name: str, values: np.ndarray) -> int:
     """Compress ``values`` under a codec; returns compressed bits.
 
-    Sources that serialize to an on-disk layout (ALP) register a "comp"
-    handler reporting serialized bits including metadata; everything
-    else reports its in-memory compressed footprint.
+    ALP reports its serialized on-disk bits, metadata included — the
+    paper notes that COMP "also writes extra meta-data for the
+    compressed blocks".  Every other codec reports its in-memory
+    compressed footprint.
     """
     with obs.span("query.comp"):
         source = make_source(codec_name, values)
-        return int(
-            dispatch("comp", source, default=_comp_in_memory_bits)
-        )
-
-
-def _comp_in_memory_bits(source: ColumnSource) -> int:
-    return source.compressed_bits
+        if isinstance(source, AlpSource):
+            return sum(
+                len(serialize_rowgroup(rowgroup)) * 8
+                for rowgroup in source.column.rowgroups
+            )
+        return source.compressed_bits
 
 
 def run_partitioned(

@@ -16,10 +16,6 @@ Two pipelines coexist:
   integer domain — late materialization: doubles are never built for
   values that only feed an aggregate, and vectors whose FFOR header
   already decides a predicate are skipped without unpacking a bit.
-
-:func:`register_encoded_source` wires a source type into the engine's
-dispatch registry so every encoded source gets the fused ops without
-the engine knowing the type.
 """
 
 from __future__ import annotations
@@ -28,13 +24,11 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
-from repro import obs
 from repro.core.alp import alp_sum_vector
 from repro.core.predicates import (
     count_vector_encoded,
     sum_range_vector,
 )
-from repro.query.dispatch import register
 
 if TYPE_CHECKING:
     from repro.query.sources import ColumnSource, EncodedBatch
@@ -251,36 +245,3 @@ class EncodedRangeCountOperator:
                     ((values >= self._low) & (values <= self._high)).sum()
                 )
         return count
-
-
-def _encoded_sum(source: object) -> float:
-    obs.counter_add("query.sum_encoded")
-    return EncodedSumOperator(EncodedScanOperator(source)).result()
-
-
-def _encoded_range_sum(
-    source: object, low: float, high: float
-) -> tuple[float, int]:
-    scan = EncodedScanOperator(source, value_range=(low, high))
-    return EncodedRangeAggregateOperator(scan, low, high).result()
-
-
-def _encoded_range_count(
-    source: object, low: float, high: float
-) -> int:
-    scan = EncodedScanOperator(source, value_range=(low, high))
-    return EncodedRangeCountOperator(scan, low, high).result()
-
-
-def register_encoded_source(source_type: type) -> type:
-    """Give ``source_type`` the encoded fast paths for sum/range ops.
-
-    The type must provide ``encoded_batches(value_range=None)`` yielding
-    :class:`~repro.query.sources.EncodedBatch`.  Usable as a class
-    decorator; the engine picks the handlers up through the dispatch
-    registry without naming the type anywhere.
-    """
-    register("sum", source_type, _encoded_sum)
-    register("range_sum", source_type, _encoded_range_sum)
-    register("range_count", source_type, _encoded_range_count)
-    return source_type

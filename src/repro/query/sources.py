@@ -19,23 +19,20 @@ experiment (Table 6 / Figure 6) measures:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Protocol
+from typing import Any, Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.alputil.bits import bits_to_double
 from repro.baselines.registry import get_codec
 from repro.core.alp import AlpVector, alp_decode_vector
-from repro.core.alprd import decode_vector_bits
 from repro.core.compressor import (
+    CompressedRowGroup,
     CompressedRowGroups,
     compress,
     decode_rowgroup_vector,
 )
 from repro.core.constants import VECTOR_SIZE
-from repro.query.dispatch import register
-from repro.query.operators import register_encoded_source
 from repro.storage.tablefile import TableColumnReader
 
 
@@ -125,19 +122,8 @@ class AlpSource:
 
     def vectors(self) -> Iterator[np.ndarray]:
         for rowgroup in self.column.rowgroups:
-            if rowgroup.alp is not None:
-                for vector in rowgroup.alp.vectors:
-                    yield alp_decode_vector(vector)
-            else:
-                if rowgroup.rd is None:
-                    raise ValueError(
-                        "row-group has neither ALP nor ALP_rd payload"
-                    )
-                parameters = rowgroup.rd.parameters
-                for vector in rowgroup.rd.vectors:
-                    yield bits_to_double(
-                        decode_vector_bits(vector, parameters)
-                    )
+            for v in range(rowgroup.vector_count):
+                yield decode_rowgroup_vector(rowgroup, v)
 
     def encoded_batches(
         self, value_range: tuple[float, float] | None = None
@@ -149,23 +135,10 @@ class AlpSource:
         rejection inside the encoded operators covers the skipping.
         """
         del value_range
-        for rowgroup in self.column.rowgroups:
-            if rowgroup.alp is not None:
-                for vector in rowgroup.alp.vectors:
-                    yield EncodedBatch(alp=vector)
-            else:
-                if rowgroup.rd is None:
-                    raise ValueError(
-                        "row-group has neither ALP nor ALP_rd payload"
-                    )
-                parameters = rowgroup.rd.parameters
-                for vector in rowgroup.rd.vectors:
-                    obs.counter_add("query.batches_fallback")
-                    yield EncodedBatch(
-                        values=bits_to_double(
-                            decode_vector_bits(vector, parameters)
-                        )
-                    )
+        return _batches(
+            (rowgroup, range(rowgroup.vector_count))
+            for rowgroup in self.column.rowgroups
+        )
 
     def partition(self, parts: int) -> list["AlpSource"]:
         groups = _split_list(list(self.column.rowgroups), parts)
@@ -416,17 +389,12 @@ class FileColumnSource:
             if ranges
             else None
         )
-        for _, survivors, rowgroup in self.reader.iter_rowgroups_compressed(
-            bounds, *self._rg_bounds()
-        ):
-            if rowgroup.alp is not None:
-                vectors = rowgroup.alp.vectors
-                for v in survivors:
-                    yield EncodedBatch(alp=vectors[v])
-                continue
-            for v in survivors:
-                obs.counter_add("query.batches_fallback")
-                yield EncodedBatch(values=decode_rowgroup_vector(rowgroup, v))
+        yield from _batches(
+            (rowgroup, survivors)
+            for _, survivors, rowgroup in self.reader.iter_rowgroups_compressed(
+                bounds, *self._rg_bounds()
+            )
+        )
 
     def partition(self, parts: int) -> list["FileColumnSource"]:
         # Partitioning a file source would need per-partition row-group
@@ -446,27 +414,23 @@ class FileColumnSource:
         )
 
 
-def _comp_alp_serialized(source: AlpSource) -> int:
-    """COMP fast path for ALP sources: serialized on-disk bits.
+def _batches(
+    rowgroups: Iterable[tuple[CompressedRowGroup, Sequence[int]]],
+) -> Iterator[EncodedBatch]:
+    """Encoded batches of the listed vectors of each row-group.
 
-    Mirrors the paper's note that COMP "also writes extra meta-data for
-    the compressed blocks" — the serialized layout, not the in-memory
-    size, is what counts.
+    ALP vectors stay compressed; ALP_rd vectors have no integer domain
+    to execute on, so they decode and travel as values.
     """
-    from repro.storage.serializer import serialize_rowgroup
-
-    total = 0
-    for rowgroup in source.column.rowgroups:
-        total += len(serialize_rowgroup(rowgroup)) * 8
-    return total
-
-
-# Dispatch wiring: the engine resolves fast paths through the registry,
-# so new encoded sources only need a registration line here (or next to
-# their own definition) — never an engine edit.
-register("comp", AlpSource, _comp_alp_serialized)
-register_encoded_source(AlpSource)
-register_encoded_source(FileColumnSource)
+    for rowgroup, survivors in rowgroups:
+        if rowgroup.alp is not None:
+            vectors = rowgroup.alp.vectors
+            for v in survivors:
+                yield EncodedBatch(alp=vectors[v])
+            continue
+        for v in survivors:
+            obs.counter_add("query.batches_fallback")
+            yield EncodedBatch(values=decode_rowgroup_vector(rowgroup, v))
 
 
 def make_source(

@@ -311,7 +311,7 @@ def build_ops(
         except protocol.ProtocolError as exc:
             raise OpError(protocol.ERR_BAD_REQUEST, str(exc)) from exc
         try:
-            values = api.decompress(column, opts)
+            values = api.decompress(column)
         except IntegrityError as exc:
             raise OpError(protocol.ERR_CORRUPT, str(exc)) from exc
         return OpResult(

@@ -56,6 +56,7 @@ from repro.concurrency import create_lock
 from repro.core.compressor import (
     CompressedRowGroup,
     CompressedRowGroups,
+    check_geometry,
     coerce_decode_out,
     compress_rowgroup,
     decode_rowgroup_vector,
@@ -753,6 +754,7 @@ class TableFileWriter:
             rowgroup_vectors = options.rowgroup_vectors
             force_scheme = options.force_scheme
             overrides = dict(getattr(options, "column_codecs", ()) or ())
+        check_geometry(vector_size, rowgroup_vectors)
         for name in overrides:
             # Unknown names are a caller bug, not a soft no-op.
             schema.column(name)

@@ -24,7 +24,6 @@ class TestCompressionOptions:
     def test_defaults(self):
         opts = api.CompressionOptions()
         assert opts.vector_size == 1024
-        assert opts.threads == 1
         assert opts.force_scheme is None
 
     def test_integrity_option_removed(self):
@@ -36,9 +35,10 @@ class TestCompressionOptions:
         with pytest.raises(ValueError):
             api.CompressionOptions(force_scheme="gzip")
 
-    def test_bad_threads_rejected(self):
-        with pytest.raises(ValueError):
-            api.CompressionOptions(threads=0)
+    @pytest.mark.parametrize("vector_size", [-5, 0, 65_536])
+    def test_bad_vector_size_rejected(self, vector_size):
+        with pytest.raises(ValueError, match="vector_size"):
+            api.CompressionOptions(vector_size=vector_size)
 
     def test_bad_rowgroup_vectors_rejected(self):
         with pytest.raises(ValueError):
@@ -47,7 +47,7 @@ class TestCompressionOptions:
     def test_frozen(self):
         opts = api.CompressionOptions()
         with pytest.raises(Exception):
-            opts.threads = 4
+            opts.vector_size = 256
 
 
 class TestCompress:
@@ -56,36 +56,15 @@ class TestCompress:
         column = api.compress(values)
         assert bitwise_equal(api.decompress(column), values)
 
-    def test_threads_bit_identical(self):
-        values = _column(60_000)
-        serial = api.compress(values)
-        parallel = api.compress(
-            values, api.CompressionOptions(threads=2)
-        )
-        assert serial.size_bits() == parallel.size_bits()
-        assert bitwise_equal(api.decompress(parallel), values)
-
-    def test_decompress_honors_threads(self):
-        # threads applies to decompression too: the threaded decoder
-        # writes row-groups into disjoint slices of one output array and
-        # must match the serial path bit for bit.
-        values = _column(60_000)
-        column = api.compress(values)
-        serial = api.decompress(column)
-        threaded = api.decompress(column, api.CompressionOptions(threads=4))
-        assert bitwise_equal(serial, threaded)
-        assert bitwise_equal(threaded, values)
-
-    def test_decompress_threads_with_non_finite_and_rd(self):
+    def test_decompress_non_finite_and_rd(self):
         values = _column(20_000)
         values[::97] = np.nan
         values[5::101] = np.inf
         values[7::103] = -0.0
-        opts = api.CompressionOptions(
-            vector_size=256, rowgroup_vectors=4, threads=3
-        )
+        opts = api.CompressionOptions(vector_size=256, rowgroup_vectors=4)
         column = api.compress(values, opts)
-        assert bitwise_equal(api.decompress(column, opts), values)
+        assert len(column.rowgroups) > 1
+        assert bitwise_equal(api.decompress(column), values)
         rd = api.compress(
             values,
             api.CompressionOptions(
@@ -93,9 +72,12 @@ class TestCompress:
             ),
         )
         assert rd.uses_rd
-        assert bitwise_equal(
-            api.decompress(rd, api.CompressionOptions(threads=2)), values
-        )
+        assert bitwise_equal(api.decompress(rd), values)
+
+    def test_decompress_takes_no_options(self):
+        column = api.compress(_column(1_000))
+        with pytest.raises(TypeError):
+            api.decompress(column, api.CompressionOptions())
 
     def test_force_scheme(self):
         values = _column()
@@ -141,6 +123,54 @@ class TestFileRoundtrip:
         reader = api.open(path)
         assert reader.vector_size == 512
         assert reader.rowgroup_count == int(np.ceil(20_000 / (512 * 8)))
+
+
+#: Geometries no column can be cut into, with the option each one breaks.
+_BAD_GEOMETRY = [
+    ({"vector_size": -5}, "vector_size"),
+    ({"vector_size": 0}, "vector_size"),
+    ({"vector_size": 65_536}, "vector_size"),
+    ({"rowgroup_vectors": -1}, "rowgroup_vectors"),
+    ({"rowgroup_vectors": 0}, "rowgroup_vectors"),
+]
+
+
+class TestBadGeometry:
+    """A bad geometry is a typed error up front, never a column that
+    silently lost its values."""
+
+    @pytest.mark.parametrize("kwargs, field", _BAD_GEOMETRY)
+    def test_core_compress_rejects(self, kwargs, field):
+        from repro.core.compressor import compress
+
+        with pytest.raises(ValueError, match=field):
+            compress(np.arange(10.0), **kwargs)
+
+    @pytest.mark.parametrize("kwargs, field", _BAD_GEOMETRY)
+    def test_api_compress_rejects(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            api.compress(np.arange(10.0), api.CompressionOptions(**kwargs))
+
+    @pytest.mark.parametrize("kwargs, field", _BAD_GEOMETRY)
+    def test_write_rejects_and_leaves_no_file(self, tmp_path, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            api.write(
+                tmp_path / "col.alpc",
+                np.arange(10.0),
+                api.CompressionOptions(**kwargs),
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kwargs, field", _BAD_GEOMETRY)
+    def test_table_writer_rejects_and_leaves_no_file(
+        self, tmp_path, kwargs, field
+    ):
+        from repro.storage.tablefile import TableFileWriter
+
+        schema = api.Schema((api.Column("x"),))
+        with pytest.raises(ValueError, match=field):
+            TableFileWriter(tmp_path / "t.alpc", schema, **kwargs)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDataset:

@@ -1,11 +1,11 @@
-"""Tests for parallel compression and automatic codec selection."""
+"""Tests for automatic codec selection and per-row-group scheme choice."""
 
 import math
 
 import numpy as np
 
 from repro.core.autotune import choose_codec
-from repro.core.compressor import compress, compress_parallel, decompress
+from repro.core.compressor import compress, decompress
 from repro.data import get_dataset
 
 
@@ -18,27 +18,7 @@ def bitwise_equal(a, b):
 
 
 class TestCompressParallel:
-    def test_bit_identical_to_serial(self):
-        values = get_dataset("Stocks-USA", n=320_000)
-        serial = compress(values)
-        parallel = compress_parallel(values, threads=2)
-        assert parallel.size_bits() == serial.size_bits()
-        assert len(parallel.rowgroups) == len(serial.rowgroups)
-        assert bitwise_equal(decompress(parallel), values)
-
-    def test_single_rowgroup_falls_back(self):
-        values = np.round(np.random.default_rng(0).uniform(0, 9, 5000), 1)
-        column = compress_parallel(values, threads=4)
-        assert bitwise_equal(decompress(column), values)
-
-    def test_stats_preserved(self):
-        values = get_dataset("City-Temp", n=250_000)
-        parallel = compress_parallel(values, threads=2)
-        stats = parallel.stats
-        assert stats.vectors_encoded == sum(
-            len(rg.alp.vectors) if rg.alp else len(rg.rd.vectors)
-            for rg in parallel.rowgroups
-        )
+    """Row-groups are encoded independently, each picking its own scheme."""
 
     def test_mixed_schemes_parallel(self):
         decimal = np.round(
@@ -46,7 +26,7 @@ class TestCompressParallel:
         )
         real = np.random.default_rng(2).uniform(0, 1, 102_400) * math.pi
         values = np.concatenate([decimal, real])
-        column = compress_parallel(values, threads=2)
+        column = compress(values)
         assert {rg.scheme for rg in column.rowgroups} == {"alp", "alprd"}
         assert bitwise_equal(decompress(column), values)
 

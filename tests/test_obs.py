@@ -160,14 +160,35 @@ class TestPipelineInstrumentation:
         layers = {name.split(".")[0] for name in counters}
         assert {"compressor", "sampler", "alp", "ffor", "bitpack"} <= layers
 
-    def test_parallel_compress_records(self):
-        from repro.core.compressor import compress_parallel
-
+    def test_compress_on_two_threads_nests_per_thread(self):
+        # Server workers compress concurrently: each thread's row-group
+        # spans must nest under its own compress span, never the other's.
         obs.enable()
         rng = np.random.default_rng(7)
         values = np.round(rng.normal(0.0, 10.0, 1024 * 250), 3)
-        column = compress_parallel(values, threads=2)
-        assert np.array_equal(decompress(column), values)
+        start = threading.Barrier(2, timeout=30)
+        columns = []
+
+        def worker():
+            start.wait()
+            columns.append(compress(values))
+
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert len(columns) == 2
+        for column in columns:
+            assert np.array_equal(decompress(column), values)
         snap = obs.snapshot()
-        assert snap["spans"]["compressor.compress_parallel"]["count"] == 1
-        assert snap["counters"]["compressor.rowgroups"] == 3
+        spans = snap["spans"]
+        assert spans["compressor.compress"]["count"] == 2
+        assert spans["compressor.compress/compressor.rowgroup"]["count"] == 6
+        assert not [
+            name
+            for name in spans
+            if name.startswith("compressor.compress/compressor.compress")
+        ]
+        assert snap["counters"]["compressor.rowgroups"] == 6

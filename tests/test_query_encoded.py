@@ -16,6 +16,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,8 +49,6 @@ from repro.encodings.ffor import (
     ffor_sum_range_reference,
     ffor_sum_reference,
 )
-from repro.query import dispatch as dispatch_mod
-from repro.query.dispatch import dispatch, handlers_for, register
 
 #: Doubles that force ALP exceptions (no finite decimal representation
 #: at small (e, f), NaN/Inf payloads, extreme magnitudes).
@@ -303,66 +302,121 @@ class TestExactBounds:
             assert in_float == (d_low <= d <= d_high)
 
 
-class _Base:
-    def encoded_batches(self, value_range=None):
-        return iter(())
+def _refuse_scan(source):
+    raise AssertionError("the decode-first ScanOperator ran")
 
 
-class _Sub(_Base):
-    pass
+class TestQueryRoutes:
+    """Which path each query takes.  Parity alone cannot tell: a query
+    that silently fell back to decode-first would still agree."""
 
+    LOW, HIGH = 10.0, 90.0
 
-class TestDispatchRegistry:
-    def test_mro_specificity_and_inheritance(self):
-        register("test-op-mro", _Base, lambda source: "base")
-        # A subclass inherits the base handler...
-        assert dispatch(
-            "test-op-mro", _Sub(), default=lambda source: "default"
-        ) == "base"
-        # ...until its own, more specific handler is registered.
-        register("test-op-mro", _Sub, lambda source: "sub")
-        assert dispatch(
-            "test-op-mro", _Sub(), default=lambda source: "default"
-        ) == "sub"
-        assert [
-            handler(None)
-            for handler in handlers_for("test-op-mro", _Sub())
-        ] == ["sub", "base"]
+    def _values(self, n=6_144):
+        rng = np.random.default_rng(17)
+        values = np.round(rng.uniform(-50, 150, n), 2)
+        values[::700] = math.pi
+        return values
 
-    def test_not_implemented_falls_through(self):
-        register(
-            "test-op-decline", _Base, lambda source: "base"
+    def _answers(self, source):
+        from repro.query.engine import (
+            range_count_query,
+            range_sum_query,
+            sum_query,
         )
-        register(
-            "test-op-decline", _Sub, lambda source: NotImplemented
+
+        return (
+            sum_query(source),
+            range_sum_query(source, self.LOW, self.HIGH),
+            range_count_query(source, self.LOW, self.HIGH),
         )
-        # The subclass handler declines, the base handler answers.
-        assert dispatch(
-            "test-op-decline", _Sub(), default=lambda source: "default"
-        ) == "base"
 
-    def test_all_declined_runs_default(self):
-        register(
-            "test-op-all-decline", _Base, lambda source: NotImplemented
+    def _decoded_answers(self, source):
+        from repro.query.engine import (
+            range_count_query_decoded,
+            range_sum_query_decoded,
+            sum_query_decoded,
         )
-        assert dispatch(
-            "test-op-all-decline",
-            _Base(),
-            default=lambda source: "default",
-        ) == "default"
 
-    def test_reregistration_replaces(self):
-        register("test-op-replace", _Base, lambda source: "first")
-        register("test-op-replace", _Base, lambda source: "second")
-        assert len(handlers_for("test-op-replace", _Base())) == 1
-        assert dispatch(
-            "test-op-replace", _Base(), default=lambda source: "default"
-        ) == "second"
+        return (
+            sum_query_decoded(source),
+            range_sum_query_decoded(source, self.LOW, self.HIGH),
+            range_count_query_decoded(source, self.LOW, self.HIGH),
+        )
 
-    def teardown_method(self):
-        for op in list(dispatch_mod._registry):
-            if op.startswith("test-op-"):
-                del dispatch_mod._registry[op]
+    def _assert_encoded_route(self, source, monkeypatch):
+        from repro.query import engine
+
+        expected = self._decoded_answers(source)
+        monkeypatch.setattr(engine, "ScanOperator", _refuse_scan)
+        total, (range_total, count), counted = self._answers(source)
+        assert math.isclose(total, expected[0], rel_tol=1e-12)
+        assert math.isclose(range_total, expected[1][0], rel_tol=1e-12)
+        assert count == expected[1][1] == counted == expected[2]
+
+    def test_alp_source_runs_encoded(self, monkeypatch):
+        from repro.query.sources import AlpSource, make_source
+
+        source = make_source("alp", self._values())
+        assert isinstance(source, AlpSource)
+        self._assert_encoded_route(source, monkeypatch)
+
+    def test_alp_source_with_alprd_rowgroup_runs_encoded(self, monkeypatch):
+        from repro.core.compressor import compress
+        from repro.query.sources import AlpSource
+
+        values = np.concatenate(
+            [self._values(2_048), np.random.default_rng(2).random(2_048)]
+        )
+        column = compress(values, vector_size=1024, rowgroup_vectors=2)
+        assert {rg.scheme for rg in column.rowgroups} == {"alp", "alprd"}
+        self._assert_encoded_route(AlpSource(column), monkeypatch)
+
+    def test_file_source_runs_encoded(self, monkeypatch, tmp_path):
+        from repro import api
+        from repro.query.sources import FileColumnSource
+
+        path = tmp_path / "column.alpc"
+        api.write(path, self._values())
+        source = FileColumnSource.open(path)
+        self._assert_encoded_route(source, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "codec, kind",
+        [
+            ("uncompressed", "UncompressedSource"),
+            ("gorilla", "PerVectorCodecSource"),
+            ("zlib(gp)", "BlockCodecSource"),
+        ],
+    )
+    def test_other_sources_run_decoded(self, codec, kind):
+        from repro.query.sources import make_source
+
+        source = make_source(codec, self._values(2_048))
+        assert type(source).__name__ == kind
+        assert not hasattr(source, "encoded_batches")
+        total, (range_total, count), counted = self._answers(source)
+        expected = self._decoded_answers(source)
+        assert total == expected[0]
+        assert (range_total, count) == expected[1]
+        assert counted == expected[2]
+
+    def test_comp_query_counts_serialized_bits_for_alp(self):
+        from repro.core.compressor import compress
+        from repro.query.engine import comp_query
+        from repro.query.sources import make_source
+        from repro.storage.serializer import serialize_rowgroup
+
+        values = self._values()
+        serialized = sum(
+            len(serialize_rowgroup(rowgroup)) * 8
+            for rowgroup in compress(values).rowgroups
+        )
+        assert comp_query("alp", values) == serialized
+        assert serialized != make_source("alp", values).compressed_bits
+        assert comp_query("gorilla", values[:2_048]) == make_source(
+            "gorilla", values[:2_048]
+        ).compressed_bits
 
 
 class TestEngineParity:
