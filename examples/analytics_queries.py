@@ -9,10 +9,9 @@ Run:  python examples/analytics_queries.py
 
 import time
 
-
 from repro.data import get_dataset
 from repro.query import make_source, scan_query, sum_query
-from repro.query.operators import AggregateOperator, FilterOperator, ScanOperator
+from repro.query.engine import range_count_query
 
 values = get_dataset("City-Temp", n=120_000)
 print(f"column: City-Temp, {values.size:,} doubles\n")
@@ -33,13 +32,8 @@ for codec in ("uncompressed", "alp", "pde", "patas", "chimp128", "zlib(gp)"):
     bits = source.compressed_bits / values.size if source.compressed_bits else 64.0
     print(f"{codec:14s} {bits:9.1f} {scan_speed:10.2f} {sum_speed:10.2f}")
 
-# A filtered aggregation as an operator pipeline: SUM of freezing days.
-pipeline = AggregateOperator(
-    FilterOperator(
-        ScanOperator(make_source("alp", values)), low=-100.0, high=32.0
-    ),
-    kind="count",
-)
-freezing = pipeline.result()
+# A filtered aggregation: COUNT of freezing days, evaluated on the
+# still-compressed ALP vectors (FFOR headers decide whole vectors).
+freezing = range_count_query(make_source("alp", values), low=-100.0, high=32.0)
 print(f"\ndays at or below 32F (filter+count over compressed ALP): "
-      f"{int(freezing):,} of {values.size:,}")
+      f"{freezing:,} of {values.size:,}")

@@ -9,25 +9,19 @@ same machinery:
   1024-value vectors out of compressed storage (vector-at-a-time for
   ALP/PDE, stream-decode for the XOR family, block-decode for the
   general-purpose codec),
-- :mod:`repro.query.operators` — Scan / Filter / Aggregate operators in
-  the pull-based, vector-at-a-time style, and the encoded-domain SUM and
-  range operators that run on still-compressed ALP vectors,
-- :mod:`repro.query.engine` — query helpers (scan / sum / range /
-  compression): sources with ``encoded_batches`` take the encoded
-  operators, every other source decodes first; plus multi-threaded
-  partitioned execution for the scaling experiment.
+- :mod:`repro.query.engine` — the queries (scan / sum / range /
+  compression), each one loop over a source's vectors or, for sources
+  with ``encoded_batches``, over still-compressed ALP vectors; the one
+  SUM / COUNT / MIN / MAX reducer (:func:`aggregate`); plus
+  multi-threaded partitioned execution for the scaling experiment.
 """
 
 from repro.query.engine import (
+    aggregate,
     comp_query,
     run_partitioned,
     scan_query,
     sum_query,
-)
-from repro.query.operators import (
-    AggregateOperator,
-    FilterOperator,
-    ScanOperator,
 )
 from repro.query.sources import (
     ColumnSource,
@@ -38,14 +32,12 @@ from repro.query.groupby import GroupedAggregate, group_by
 from repro.query.table import CompressedTable, FilterPredicate
 
 __all__ = [
-    "AggregateOperator",
     "ColumnSource",
     "CompressedTable",
     "FileColumnSource",
-    "FilterOperator",
     "FilterPredicate",
     "GroupedAggregate",
-    "ScanOperator",
+    "aggregate",
     "comp_query",
     "group_by",
     "make_source",

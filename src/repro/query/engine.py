@@ -1,14 +1,14 @@
-"""Query helpers for the end-to-end benchmarks (Table 6 / Figure 6).
+"""The query engine (Table 6 / Figure 6): each query is one loop.
 
-Three queries, matching the paper:
+Section 4.3 of the paper runs SCAN and SUM one vector at a time inside
+Tectorwise.  Here each query is that loop, written out once:
 
-- :func:`scan_query` — decompress the whole column through the scan
-  operator (materializing every vector, discarding it);
-- :func:`sum_query` — SUM aggregation, through the encoded-domain
-  operators when the source yields encoded batches (late
-  materialization: packed integers are reduced and scaled once per
-  vector, doubles are never built), otherwise scan + vectorized float
-  summing;
+- :func:`scan_query` — decompress the whole column vector by vector
+  (materializing every vector, discarding it);
+- :func:`sum_query` — SUM aggregation over the source's encoded batches
+  when it has them (late materialization: packed integers are reduced
+  and scaled once per vector, doubles are never built), otherwise over
+  decoded vectors;
 - :func:`comp_query` — compress the column and serialize it, including
   the metadata the paper mentions (offsets, parameters).
 
@@ -22,6 +22,9 @@ method (:class:`~repro.query.sources.AlpSource` and
 :class:`~repro.query.sources.FileColumnSource`).  Every query also has
 an explicit ``*_decoded`` form, which is both the path for every other
 source and the oracle the property tests compare against.
+:func:`aggregate` is the one SUM / COUNT / MIN / MAX reducer over
+decoded vectors, and :func:`fold_sum` the one order in which encoded
+SUM terms (and the shard router's partition partials) are added.
 
 :func:`run_partitioned` executes a query over N partitions with a thread
 pool; numpy kernels release the GIL for part of their work, so the
@@ -32,23 +35,57 @@ codecs stay serialized — a faithful, if exaggerated, analogue of
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from repro import obs
-from repro.query.operators import (
-    AggregateOperator,
-    EncodedRangeAggregateOperator,
-    EncodedRangeCountOperator,
-    EncodedScanOperator,
-    EncodedSumOperator,
-    FilterOperator,
-    ScanOperator,
-)
+from repro.core.alp import alp_sum_vector
+from repro.core.predicates import count_vector_encoded, sum_range_vector
 from repro.query.sources import AlpSource, ColumnSource, make_source
 from repro.storage.serializer import serialize_rowgroup
+
+
+def aggregate(vectors: Iterable[np.ndarray], kind: str = "sum") -> float:
+    """SUM / COUNT / MIN / MAX over a stream of float64 vectors.
+
+    SUM adds each vector's ``float(vector.sum())`` to ``0.0`` left to
+    right.  MIN and MAX equal ``np.min`` / ``np.max`` over the whole
+    stream whatever its vector boundaries: NaN if any value is NaN (as
+    SUM propagates it); an empty stream gives +inf / -inf.
+    """
+    if kind not in ("sum", "count", "min", "max"):
+        raise ValueError(f"unknown aggregate {kind!r}")
+    if kind == "sum":
+        total = 0.0
+        for vector in vectors:
+            total += float(vector.sum())
+        return total
+    if kind == "count":
+        return float(sum(vector.size for vector in vectors))
+    pick = min if kind == "min" else max
+    extreme = math.inf if kind == "min" else -math.inf
+    for vector in vectors:
+        if vector.size:
+            term = float(vector.min() if kind == "min" else vector.max())
+            # Python's min/max keep a NaN already held but drop a new one.
+            extreme = term if math.isnan(term) else pick(extreme, term)
+    return extreme
+
+
+def fold_sum(terms: Iterable[float]) -> float:
+    """Add SUM terms in order: the first as-is, later ones left to right.
+
+    Float addition is not associative, so this order is part of every
+    encoded SUM's result; an empty stream sums to ``0.0``.
+    """
+    stream = iter(terms)
+    total = next(stream, 0.0)
+    for term in stream:
+        total += term
+    return total
 
 
 def scan_query(source: ColumnSource) -> int:
@@ -56,7 +93,7 @@ def scan_query(source: ColumnSource) -> int:
     with obs.span("query.scan"):
         scanned = 0
         vectors = 0
-        for vector in ScanOperator(source):
+        for vector in source.vectors():
             scanned += vector.size
             vectors += 1
         if obs.ENABLED:
@@ -66,7 +103,7 @@ def scan_query(source: ColumnSource) -> int:
 
 
 def _encoded(source: ColumnSource) -> bool:
-    """True when ``source`` can feed the encoded-domain operators."""
+    """True when ``source`` yields still-compressed batches."""
     return hasattr(source, "encoded_batches")
 
 
@@ -75,7 +112,13 @@ def sum_query(source: ColumnSource) -> float:
     with obs.span("query.sum"):
         if _encoded(source):
             obs.counter_add("query.sum_encoded")
-            result = EncodedSumOperator(EncodedScanOperator(source)).result()
+            terms: list[float] = []
+            for batch in getattr(source, "encoded_batches")(None):
+                if batch.alp is not None:
+                    terms.append(alp_sum_vector(batch.alp))
+                elif batch.values.size:
+                    terms.append(float(batch.values.sum()))
+            result = fold_sum(terms)
         else:
             result = sum_query_decoded(source)
     obs.counter_add("query.sum_queries")
@@ -84,19 +127,32 @@ def sum_query(source: ColumnSource) -> float:
 
 def sum_query_decoded(source: ColumnSource) -> float:
     """The decode-then-aggregate SUM: default path and test oracle."""
-    return AggregateOperator(ScanOperator(source), kind="sum").result()
+    return aggregate(source.vectors(), "sum")
 
 
 def range_sum_query(
     source: ColumnSource, low: float, high: float
 ) -> tuple[float, int]:
-    """Filtered SUM: ``(sum, count)`` of values in ``[low, high]``."""
+    """Filtered SUM: ``(sum, count)`` of values in ``[low, high]``.
+
+    The source may withhold batches that its zone maps show hold no
+    value in the range: they add nothing to either result.
+    """
     with obs.span("query.range_sum"):
         if _encoded(source):
-            scan = EncodedScanOperator(source, value_range=(low, high))
-            total, count = EncodedRangeAggregateOperator(
-                scan, low, high
-            ).result()
+            terms: list[float] = []
+            count = 0
+            for batch in getattr(source, "encoded_batches")((low, high)):
+                if batch.alp is not None:
+                    term, kept = sum_range_vector(batch.alp, low, high)
+                else:
+                    values = batch.values
+                    selected = values[(values >= low) & (values <= high)]
+                    term, kept = float(selected.sum()), selected.size
+                if kept:
+                    terms.append(term)
+                    count += kept
+            total = fold_sum(terms)
         else:
             total, count = range_sum_query_decoded(source, low, high)
     obs.counter_add("query.range_queries")
@@ -109,20 +165,27 @@ def range_sum_query_decoded(
     """Decode-then-filter-then-sum: default path and test oracle."""
     total = 0.0
     count = 0
-    for vector in FilterOperator(ScanOperator(source), low, high):
-        total += float(vector.sum())
-        count += vector.size
+    for vector in source.vectors():
+        selected = vector[(vector >= low) & (vector <= high)]
+        total += float(selected.sum())
+        count += selected.size
     return total, count
 
 
 def range_count_query(
     source: ColumnSource, low: float, high: float
 ) -> int:
-    """COUNT of values in ``[low, high]``."""
+    """COUNT of values in ``[low, high]``; header-decided ALP vectors
+    are counted without unpacking."""
     with obs.span("query.range_count"):
         if _encoded(source):
-            scan = EncodedScanOperator(source, value_range=(low, high))
-            result = EncodedRangeCountOperator(scan, low, high).result()
+            result = 0
+            for batch in getattr(source, "encoded_batches")((low, high)):
+                if batch.alp is not None:
+                    result += count_vector_encoded(batch.alp, low, high)
+                else:
+                    values = batch.values
+                    result += int(((values >= low) & (values <= high)).sum())
         else:
             result = range_count_query_decoded(source, low, high)
     obs.counter_add("query.range_queries")
@@ -133,10 +196,10 @@ def range_count_query_decoded(
     source: ColumnSource, low: float, high: float
 ) -> int:
     """Decode-then-filter-then-count: default path and test oracle."""
-    count = 0
-    for vector in FilterOperator(ScanOperator(source), low, high):
-        count += vector.size
-    return count
+    return sum(
+        int(((vector >= low) & (vector <= high)).sum())
+        for vector in source.vectors()
+    )
 
 
 def comp_query(codec_name: str, values: np.ndarray) -> int:

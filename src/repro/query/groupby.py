@@ -1,6 +1,6 @@
 """Vectorized GROUP BY aggregation over compressed columns.
 
-Completes the engine's operator set with the aggregation pattern real
+Completes the engine's queries with the aggregation pattern real
 analytical queries use: group a value column by a key column, entirely
 vector-at-a-time.  Per batch, keys and values decode together, the keys
 are factorized (``np.unique``) and per-group partial aggregates are
@@ -13,6 +13,7 @@ pattern, so NaN keys group together and ±0.0 stay distinct.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,20 +44,30 @@ class GroupedAggregate:
             codes, weights=values, minlength=unique.size
         )
         group_counts = np.bincount(codes, minlength=unique.size)
+        # fmin/fmax skip NaN without the invalid-value warning that
+        # minimum.at raises; NaN groups are set afterwards, so each
+        # group's min/max matches np.min/np.max over its values.
+        nan_codes = codes[np.isnan(values)]
         group_mins = np.full(unique.size, np.inf)
-        np.minimum.at(group_mins, codes, values)
+        np.fmin.at(group_mins, codes, values)
+        group_mins[nan_codes] = np.nan
         group_maxs = np.full(unique.size, -np.inf)
-        np.maximum.at(group_maxs, codes, values)
+        np.fmax.at(group_maxs, codes, values)
+        group_maxs[nan_codes] = np.nan
 
         for i, raw_key in enumerate(unique.tolist()):
             self.sums[raw_key] = self.sums.get(raw_key, 0.0) + group_sums[i]
             self.counts[raw_key] = (
                 self.counts.get(raw_key, 0) + int(group_counts[i])
             )
-            current_min = self.mins.get(raw_key, np.inf)
-            self.mins[raw_key] = min(current_min, float(group_mins[i]))
-            current_max = self.maxs.get(raw_key, -np.inf)
-            self.maxs[raw_key] = max(current_max, float(group_maxs[i]))
+            low, high = float(group_mins[i]), float(group_maxs[i])
+            # Python's min/max keep a NaN already held but drop a new one.
+            if not math.isnan(low):
+                low = min(self.mins.get(raw_key, math.inf), low)
+            if not math.isnan(high):
+                high = max(self.maxs.get(raw_key, -math.inf), high)
+            self.mins[raw_key] = low
+            self.maxs[raw_key] = high
 
     def result(self, kind: str = "sum") -> dict[float, float]:
         """Final {key: aggregate} mapping (keys back as floats)."""

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro import obs
 from repro.baselines.registry import get_codec
-from repro.core.alp import AlpVector, alp_decode_vector
+from repro.core.alp import AlpVector
 from repro.core.compressor import (
     CompressedRowGroup,
     CompressedRowGroups,
@@ -43,27 +43,12 @@ class EncodedBatch:
     Exactly one payload field is set: ``alp`` carries a still-compressed
     ALP vector for encoded-domain execution; ``values`` carries decoded
     float64 values for payloads without an ALP integer domain (ALP_rd
-    row-groups, foreign codecs) so every source can participate in the
-    encoded pipeline, just without the fast math for those batches.
+    row-groups, foreign codecs) so every source can feed the encoded
+    queries, just without the fast math for those batches.
     """
 
     alp: AlpVector | None = None
     values: np.ndarray | None = None
-
-    @property
-    def count(self) -> int:
-        """Number of values in this batch."""
-        if self.alp is not None:
-            return self.alp.count
-        return int(self.values.size) if self.values is not None else 0
-
-    def decode(self) -> np.ndarray:
-        """Materialize the batch as float64 (the escape hatch)."""
-        if self.alp is not None:
-            return alp_decode_vector(self.alp)
-        if self.values is None:
-            return np.empty(0, dtype=np.float64)
-        return self.values
 
 
 class ColumnSource(Protocol):
@@ -132,7 +117,7 @@ class AlpSource:
 
         ``value_range`` is a push-down hint this source cannot exploit
         (in-memory columns carry no zone maps); per-vector FFOR-header
-        rejection inside the encoded operators covers the skipping.
+        rejection inside the encoded queries covers the skipping.
         """
         del value_range
         return _batches(

@@ -1,6 +1,6 @@
 """Multi-column compressed tables with late materialization.
 
-The engine's single-column operators cover the paper's SCAN/SUM
+The engine's single-column queries cover the paper's SCAN/SUM
 benchmarks; real analytical queries touch several columns.  A
 :class:`CompressedTable` holds one compressed column source per name and
 executes filtered aggregations with *late materialization*: the filter
@@ -16,10 +16,11 @@ argument of the paper's introduction made executable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
+from repro.query.engine import aggregate
 from repro.query.sources import ColumnSource, make_source
 
 
@@ -136,23 +137,8 @@ class CompressedTable:
         kind: str = "sum",
         predicate: FilterPredicate | None = None,
     ) -> float:
-        """Filtered aggregate of one column: sum / count / min / max."""
-        reducers: dict[str, Callable[[float, np.ndarray], float]] = {
-            "sum": lambda acc, v: acc + float(v.sum()),
-            "count": lambda acc, v: acc + v.size,
-            "min": lambda acc, v: min(acc, float(v.min())) if v.size else acc,
-            "max": lambda acc, v: max(acc, float(v.max())) if v.size else acc,
-        }
-        initial = {
-            "sum": 0.0,
-            "count": 0.0,
-            "min": float("inf"),
-            "max": float("-inf"),
-        }
-        if kind not in reducers:
-            raise ValueError(f"unknown aggregate {kind!r}")
-        accumulator = initial[kind]
-        reducer = reducers[kind]
-        for batch in self.scan([column], predicate=predicate):
-            accumulator = reducer(accumulator, batch[column])
-        return accumulator
+        """Filtered aggregate of one column: sum / count / min / max
+        (see :func:`~repro.query.engine.aggregate`)."""
+        return aggregate(
+            (batch[column] for batch in self.scan([column], predicate)), kind
+        )

@@ -1,18 +1,23 @@
 """Deterministic merging of per-partition responses.
 
 The merge rules exist to keep one promise: **with every shard healthy, a
-routed response is byte- and value-identical to the same request served
-by one node** (pinned by ``tests/test_shard_router.py``).
+routed scan is byte-identical to the same request served by one node**,
+and a routed sum is too whenever the partition partials are exact
+(pinned by ``tests/test_shard_router.py``).
 
 - *Scans* return partition payloads as response parts in partition
   (row-group) order — exactly the order a single node's row-group loop
   produces.  The parts are the backend receive buffers or
   ``memoryview`` slices of them; no scan merge joins or copies bytes.
-- *Sums* fold partition partials **left-to-right in partition order**,
-  mirroring :class:`~repro.query.operators.EncodedSumOperator`'s
-  ``total = term if not started else total + term`` accumulation.
-  Float addition is not associative, so folding in any other order (or
-  pairwise) could drift by a ulp; folding in the same order cannot.
+- *Sums* fold partition partials with
+  :func:`~repro.query.engine.fold_sum`, left-to-right in partition
+  order, the fold a single node applies to its per-vector terms.  The
+  association still differs: the router adds whole-partition partials,
+  one node adds vector terms across partition boundaries.  So the two
+  agree to the bit only when every partial and running sum is exact in
+  float64 (integer-valued doubles under 2**53, say); on general data
+  they can differ by rounding.  Pinning one order across the two is
+  the ROADMAP bit-exactness item.
 - *Quarantine tallies* add across partitions, and a partition whose
   every replica is unreachable degrades into those same tallies (its
   row-group and row counts), keeping the response row-aligned: counts
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.query.engine import fold_sum
 from repro.shard.placement import Partition
 
 
@@ -128,10 +134,9 @@ def merge_scan_columns(
 
 
 def merge_sum(parts: "list[PartResult]") -> dict[str, object]:
-    """Fold partition sums left-to-right in partition order."""
+    """Fold partition sums in partition order (:func:`fold_sum`)."""
     fields = merge_tallies(parts)
-    total = 0.0
-    started = False
+    terms: list[float] = []
     count = 0
     for part in parts:
         if part.missing:
@@ -142,11 +147,8 @@ def merge_sum(parts: "list[PartResult]") -> dict[str, object]:
                 f"partition {part.partition.key} returned malformed "
                 f"'sum': {term!r}"
             )
-        # Mirrors EncodedSumOperator.result(): the first term is taken
-        # as-is, later terms accumulate in order.
-        total = float(term) if not started else total + float(term)
-        started = True
+        terms.append(float(term))
         count += _int_field(part.fields, "count")
-    fields["sum"] = total
+    fields["sum"] = fold_sum(terms)
     fields["count"] = count
     return fields

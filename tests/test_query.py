@@ -5,15 +5,14 @@ import pytest
 
 from repro.data import get_dataset
 from repro.query.engine import (
+    aggregate,
     comp_query,
+    range_count_query_decoded,
+    range_sum_query,
+    range_sum_query_decoded,
     run_partitioned,
     scan_query,
     sum_query,
-)
-from repro.query.operators import (
-    AggregateOperator,
-    FilterOperator,
-    ScanOperator,
 )
 from repro.query.sources import (
     BlockCodecSource,
@@ -93,16 +92,21 @@ class TestOperators:
         assert total == pytest.approx(float(values.sum()), rel=1e-9)
 
     def test_filter_range(self, city_temp):
-        scan = ScanOperator(UncompressedSource(city_temp))
-        filtered = FilterOperator(scan, 50.0, 60.0)
-        out = np.concatenate(list(filtered))
+        source = UncompressedSource(city_temp)
         expected = city_temp[(city_temp >= 50.0) & (city_temp <= 60.0)]
-        assert np.array_equal(out, expected)
+        assert range_count_query_decoded(source, 50.0, 60.0) == expected.size
+        total, count = range_sum_query_decoded(source, 50.0, 60.0)
+        assert count == expected.size
+        assert total == pytest.approx(float(expected.sum()), rel=1e-12)
 
     def test_filter_empty_result(self, city_temp):
-        scan = ScanOperator(UncompressedSource(city_temp))
-        filtered = FilterOperator(scan, 1e9, 2e9)
-        assert list(filtered) == []
+        source = UncompressedSource(city_temp)
+        assert range_count_query_decoded(source, 1e9, 2e9) == 0
+        assert range_sum_query_decoded(source, 1e9, 2e9) == (0.0, 0)
+        assert range_sum_query(make_source("alp", city_temp), 1e9, 2e9) == (
+            0.0,
+            0,
+        )
 
     def test_aggregates(self, city_temp):
         for kind, expected in (
@@ -110,26 +114,25 @@ class TestOperators:
             ("min", float(city_temp.min())),
             ("max", float(city_temp.max())),
         ):
-            agg = AggregateOperator(
-                ScanOperator(UncompressedSource(city_temp)), kind=kind
-            )
-            assert agg.result() == pytest.approx(expected)
+            vectors = UncompressedSource(city_temp).vectors()
+            assert aggregate(vectors, kind) == pytest.approx(expected)
+        assert aggregate(iter(()), "min") == np.inf
+        assert aggregate(iter(()), "max") == -np.inf
 
     def test_unknown_aggregate(self):
         with pytest.raises(ValueError):
-            AggregateOperator(
-                ScanOperator(UncompressedSource(np.zeros(4))), kind="avg"
-            )
+            aggregate(UncompressedSource(np.zeros(4)).vectors(), "avg")
 
     def test_filter_then_sum_pipeline(self, city_temp):
-        scan = ScanOperator(make_source("alp", city_temp))
-        pipeline = AggregateOperator(
-            FilterOperator(scan, 0.0, 50.0), kind="sum"
-        )
+        source = make_source("alp", city_temp)
         mask = (city_temp >= 0.0) & (city_temp <= 50.0)
-        assert pipeline.result() == pytest.approx(
-            float(city_temp[mask].sum()), rel=1e-9
-        )
+        expected = float(city_temp[mask].sum())
+        for total, count in (
+            range_sum_query(source, 0.0, 50.0),
+            range_sum_query_decoded(source, 0.0, 50.0),
+        ):
+            assert count == int(mask.sum())
+            assert total == pytest.approx(expected, rel=1e-9)
 
 
 class TestEngine:

@@ -302,8 +302,8 @@ class TestExactBounds:
             assert in_float == (d_low <= d <= d_high)
 
 
-def _refuse_scan(source):
-    raise AssertionError("the decode-first ScanOperator ran")
+def _refuse_decode():
+    raise AssertionError("the query decoded the source first")
 
 
 class TestQueryRoutes:
@@ -345,10 +345,8 @@ class TestQueryRoutes:
         )
 
     def _assert_encoded_route(self, source, monkeypatch):
-        from repro.query import engine
-
         expected = self._decoded_answers(source)
-        monkeypatch.setattr(engine, "ScanOperator", _refuse_scan)
+        monkeypatch.setattr(source, "vectors", _refuse_decode)
         total, (range_total, count), counted = self._answers(source)
         assert math.isclose(total, expected[0], rel_tol=1e-12)
         assert math.isclose(range_total, expected[1][0], rel_tol=1e-12)
@@ -490,14 +488,46 @@ class TestEngineParity:
         expected = int(((values >= low) & (values <= high)).sum())
         assert range_count_query(source, low, high) == expected
 
-    def test_encoded_batch_counts(self):
-        from repro.query.sources import EncodedBatch
+    def test_sum_is_left_to_right_fold_of_vector_terms(self, tmp_path):
+        """Encoded SUM equals, to the bit, the per-vector terms (ALP:
+        ``alp_sum_vector``; ALP_rd: the decoded vector's ``sum``) added
+        first-as-is then left to right — the order a row-group SUM
+        kernel must keep."""
+        from repro import api
+        from repro.api import CompressionOptions
+        from repro.core.compressor import compress, decode_rowgroup_vector
+        from repro.query.engine import fold_sum, sum_query
+        from repro.query.sources import AlpSource, FileColumnSource
 
-        empty = EncodedBatch()
-        assert empty.count == 0 and empty.decode().size == 0
-        decoded = EncodedBatch(values=np.ones(3))
-        assert decoded.count == 3
-        vector = alp_encode_vector(
-            np.round(np.linspace(0, 1, 64), 2), 4, 2
+        rng = np.random.default_rng(13)
+        values = np.concatenate(
+            [
+                np.round(rng.normal(0, 1e6, 4_096), 3),
+                rng.random(2_048) * 1e6,
+                np.round(rng.normal(0, 1e6, 2_048), 3),
+            ]
         )
-        assert EncodedBatch(alp=vector).count == 64
+        values[100] = math.pi  # an ALP exception
+        column = compress(values, vector_size=1024, rowgroup_vectors=2)
+        assert "alprd" in {rg.scheme for rg in column.rowgroups}
+        terms = []
+        for rowgroup in column.rowgroups:
+            for v in range(rowgroup.vector_count):
+                if rowgroup.alp is not None:
+                    terms.append(alp_sum_vector(rowgroup.alp.vectors[v]))
+                else:
+                    vector = decode_rowgroup_vector(rowgroup, v)
+                    terms.append(float(vector.sum()))
+        expected = terms[0]
+        for term in terms[1:]:
+            expected += term
+        # The seed is chosen so that another order would be visible.
+        assert fold_sum(reversed(terms)) != expected != float(values.sum())
+
+        path = tmp_path / "column.alpc"
+        api.write(path, values, CompressionOptions(rowgroup_vectors=2))
+        for source in (AlpSource(column), FileColumnSource.open(path)):
+            total = sum_query(source)
+            assert np.float64(total).view(np.uint64) == np.float64(
+                expected
+            ).view(np.uint64)

@@ -73,6 +73,39 @@ class TestGroupedAggregate:
         assert acc.group_count == 2
 
 
+class TestNanPerGroup:
+    """Per group, MIN / MAX follow np.min / np.max: NaN if any of the
+    group's values is NaN, in any batch, with no RuntimeWarning."""
+
+    @pytest.mark.parametrize("batch", [0, 1, 2])
+    def test_nan_in_one_batch(self, batch):
+        agg = GroupedAggregate()
+        for b in range(3):
+            values = np.array([5.0 + b, 1.0 + b, -np.inf if b == 1 else 3.0])
+            if b == batch:
+                values[0] = np.nan
+            agg.update(np.array([1.0, 2.0, 2.0]), values)
+        assert math.isnan(agg.result("min")[1.0])
+        assert math.isnan(agg.result("max")[1.0])
+        assert agg.result("min")[2.0] == -np.inf
+        assert agg.result("max")[2.0] == 3.0
+
+    def test_group_by_over_vectors(self):
+        keys = np.tile([0.0, 1.0], 1024)
+        values = np.arange(2048, dtype=np.float64)
+        values[1500] = np.nan  # key 0.0, second vector
+        result = {
+            kind: group_by(
+                make_source("alp", keys), make_source("alp", values), kind
+            )
+            for kind in ("min", "max", "sum")
+        }
+        for kind in ("min", "max", "sum"):
+            assert math.isnan(result[kind][0.0])
+        assert result["min"][1.0] == 1.0
+        assert result["max"][1.0] == 2047.0
+
+
 class TestGroupByOverCompressed:
     @pytest.mark.parametrize("kind", ["sum", "count", "min", "max"])
     def test_matches_reference(self, sales, kind):

@@ -126,6 +126,53 @@ class TestAggregate:
         assert got == pytest.approx(float(trades["price"][mask].sum()), rel=1e-9)
 
 
+class TestNanMinMax:
+    """MIN / MAX equal np.min / np.max over the whole column: a NaN in
+    any vector makes the result NaN, whatever the vector boundaries."""
+
+    def _column(self, nan_at=None):
+        values = np.full(4 * 1024, 5.0)
+        values[1024:2048] = 7.0
+        values[3072:] = -2.0
+        if nan_at is not None:
+            values[nan_at] = np.nan
+        return values
+
+    @pytest.mark.parametrize("codec", ["uncompressed", "alp"])
+    @pytest.mark.parametrize("kind", ["min", "max"])
+    @pytest.mark.parametrize("nan_at", [0, 1500, 2047, 3000, 4095])
+    def test_nan_in_any_vector(self, nan_at, kind, codec):
+        values = self._column(nan_at)
+        assert np.isnan(getattr(np, kind)(values))
+        table = CompressedTable.from_arrays({"x": values}, codec)
+        assert np.isnan(table.aggregate("x", kind))
+
+    def test_nan_in_first_of_two_vectors(self):
+        values = np.concatenate([np.full(1024, 5.0), np.full(1024, 7.0)])
+        values[10] = np.nan
+        table = CompressedTable.from_arrays({"x": values})
+        assert np.isnan(table.aggregate("x", "min"))
+        assert np.isnan(table.aggregate("x", "max"))
+
+    @pytest.mark.parametrize("kind", ["min", "max"])
+    def test_infinities(self, kind):
+        values = self._column()
+        values[2500] = np.inf
+        values[100] = -np.inf
+        expected = float(getattr(np, kind)(values))
+        table = CompressedTable.from_arrays({"x": values})
+        assert table.aggregate("x", kind) == expected == (
+            -np.inf if kind == "min" else np.inf
+        )
+
+    def test_filter_drops_nan(self):
+        values = self._column(1500)
+        table = CompressedTable.from_arrays({"x": values})
+        predicate = FilterPredicate("x", -10.0, 10.0)
+        assert table.aggregate("x", "min", predicate) == -2.0
+        assert table.aggregate("x", "max", predicate) == 7.0
+
+
 class TestMixedCodecs:
     def test_columns_can_use_different_codecs(self, trades):
         from repro.query.sources import make_source
