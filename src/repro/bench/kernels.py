@@ -81,7 +81,9 @@ regression gate's ratio check doubles as a layout invariant; the
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
+import re
 import sys
 import time
 
@@ -330,6 +332,106 @@ def _bench_query_cmp(repeats: int, calibration: float) -> BenchRecord:
         compress_rel=fused_mbps / calibration,
         decompress_rel=decode_mbps / calibration,
         counters={"query.cmp_speedup_vs_decode": speedup},
+    )
+
+
+#: Columns of ``kernels/q-sum-rowgroup``: NYC/29 (42-bit residuals,
+#: the row-group grid's regime) and Food-prices.
+QUERY_SUM_ROWGROUP_DATASETS = ("NYC/29", "Food-prices")
+#: Row-groups per column it sums per call.
+QUERY_SUM_ROWGROUP_ROWGROUPS = 2
+#: Interleaved pairs per repeat of each of its two comparisons.
+QUERY_SUM_ROWGROUP_PAIRS_PER_REPEAT = 3
+
+
+def _bench_query_sum_rowgroup(repeats: int, calibration: float) -> BenchRecord:
+    """Row-group encoded SUM (``kernels/q-sum-rowgroup``).
+
+    :func:`~repro.query.engine.sum_query` over an
+    :class:`~repro.query.sources.AlpSource` of
+    :data:`QUERY_SUM_ROWGROUP_ROWGROUPS` full row-groups of each of
+    :data:`QUERY_SUM_ROWGROUP_DATASETS` (one integer pass per
+    row-group, one term per vector), timed in interleaved pairs
+    (:func:`_paired_times`) against two other arms:
+
+    - the per-vector encoded loop it replaced (``alp_sum_vector`` on
+      each vector alone), ratio under
+      ``counters["query.<dataset>_sum_speedup_vs_vector"]``;
+    - decode-first SUM by row-group
+      (:func:`~repro.core.compressor.decode_rowgroup_into`, then one
+      ``np.sum`` per vector), ratio under
+      ``counters["query.<dataset>_sum_speedup_vs_decode"]``.
+
+    All three fold the same per-vector terms in the same order; the
+    encoded arms must agree to the bit.  ``compress_mbps`` is the
+    row-group encoded SUM, ``decompress_mbps`` decode-first, both over
+    both columns.
+    """
+    from repro.core.alp import alp_sum_vector
+    from repro.core.compressor import compress, decode_rowgroup_into
+    from repro.core.constants import ROWGROUP_VECTORS
+    from repro.data import get_dataset
+    from repro.query.engine import fold_sum, sum_query
+    from repro.query.sources import AlpSource
+
+    counters: dict[str, float] = {}
+    encoded_seconds = decode_seconds = 0.0
+    total_bits = total_values = 0
+    pairs = QUERY_SUM_ROWGROUP_PAIRS_PER_REPEAT * repeats
+    for name in QUERY_SUM_ROWGROUP_DATASETS:
+        rows = QUERY_SUM_ROWGROUP_ROWGROUPS * ROWGROUP_VECTORS
+        values = get_dataset(name, n=rows * KERNEL_VECTOR_SIZE)
+        column = compress(values)
+        if column.uses_rd:
+            raise AssertionError(f"{name}: expected ALP row-groups only")
+        source = AlpSource(column)
+        alp_vectors = [v for rg in column.rowgroups for v in rg.alp.vectors]
+        outs = [np.empty(rg.count, dtype=np.float64) for rg in column.rowgroups]
+
+        def per_vector() -> float:
+            return fold_sum(alp_sum_vector(v) for v in alp_vectors)
+
+        def per_rowgroup() -> float:
+            return sum_query(source)
+
+        def decode_first() -> float:
+            terms = []
+            for rowgroup, out in zip(column.rowgroups, outs, strict=True):
+                decode_rowgroup_into(rowgroup, out)
+                terms += [
+                    float(out[at : at + KERNEL_VECTOR_SIZE].sum())
+                    for at in range(0, out.size, KERNEL_VECTOR_SIZE)
+                ]
+            return fold_sum(terms)
+
+        if np.float64(per_vector()).tobytes() != np.float64(
+            per_rowgroup()
+        ).tobytes():
+            raise AssertionError(f"{name}: row-group SUM is not bit-identical")
+        _, _, vs_vector = _paired_times(per_vector, per_rowgroup, pairs)
+        decode_s, encoded_s, vs_decode = _paired_times(
+            decode_first, per_rowgroup, pairs
+        )
+        counters[f"query.{name}_sum_speedup_vs_vector"] = vs_vector
+        counters[f"query.{name}_sum{SPEEDUP_SUFFIX}"] = vs_decode
+        encoded_seconds += encoded_s
+        decode_seconds += decode_s
+        total_bits += column.size_bits()
+        total_values += values.size
+    encoded_mbps = total_values * 8 / encoded_seconds / 1e6
+    decode_mbps = total_values * 8 / decode_seconds / 1e6
+    bits_per_value = total_bits / total_values
+    return BenchRecord(
+        dataset="kernels/q-sum-rowgroup",
+        codec="alp",
+        n=total_values,
+        bits_per_value=bits_per_value,
+        compression_ratio=64.0 / bits_per_value,
+        compress_mbps=encoded_mbps,
+        decompress_mbps=decode_mbps,
+        compress_rel=encoded_mbps / calibration,
+        decompress_rel=decode_mbps / calibration,
+        counters=counters,
     )
 
 
@@ -971,46 +1073,59 @@ def _bench_sampler(repeats: int, calibration: float) -> BenchRecord:
 def kernel_bench_records(repeats: int = 5) -> list[BenchRecord]:
     """All kernel micro-benchmark records (see module docstring).
 
-    The calibration anchoring the ``*_rel`` fields is measured once
-    before and once after the kernel sweep and averaged, the same
+    The calibration anchoring the ``*_rel`` fields is measured next to
+    each record: before the first, then after every record, and each
+    record is anchored on the mean of the calibrations on either side
+    of it.  A host slowdown over part of the sweep then moves the
+    records it overlaps and their own calibrations together, the same
     drift-compensation idea as the per-record sandwich in
     :func:`repro.bench.harness.bench_codec_structured`.
     """
     from repro.bench.harness import calibration_mbps
 
-    cal_before = calibration_mbps(repeats=repeats)
-    raw: list[BenchRecord] = []
-    for width in KERNEL_WIDTHS:
-        raw.append(_bench_pack(width, repeats, cal_before))
-        raw.append(_bench_ffor(width, repeats, cal_before))
-    raw.append(_bench_alp_vector(repeats, cal_before))
-    raw.append(_bench_query_sum(repeats, cal_before))
-    raw.append(_bench_query_cmp(repeats, cal_before))
-    raw.append(_bench_query_table(repeats, cal_before))
-    raw.append(_bench_io(repeats, cal_before))
-    raw.append(_bench_crc32c(repeats, cal_before))
-    raw.append(_bench_rowgroup_decode(repeats, cal_before))
-    raw.append(_bench_rowgroup_encode(repeats, cal_before))
-    raw.append(_bench_sampler(repeats, cal_before))
-    calibration = (cal_before + calibration_mbps(repeats=repeats)) / 2
-
-    # Re-anchor every record on the averaged calibration.
-    return [
-        BenchRecord(
-            dataset=record.dataset,
-            codec=record.codec,
-            n=record.n,
-            bits_per_value=record.bits_per_value,
-            compression_ratio=record.compression_ratio,
-            compress_mbps=record.compress_mbps,
-            decompress_mbps=record.decompress_mbps,
-            compress_rel=record.compress_mbps / calibration,
-            decompress_rel=record.decompress_mbps / calibration,
-            spans=record.spans,
-            counters=record.counters,
-        )
-        for record in raw
+    builders = [
+        functools.partial(bench, width)
+        for width in KERNEL_WIDTHS
+        for bench in (_bench_pack, _bench_ffor)
+    ] + [
+        _bench_alp_vector,
+        _bench_query_sum,
+        _bench_query_sum_rowgroup,
+        _bench_query_cmp,
+        _bench_query_table,
+        _bench_io,
+        _bench_crc32c,
+        _bench_rowgroup_decode,
+        _bench_rowgroup_encode,
+        _bench_sampler,
     ]
+    records = []
+    before = calibration_mbps(repeats=repeats)
+    for build in builders:
+        record = build(repeats, before)
+        after = calibration_mbps(repeats=repeats)
+        calibration = (before + after) / 2
+        records.append(
+            dataclasses.replace(
+                record,
+                compress_rel=record.compress_mbps / calibration,
+                decompress_rel=record.decompress_mbps / calibration,
+            )
+        )
+        before = after
+    return records
+
+
+def _speedup_note(record: BenchRecord) -> str:
+    """The printed summary of a record's ``*speedup_vs_*`` counters,
+    e.g. ``(NYC/29_sum 2.61x vs vector, ...)``."""
+    notes = []
+    for name, value in record.counters.items():
+        found = re.fullmatch(r"[^.]*\.(?:(.*)_)?speedup_vs_(.*)", name)
+        if found:
+            label = f"{found.group(1)} " if found.group(1) else ""
+            notes.append(f"{label}{value:.2f}x vs {found.group(2)}")
+    return f"  ({', '.join(notes)})" if notes else ""
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1029,32 +1144,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     records = kernel_bench_records(repeats=args.repeats)
     for record in records:
-        extra = ""
-        speedup = record.counters.get("pack.speedup_vs_bitmatrix")
-        if speedup is not None:
-            extra = f"  ({speedup:.1f}x vs bit-matrix)"
-        speedup = record.counters.get("crc.speedup_vs_reference")
-        if speedup is not None:
-            extra = f"  ({speedup:.1f}x vs scalar reference)"
-        per_column = [
-            f"{name[len('rowgroup.') :].rsplit('_speedup', 1)[0]} {value:.2f}x"
-            for name, value in record.counters.items()
-            if name.endswith((VECTOR_SPEEDUP, ENCODE_SPEEDUP))
-        ]
-        if per_column:
-            extra = f"  ({', '.join(per_column)} vs per-vector)"
-        per_column = [
-            f"{name[len('sampler.') : -len(SAMPLER_SPEEDUP)]} {value:.1f}x"
-            for name, value in record.counters.items()
-            if name.endswith(SAMPLER_SPEEDUP)
-        ]
-        if per_column:
-            extra = f"  ({', '.join(per_column)} vs loop references)"
-        for name, value in record.counters.items():
-            if name.endswith(SPEEDUP_SUFFIX):
-                extra = f"  ({value:.2f}x fused vs decode-first)"
+        extra = _speedup_note(record)
         print(
-            f"{record.dataset:18s} {record.codec:5s} "
+            f"{record.dataset:23s} {record.codec:6s} "
             f"C {record.compress_mbps:8.1f} MB/s  "
             f"D {record.decompress_mbps:8.1f} MB/s{extra}"
         )

@@ -41,6 +41,7 @@ from repro.encodings.ffor import (
     ffor_encode_rowgroup,
     ffor_sum,
     ffor_sum_reference,
+    ffor_sum_rows,
 )
 
 
@@ -323,18 +324,16 @@ def alp_decode_vector_scalar(vector: AlpVector) -> np.ndarray:
 
 
 def _exception_sum(values: np.ndarray) -> float:
-    """Pairwise ``np.sum`` of exception doubles.
+    """Pairwise sum of exception doubles: ``np.sum``'s own reduction.
 
     ``inf + -inf`` is NaN and ``max + max`` is inf by IEEE rules — the
-    same results the decoded path produces — not errors, so numpy's
-    "invalid value" and "overflow" warnings are silenced here, on the
-    exception branch only.
+    same results the decoded path produces — not errors, so callers
+    hold ``np.errstate(invalid="ignore", over="ignore")`` around it.
     """
-    with np.errstate(invalid="ignore", over="ignore"):
-        return float(np.sum(values))
+    return float(np.add.reduce(values))
 
 
-def alp_sum_vector(vector: AlpVector) -> float:
+def alp_sum_vector(vector: AlpVector, d_sum: int | None = None) -> float:
     """SUM of one vector in the encoded domain (late materialization).
 
     For the non-exception slots ``sum(n_i) = (sum(d_i)) * 10^f * 10^-e``:
@@ -348,6 +347,12 @@ def alp_sum_vector(vector: AlpVector) -> float:
     therefore propagate exactly as they do after full decoding, and an
     all-exception vector is summed bit-identically to the decoded path.
 
+    ``d_sum``, when given, is that exact integer sum, already reduced:
+    the row-group loop computes every vector's at once
+    (:func:`alp_exact_sums`) and holds ``np.errstate(invalid="ignore",
+    over="ignore")`` for the whole row-group.  Without it the vector
+    reduces its own integers and guards its own exception sum.
+
     The exception-free result differs from summing the individually
     rounded decoded doubles only in final-ulp rounding: the encoded-
     domain sum rounds once (after an exact integer sum) where the
@@ -356,25 +361,84 @@ def alp_sum_vector(vector: AlpVector) -> float:
     """
     if vector.count == 0:
         return 0.0
-    n_exceptions = vector.exception_count
-    exc_sum = _exception_sum(vector.exc_values) if n_exceptions else 0.0
     if obs.ENABLED:
         obs.metrics.counter_add("alp.vectors_summed_encoded", 1)
+    if d_sum is not None:
+        return _sum_term(vector, d_sum)
+    if vector.exception_count:
+        with np.errstate(invalid="ignore", over="ignore"):
+            return _sum_term(vector, _exact_sum(vector))
+    return _sum_term(vector, ffor_sum(vector.ffor))
+
+
+def _exact_sum(vector: AlpVector) -> int:
+    """Exact integer sum of one vector's non-exception values (0 when
+    every slot is an exception)."""
+    n_exceptions = vector.exception_count
+    if n_exceptions == vector.count:
+        return 0
+    exclude = vector.exc_positions if n_exceptions else None
+    return ffor_sum(vector.ffor, exclude=exclude)
+
+
+def _sum_term(vector: AlpVector, d_sum: int) -> float:
+    """The SUM term of a vector whose integer sum is ``d_sum``."""
+    n_exceptions = vector.exception_count
     if n_exceptions == vector.count:
         # Pure-exception vector: the decoded column would be exactly
         # ``exc_values`` — return its sum untouched (adding a 0.0 main
         # term would flip a -0.0 total to +0.0).
-        return exc_sum
-    exclude = vector.exc_positions if n_exceptions else None
-    d_sum = ffor_sum(vector.ffor, exclude=exclude)
+        return _exception_sum(vector.exc_values)
     # Two separate multiplies (Formula 2), matching alp_decode_vector's
     # operation order on the summed integer.
     main = float(d_sum) * float(F10[vector.factor]) * float(
         IF10[vector.exponent]
     )
     if n_exceptions:
-        return main + exc_sum
+        return main + _exception_sum(vector.exc_values)
     return main
+
+
+def alp_exact_sums(
+    vectors: Sequence[AlpVector], survivors: Sequence[int]
+) -> list[int]:
+    """The ``d_sum`` of :func:`alp_sum_vector` for each survivor, at once.
+
+    ``vectors`` are a row-group's vectors and ``survivors`` the indexes
+    to sum.  The full vectors with a nonzero width and at least one
+    non-exception value reduce together in one
+    :func:`~repro.encodings.ffor.ffor_sum_rows` grid: one unpack per
+    distinct width, one exception scatter, exact row sums.  That
+    includes the narrow widths the per-vector modular fold serves: a
+    row-group's worth of them sums faster in the grid.  Width 0,
+    all-exception vectors and a short tail vector keep
+    :func:`~repro.encodings.ffor.ffor_sum`.  Each result equals the
+    vector's own exact integer sum.
+    """
+    sums: list[int] = []
+    size = vectors[0].ffor.count if vectors else 0
+    grid_at: list[int] = []
+    for at, v in enumerate(survivors):
+        vector = vectors[v]
+        ffor = vector.ffor
+        if (
+            ffor.count == size
+            and ffor.bit_width
+            and vector.exception_count < vector.count
+        ):
+            grid_at.append(at)
+            sums.append(0)
+        else:
+            sums.append(_exact_sum(vector))
+    if grid_at:
+        members = [vectors[survivors[at]] for at in grid_at]
+        grid_sums, _ = ffor_sum_rows(
+            [vector.ffor for vector in members],
+            [vector.exc_positions for vector in members],
+        )
+        for at, d_sum in zip(grid_at, grid_sums, strict=True):
+            sums[at] = d_sum
+    return sums
 
 
 def alp_sum_vector_reference(vector: AlpVector) -> float:
@@ -388,7 +452,8 @@ def alp_sum_vector_reference(vector: AlpVector) -> float:
     if vector.count == 0:
         return 0.0
     n_exceptions = vector.exception_count
-    exc_sum = _exception_sum(vector.exc_values) if n_exceptions else 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        exc_sum = float(np.sum(vector.exc_values)) if n_exceptions else 0.0
     if n_exceptions == vector.count:
         return exc_sum
     exclude = (

@@ -22,6 +22,7 @@ predicate-push-down story.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.encodings.ffor import (
     ffor_filter_range,
     ffor_range_state,
     ffor_sum_range,
+    ffor_sum_rows,
 )
 
 INT64_MIN = -(1 << 63)
@@ -148,13 +150,24 @@ def filter_mask_encoded(
 
 
 def count_vector_encoded(
-    vector: AlpVector, low: float, high: float
+    vector: AlpVector,
+    low: float,
+    high: float,
+    kept: int | None = None,
 ) -> int:
     """Count of in-range values in one vector, encoded-domain only.
 
     Exception-free vectors decided by the FFOR header (full accept or
-    reject) are counted without unpacking a single bit.
+    reject) are counted without unpacking a single bit.  ``kept``, when
+    given, is the count of in-range non-exception values already taken
+    (the row-group loop takes every vector's at once, see
+    :func:`range_selections`); only the exception slots are then
+    compared here.
     """
+    if kept is not None:
+        if not vector.exception_count:
+            return kept
+        return kept + int(_exception_mask(vector, low, high).sum())
     d_low, d_high = exact_encoded_bounds(
         low, high, vector.exponent, vector.factor
     )
@@ -175,7 +188,10 @@ def count_vector_encoded(
 
 
 def sum_range_vector(
-    vector: AlpVector, low: float, high: float
+    vector: AlpVector,
+    low: float,
+    high: float,
+    selected: tuple[int, int] | None = None,
 ) -> tuple[float, int]:
     """Filtered SUM of one vector in the encoded domain: ``(sum, count)``.
 
@@ -183,15 +199,18 @@ def sum_range_vector(
     :func:`~repro.encodings.ffor.ffor_sum_range` kernel and scaled once
     per vector; in-range exception doubles are added afterwards.  When
     nothing but exceptions matches, the result is exactly the float sum
-    of those raw doubles (no spurious ``+0.0`` main term).
+    of those raw doubles (no spurious ``+0.0`` main term).  ``selected``,
+    when given, is that kernel's ``(sum, count)`` already taken (the
+    row-group loop takes every vector's at once, see
+    :func:`range_selections`).
     """
-    d_low, d_high = exact_encoded_bounds(
-        low, high, vector.exponent, vector.factor
-    )
-    exclude = (
-        vector.exc_positions if vector.exception_count else None
-    )
-    d_sum, kept = ffor_sum_range(vector.ffor, d_low, d_high, exclude)
+    if selected is None:
+        d_low, d_high = exact_encoded_bounds(
+            low, high, vector.exponent, vector.factor
+        )
+        exclude = vector.exc_positions if vector.exception_count else None
+        selected = ffor_sum_range(vector.ffor, d_low, d_high, exclude)
+    d_sum, kept = selected
     if vector.exception_count:
         exc_match = _exception_mask(vector, low, high)
         n_exc = int(exc_match.sum())
@@ -210,3 +229,55 @@ def sum_range_vector(
     if n_exc:
         return main + exc_sum, kept + n_exc
     return main, kept
+
+
+def range_selections(
+    vectors: Sequence[AlpVector],
+    survivors: Sequence[int],
+    low: float,
+    high: float,
+    totals: bool = True,
+) -> tuple[list[int], list[int], list[int]]:
+    """Integer selections of a row-group's survivors: ``(members, sums,
+    kept)``.
+
+    The row-group step of range SUM (``totals``) and range COUNT (not
+    ``totals``): every full survivor with a nonzero width, at least one
+    non-exception value and a payload to inspect — the FFOR header
+    leaves it ``"partial"``, or (for SUM) decides ``"accept"`` — is a
+    member, compared against its own residual bounds in one
+    :func:`~repro.encodings.ffor.ffor_sum_rows` grid.  ``sums[i]`` and
+    ``kept[i]`` are member ``i``'s in-range integer sum and count of
+    non-exception values: the ``selected=`` of :func:`sum_range_vector`
+    and the ``kept=`` of :func:`count_vector_encoded`.  ``sums`` is
+    empty without ``totals``.  The other survivors keep their
+    per-vector kernels.
+    """
+    size = vectors[0].ffor.count if vectors else 0
+    members: list[int] = []
+    bounds: list[tuple[int, int]] = []
+    for v in survivors:
+        vector = vectors[v]
+        ffor = vector.ffor
+        if (
+            ffor.count != size
+            or not ffor.bit_width
+            or vector.exception_count == vector.count
+        ):
+            continue
+        d_bounds = exact_encoded_bounds(
+            low, high, vector.exponent, vector.factor
+        )
+        state = ffor_range_state(ffor, *d_bounds)
+        if state == "partial" or (state == "accept" and totals):
+            members.append(v)
+            bounds.append(d_bounds)
+    if not members:
+        return [], [], []
+    sums, kept = ffor_sum_rows(
+        [vectors[v].ffor for v in members],
+        [vectors[v].exc_positions for v in members],
+        bounds,
+        totals,
+    )
+    return members, sums, kept

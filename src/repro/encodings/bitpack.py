@@ -26,6 +26,7 @@ against.
 from __future__ import annotations
 
 import sys
+import threading
 from collections.abc import Sequence
 from functools import lru_cache
 
@@ -338,6 +339,25 @@ def _unpack_plan(
     return n_words, word_idx, offset, spill_idx, spill_shift
 
 
+_SCRATCH = threading.local()
+
+
+def scratch(name: str, size: int, dtype: np.dtype | type) -> np.ndarray:
+    """This thread's reusable flat buffer ``name``, at least ``size`` items.
+
+    The working arrays of the row-group kernels come from here, so a
+    kernel that runs again in steady state (a served SUM, say) makes no
+    fresh vector-sized allocations.  Grown on demand, never shrunk.  The
+    buffer is the caller's until it asks for the same ``name`` again, so
+    a name belongs to one kernel and must not be held across calls.
+    """
+    buffers = _SCRATCH.__dict__
+    buffer = buffers.get(name)
+    if buffer is None or buffer.size < size or buffer.dtype != dtype:
+        buffer = buffers[name] = np.empty(size, dtype=dtype)
+    return buffer[:size]
+
+
 def packed_size_bytes(count: int, width: int) -> int:
     """Byte size of ``count`` packed values of ``width`` bits."""
     return (count * width + 7) // 8
@@ -369,14 +389,19 @@ def unpack_bits(
     decoders can unpack straight into a caller-provided column buffer.
 
     The generic path lays each payload out as a row of whole big-endian
-    64-bit words followed by one zero word (a single ``join``) and
-    reconstructs each field from the one or two words it straddles: two
-    gathers plus shifts for *every* width, in place on the output and
-    without a select — the numpy analogue of FastLanes' branch-free
-    unpack kernels.  Byte-aligned widths (8/16/32/64) skip the word
-    gather entirely: the stream is reinterpreted with a single
-    big-endian dtype cast.  The gather geometry depends only on
-    ``(width, count)`` — one vector — and is cached across calls.
+    64-bit words followed by one zero word and reconstructs each field
+    from the one or two words it straddles: two gathers plus shifts for
+    *every* width, in place on the output and without a select — the
+    numpy analogue of FastLanes' branch-free unpack kernels.
+    Byte-aligned widths (8/16/32/64) skip the word gather entirely: the
+    stream is reinterpreted with a single big-endian dtype cast.  The
+    gather geometry depends only on ``(width, count)`` — one vector —
+    and is cached across calls.  One payload unpacks with plain
+    expressions.  Several unpack in passes whose word rows and spill
+    terms live in this thread's :func:`scratch` buffers (payloads are
+    copied in row by row), and at most :data:`_JOIN_BYTES` of cast-width
+    payloads are joined at once, so the only large allocation is the
+    result (none with ``out``).
     """
     if width < 0 or width > 64:
         raise ValueError(f"bit width must be in [0, 64], got {width}")
@@ -412,35 +437,91 @@ def unpack_bits(
         obs.metrics.counter_add("bitpack.unpack_values", total)
         obs.metrics.counter_add("bitpack.unpack_bytes", len(payloads) * nbytes)
     cast = _CAST_DTYPES.get(width)
-    if cast is not None:
-        fields = np.frombuffer(b"".join(payloads), dtype=cast)
-        if out is not None:
+    plan = None if cast is not None else _unpack_plan(width, count)
+    if len(payloads) == 1:
+        # One vector: its temporaries are small, and plain expressions
+        # beat the multi-vector passes below by about 1 us a call (cast
+        # widths) to 4 us (gathered widths).
+        if cast is not None:
+            fields = np.frombuffer(payloads[0], dtype=cast)
+            if out is None:
+                return fields.astype(np.uint64)
             out[...] = fields  # widening big-endian cast, in place
             return out
-        return fields.astype(np.uint64)
-    n_words, word_idx, offset, spill_idx, spill_shift = _unpack_plan(
-        width, count
-    )
-    pad = bytes((n_words + 1) * 8 - nbytes)
-    shift = np.uint64(64 - width)
+        pad = bytes((plan[0] + 1) * 8 - nbytes)
+        words = np.frombuffer(pad.join(payloads) + pad, dtype=">u8")
+        fields = np.empty(total, dtype=np.uint64) if out is None else out
+        words = words.astype(np.uint64)[None, :]
+        _gather_fields(words, fields[None, :], width, plan)
+        return fields
     fields = np.empty(total, dtype=np.uint64) if out is None else out
+    if cast is not None:
+        # Joined payloads stay under _JOIN_BYTES a pass (and one pass's
+        # join is gone before the next one's is made).
+        step = max(1, _JOIN_BYTES // nbytes)
+        for first in range(0, len(payloads), step):
+            part = payloads[first : first + step]
+            fields[first * count : (first + len(part)) * count] = (
+                np.frombuffer(b"".join(part), dtype=cast)
+            )  # widening big-endian cast
+        return fields
+    n_words = plan[0]
     grid = fields.reshape(len(payloads), count)
-    for first in range(0, len(payloads), UNPACK_PASS_ROWS):
-        batch = payloads[first : first + UNPACK_PASS_ROWS]
-        words = (
-            np.frombuffer(pad.join(batch) + pad, dtype=">u8")
-            .reshape(len(batch), n_words + 1)
-            .astype(np.uint64)
-        )
-        rows = grid[first : first + len(batch)]
-        np.take(words, word_idx, axis=1, out=rows, mode="clip")
-        rows <<= offset
-        if spill_idx is not None:
-            spill = np.take(words, spill_idx, axis=1, mode="clip")
-            spill >>= spill_shift
-            rows |= spill
-        rows >>= shift
+    stride = (n_words + 1) * 8
+    with np.errstate():
+        np.setbufsize(UFUNC_BUFFER_ITEMS)  # restored as errstate exits
+        for first in range(0, len(payloads), UNPACK_PASS_ROWS):
+            batch = payloads[first : first + UNPACK_PASS_ROWS]
+            rows = grid[first : first + len(batch)]
+            words = scratch(
+                "unpack.words", len(batch) * (n_words + 1), np.uint64
+            ).reshape(len(batch), n_words + 1)
+            words.view(np.uint8)[:, nbytes:] = 0  # padding and zero word
+            raw = memoryview(words.reshape(-1).view(np.uint8))
+            # Iterates the pass's vectors.  # reprolint: ignore[RL2]
+            for at, payload in enumerate(batch):
+                raw[at * stride : at * stride + nbytes] = payload
+            if sys.byteorder == "little":
+                words.byteswap(inplace=True)  # the stream is big-endian
+            spill = scratch("unpack.spill", rows.size, np.uint64)
+            spill = spill.reshape(rows.shape)
+            _gather_fields(words, rows, width, plan, spill)
     return fields
+
+
+def _gather_fields(
+    words: np.ndarray,
+    rows: np.ndarray,
+    width: int,
+    plan: tuple,
+    spill: np.ndarray | None = None,
+) -> None:
+    """Fill ``rows`` with the fields of the word rows ``words`` by the
+    :func:`_unpack_plan` ``plan``: one gather for each field's first
+    word, one for the spill word, in place (``spill`` holds the spill
+    terms when given)."""
+    _, word_idx, offset, spill_idx, spill_shift = plan
+    np.take(words, word_idx, axis=1, out=rows, mode="clip")
+    rows <<= offset
+    if spill_idx is not None:
+        spill = np.take(words, spill_idx, axis=1, out=spill, mode="clip")
+        spill >>= spill_shift
+        rows |= spill
+    rows >>= np.uint64(64 - width)
+
+
+#: Most payload bytes the cast path of :func:`unpack_bits` joins at once.
+_JOIN_BYTES = 1 << 15
+
+#: Iteration-buffer size, in items, that the multi-vector kernels set
+#: for numpy's ufuncs (inside ``np.errstate()``, which restores it).  A
+#: ufunc that broadcasts — a per-field shift row over a pass, a per-row
+#: bound column over a residual grid — otherwise allocates an iteration
+#: buffer of numpy's default 8192 items, 64 KiB, on every call; at 1024
+#: items that buffer is 8 KiB, and the broadcasts run no slower.
+#: Setting it costs about 5 us, so it is set once per call of several
+#: vectors, never per vector.
+UFUNC_BUFFER_ITEMS = 1 << 10
 
 
 def vector_grid(counts: Sequence[int]) -> tuple[int, int]:

@@ -22,10 +22,12 @@ import numpy as np
 from repro import obs
 from repro.core.constants import U64_MASK
 from repro.encodings.bitpack import (
+    UFUNC_BUFFER_ITEMS,
     UNPACK_PASS_ROWS,
     Buffer,
     pack_bits,
     pack_rows,
+    scratch,
     uint64_sum_bounded,
     unpack_bits,
     unpack_sum,
@@ -215,6 +217,120 @@ def ffor_decode_rowgroup(
         unpack_bits([tail.payload], tail.bit_width, tail.count, out=tail_out)
         tail_out += refs[-1]
     return target.view(np.int64)
+
+
+def ffor_sum_rows(
+    frames: Sequence[FforEncoded],
+    exclude: Sequence[np.ndarray],
+    bounds: Sequence[tuple[int, int]] | None = None,
+    totals: bool = True,
+) -> tuple[list[int], list[int]]:
+    """Exact ``(sums, kept)`` of equal-count frames, unpacked as one grid.
+
+    The row-group form of :func:`ffor_sum` and :func:`ffor_sum_range`.
+    The frames (vectors of one count, any widths) unpack into one
+    ``(frames, count)`` uint64 residual grid, with one
+    :func:`~repro.encodings.bitpack.unpack_bits` call per distinct
+    width, and the ``exclude[i]`` positions of every frame drop out.
+    ``bounds[i]``, one ``(d_low, d_high)`` per frame in the decoded
+    integer domain, becomes that row's residual bounds, and the whole
+    grid is compared against them at once.  Row sums are exact:
+    one uint64 reduction where ``width + count.bit_length() <= 64``,
+    otherwise the wrapped sum and the sum of the high 32-bit halves.
+
+    ``sums[i]`` equals ``ffor_sum(frames[i], exclude[i])`` without
+    bounds and ``ffor_sum_range(frames[i], *bounds[i], exclude[i])[0]``
+    with them; ``kept[i]`` counts the values that sum covers.
+    ``totals=False`` skips the sums (a COUNT needs only ``kept``) and
+    returns an empty ``sums``.
+    """
+    n_rows = len(frames)
+    if n_rows == 0:
+        return [], []
+    size = frames[0].count
+    widths = np.array([f.bit_width for f in frames], dtype=np.int64)
+    # Grid rows sorted by width: each width's frames unpack straight
+    # into one block of adjacent rows, and the rows whose sums need the
+    # split reduction form the last block.
+    order = np.argsort(widths, kind="stable")
+    row_of = np.empty(n_rows, dtype=np.int64)
+    row_of[order] = np.arange(n_rows)
+    sorted_widths = widths[order]
+    order_list = order.tolist()
+    # Every grid-sized array is a scratch buffer, and a small ufunc
+    # buffer keeps numpy's broadcasts from allocating 64 KiB iteration
+    # buffers, so a steady-state SUM allocates nothing of the grid's size.
+    grid = scratch("ffor.sum_rows", n_rows * size, np.uint64).reshape(
+        n_rows, size
+    )
+    edges = [0, *(np.flatnonzero(np.diff(sorted_widths)) + 1).tolist(), n_rows]
+    for first, last in zip(edges[:-1], edges[1:]):
+        unpack_bits(
+            [frames[i].payload for i in order_list[first:last]],
+            int(sorted_widths[first]),
+            size,
+            out=grid[first:last].reshape(-1),
+        )
+    # One small scatter per row with exclusions: a row-group's worth of
+    # positions in one index array can itself be grid-sized.
+    excluded = [
+        (row, positions)
+        for row, positions in zip(row_of.tolist(), exclude, strict=True)
+        if positions.size
+    ]
+    with np.errstate():
+        np.setbufsize(UFUNC_BUFFER_ITEMS)  # restored as errstate exits
+        if bounds is None:
+            for row, positions in excluded:
+                grid[row, positions] = 0
+            kept = [size - int(e.size) for e in exclude]
+        else:
+            r_low, r_high = [], []
+            for frame, (d_low, d_high) in zip(frames, bounds, strict=True):
+                top = (1 << frame.bit_width) - 1
+                low = max(d_low - frame.reference, 0)
+                high = min(d_high - frame.reference, top)
+                r_low.append(low if low <= high else 1)
+                r_high.append(high if low <= high else 0)
+            # Per-row residual bounds, as (rows, 1) columns in grid order.
+            low_col = np.array(r_low, dtype=np.uint64)[order, None]
+            high_col = np.array(r_high, dtype=np.uint64)[order, None]
+            outside = scratch("ffor.sum_rows.outside", grid.size, np.bool_)
+            outside = outside.reshape(grid.shape)
+            above = scratch("ffor.sum_rows.above", grid.size, np.bool_)
+            above = above.reshape(grid.shape)
+            np.less(grid, low_col, out=outside)
+            np.greater(grid, high_col, out=above)
+            outside |= above
+            for row, positions in excluded:
+                outside[row, positions] = True
+            kept_rows = size - np.count_nonzero(outside, axis=1)
+            kept = kept_rows[row_of].tolist()
+            if totals:
+                np.copyto(grid, 0, where=outside)
+        if not totals:
+            return [], kept
+        split = int(
+            np.searchsorted(sorted_widths, 64 - size.bit_length(), "right")
+        )
+        residuals = grid[:split].sum(axis=1, dtype=np.uint64).tolist()
+        if split < n_rows:
+            # Exact sums of wide rows from two reductions: the sum modulo
+            # 2**64 and the sum of the high 32 bits (which cannot wrap);
+            # the low halves' sum, below 2**64, is their difference.
+            wide = grid[split:]
+            wrapped = wide.sum(axis=1, dtype=np.uint64).tolist()
+            wide >>= np.uint64(32)
+            high_sums = wide.sum(axis=1, dtype=np.uint64).tolist()
+            residuals += [
+                (high << 32) + ((total - (high << 32)) & U64_MASK)
+                for total, high in zip(wrapped, high_sums, strict=True)
+            ]
+    sums = [
+        frame.reference * count + residuals[row]
+        for frame, count, row in zip(frames, kept, row_of.tolist())
+    ]
+    return sums, kept
 
 
 def ffor_sum(

@@ -11,7 +11,8 @@ same machinery:
   general-purpose codec),
 - :mod:`repro.query.engine` — the queries (scan / sum / range /
   compression), each one loop over a source's vectors or, for sources
-  with ``encoded_batches``, over still-compressed ALP vectors; the one
+  with ``encoded_batches``, over still-compressed row-groups (integer
+  work once per row-group, one SUM term per vector); the one
   SUM / COUNT / MIN / MAX reducer (:func:`aggregate`); plus
   multi-threaded partitioned execution for the scaling experiment.
 """

@@ -7,15 +7,25 @@ Tectorwise.  Here each query is that loop, written out once:
   (materializing every vector, discarding it);
 - :func:`sum_query` — SUM aggregation over the source's encoded batches
   when it has them (late materialization: packed integers are reduced
-  and scaled once per vector, doubles are never built), otherwise over
-  decoded vectors;
+  once per row-group and scaled once per vector, doubles are never
+  built), otherwise over decoded vectors;
 - :func:`comp_query` — compress the column and serialize it, including
   the metadata the paper mentions (offsets, parameters).
 
 :func:`range_sum_query` / :func:`range_count_query` add the filtered
 aggregates: range predicates are translated to exact integer bounds and
-evaluated fused inside the unpack loop on encoded sources, with
-FFOR-header (and, for file sources, zone-map) skipping.
+compared against the unpacked residuals of a whole row-group at once on
+encoded sources, with FFOR-header (and, for file sources, zone-map)
+skipping.
+
+Each encoded batch is one row-group (see
+:class:`~repro.query.sources.EncodedBatch`).  The encoded loops do the
+row-group's integer work in one step (:func:`~repro.core.alp.alp_exact_sums`,
+:func:`~repro.core.predicates.range_selections`) and then call the
+per-vector term functions (``alp_sum_vector``, ``sum_range_vector``,
+``count_vector_encoded``) with that precomputed result, so every term —
+and the order :func:`fold_sum` adds them in — is what the per-vector
+loop produced.
 
 A source takes the encoded path when it has an ``encoded_batches``
 method (:class:`~repro.query.sources.AlpSource` and
@@ -42,8 +52,12 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro import obs
-from repro.core.alp import alp_sum_vector
-from repro.core.predicates import count_vector_encoded, sum_range_vector
+from repro.core.alp import alp_exact_sums, alp_sum_vector
+from repro.core.predicates import (
+    count_vector_encoded,
+    range_selections,
+    sum_range_vector,
+)
 from repro.query.sources import AlpSource, ColumnSource, make_source
 from repro.storage.serializer import serialize_rowgroup
 
@@ -114,10 +128,14 @@ def sum_query(source: ColumnSource) -> float:
             obs.counter_add("query.sum_encoded")
             terms: list[float] = []
             for batch in getattr(source, "encoded_batches")(None):
-                if batch.alp is not None:
-                    terms.append(alp_sum_vector(batch.alp))
-                elif batch.values.size:
-                    terms.append(float(batch.values.sum()))
+                if batch.alp is None:
+                    terms += [float(v.sum()) for v in batch.values if v.size]
+                    continue
+                vectors = batch.alp.vectors
+                d_sums = alp_exact_sums(vectors, batch.vectors)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    for v, d_sum in zip(batch.vectors, d_sums, strict=True):
+                        terms.append(alp_sum_vector(vectors[v], d_sum))
             result = fold_sum(terms)
         else:
             result = sum_query_decoded(source)
@@ -143,15 +161,25 @@ def range_sum_query(
             terms: list[float] = []
             count = 0
             for batch in getattr(source, "encoded_batches")((low, high)):
-                if batch.alp is not None:
-                    term, kept = sum_range_vector(batch.alp, low, high)
-                else:
-                    values = batch.values
-                    selected = values[(values >= low) & (values <= high)]
-                    term, kept = float(selected.sum()), selected.size
-                if kept:
-                    terms.append(term)
-                    count += kept
+                if batch.alp is None:
+                    for values in batch.values:
+                        selected = values[(values >= low) & (values <= high)]
+                        if selected.size:
+                            terms.append(float(selected.sum()))
+                            count += selected.size
+                    continue
+                vectors = batch.alp.vectors
+                members, sums, counts = range_selections(
+                    vectors, batch.vectors, low, high
+                )
+                found = dict(zip(members, zip(sums, counts)))
+                for v in batch.vectors:
+                    term, kept = sum_range_vector(
+                        vectors[v], low, high, found.get(v)
+                    )
+                    if kept:
+                        terms.append(term)
+                        count += kept
             total = fold_sum(terms)
         else:
             total, count = range_sum_query_decoded(source, low, high)
@@ -181,11 +209,19 @@ def range_count_query(
         if _encoded(source):
             result = 0
             for batch in getattr(source, "encoded_batches")((low, high)):
-                if batch.alp is not None:
-                    result += count_vector_encoded(batch.alp, low, high)
-                else:
-                    values = batch.values
-                    result += int(((values >= low) & (values <= high)).sum())
+                if batch.alp is None:
+                    for values in batch.values:
+                        result += int(((values >= low) & (values <= high)).sum())
+                    continue
+                vectors = batch.alp.vectors
+                members, _, kept = range_selections(
+                    vectors, batch.vectors, low, high, totals=False
+                )
+                found = dict(zip(members, kept))
+                for v in batch.vectors:
+                    result += count_vector_encoded(
+                        vectors[v], low, high, found.get(v)
+                    )
         else:
             result = range_count_query_decoded(source, low, high)
     obs.counter_add("query.range_queries")

@@ -14,6 +14,10 @@ experiment (Table 6 / Figure 6) measures:
   to decompress 32 8KB vectors even if 31 are not needed"), which the
   source models with a block cache;
 - uncompressed data just slices a raw array.
+
+Sources over ALP storage (:class:`AlpSource`, :class:`FileColumnSource`)
+also yield encoded batches (:class:`EncodedBatch`), one per row-group,
+for the encoded queries.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ import numpy as np
 
 from repro import obs
 from repro.baselines.registry import get_codec
-from repro.core.alp import AlpVector
+from repro.core.alprd import AlpRdRowGroup, alprd_decode
 from repro.core.compressor import (
+    AlpRowGroup,
     CompressedRowGroup,
     CompressedRowGroups,
     compress,
@@ -38,17 +43,21 @@ from repro.storage.tablefile import TableColumnReader
 
 @dataclass(frozen=True)
 class EncodedBatch:
-    """One scan batch of the late-materialization pipeline.
+    """One row-group of the late-materialization pipeline.
 
-    Exactly one payload field is set: ``alp`` carries a still-compressed
-    ALP vector for encoded-domain execution; ``values`` carries decoded
-    float64 values for payloads without an ALP integer domain (ALP_rd
-    row-groups, foreign codecs) so every source can feed the encoded
-    queries, just without the fast math for those batches.
+    ``vectors`` lists the row-group's vectors the query covers (all of
+    them, or the survivors of zone-map pruning), in order.  Exactly one
+    payload field is set: ``alp`` carries the row-group's still-
+    compressed ALP vectors for encoded-domain execution; ``values``
+    carries one decoded float64 array per listed vector for payloads
+    without an ALP integer domain (ALP_rd row-groups) so every source
+    can feed the encoded queries, just without the fast math for those
+    batches.
     """
 
-    alp: AlpVector | None = None
-    values: np.ndarray | None = None
+    vectors: Sequence[int]
+    alp: AlpRowGroup | None = None
+    values: list[np.ndarray] | None = None
 
 
 class ColumnSource(Protocol):
@@ -402,20 +411,40 @@ class FileColumnSource:
 def _batches(
     rowgroups: Iterable[tuple[CompressedRowGroup, Sequence[int]]],
 ) -> Iterator[EncodedBatch]:
-    """Encoded batches of the listed vectors of each row-group.
+    """One encoded batch per row-group with its listed vectors.
 
-    ALP vectors stay compressed; ALP_rd vectors have no integer domain
-    to execute on, so they decode and travel as values.
+    ALP row-groups stay compressed; ALP_rd ones have no integer domain
+    to execute on, so the listed vectors decode in one
+    :func:`~repro.core.alprd.alprd_decode` call (only those vectors:
+    the listed ones are full vectors and at most the tail, so they form
+    a row-group of their own) and travel as values.
     """
     for rowgroup, survivors in rowgroups:
-        if rowgroup.alp is not None:
-            vectors = rowgroup.alp.vectors
-            for v in survivors:
-                yield EncodedBatch(alp=vectors[v])
+        if not survivors:
             continue
-        for v in survivors:
-            obs.counter_add("query.batches_fallback")
-            yield EncodedBatch(values=decode_rowgroup_vector(rowgroup, v))
+        if rowgroup.alp is not None:
+            yield EncodedBatch(vectors=survivors, alp=rowgroup.alp)
+            continue
+        obs.counter_add("query.batches_fallback")
+        rd = rowgroup.rd
+        if rd is None:
+            raise ValueError("row-group has neither ALP nor ALP_rd payload")
+        if len(survivors) < len(rd.vectors):
+            listed = tuple(rd.vectors[v] for v in survivors)
+            rd = AlpRdRowGroup(
+                parameters=rd.parameters,
+                vectors=listed,
+                count=sum(vector.count for vector in listed),
+            )
+        decoded = alprd_decode(rd)
+        ends = np.cumsum([vector.count for vector in rd.vectors]).tolist()
+        yield EncodedBatch(
+            vectors=survivors,
+            values=[
+                decoded[end - vector.count : end]
+                for vector, end in zip(rd.vectors, ends, strict=True)
+            ],
+        )
 
 
 def make_source(

@@ -40,6 +40,7 @@ from repro.core.compressor import (
     FirstLevelResult,
 )
 from repro.core.sampler import ExponentFactor
+from repro.encodings.bitpack import packed_size_bytes, vector_grid
 from repro.encodings.dictionary import SkewedDictionary
 from repro.encodings.ffor import FforEncoded
 
@@ -181,27 +182,100 @@ def _read_ffor(r: ByteReader) -> FforEncoded:
     )
 
 
-def _read_alp_vector(r: ByteReader) -> AlpVector:
-    exponent, factor, count, reference, bit_width, payload_len = r.unpack(
-        _ALP_HEAD
-    )
-    payload = r.raw(payload_len)
-    ffor_count, n_exc = r.unpack(_ALP_TAIL)
-    exc_positions = r.array(_LE_U16, n_exc)
-    exc_values = r.array(_LE_F64, n_exc)
-    return AlpVector(
-        ffor=FforEncoded(
-            payload=payload,
-            reference=reference,
-            bit_width=bit_width,
-            count=ffor_count,
-        ),
-        exponent=exponent,
-        factor=factor,
-        exc_values=exc_values,
-        exc_positions=exc_positions,
-        count=count,
-    )
+#: The exception arrays of every exception-free vector: read-only, so
+#: sharing one pair across vectors is safe.
+_NO_POSITIONS = np.empty(0, dtype=np.uint16)
+_NO_VALUES = np.empty(0, dtype=np.float64)
+_NO_POSITIONS.flags.writeable = False
+_NO_VALUES.flags.writeable = False
+
+
+def _read_alp_vectors(
+    buffer: Any, pos: int, n_vectors: int
+) -> tuple[tuple[AlpVector, ...], int]:
+    """``n_vectors`` ALP vectors starting at ``pos``; returns them and
+    the position after the last.
+
+    One local loop over the precompiled head and tail structs.  Each
+    payload is a slice of ``buffer`` (zero-copy on an mmap view);
+    exception arrays are copied, so they never pin the buffer.  A
+    vector whose header count, FFOR count, payload length, exception
+    count or exception positions disagree raises ``ValueError``.
+    """
+    unpack_head, head_size = _ALP_HEAD.unpack_from, _ALP_HEAD.size
+    unpack_tail, tail_size = _ALP_TAIL.unpack_from, _ALP_TAIL.size
+    vectors = []
+    exc_counts = []
+    exc_positions = []
+    for _ in range(n_vectors):
+        exponent, factor, count, reference, width, payload_len = unpack_head(
+            buffer, pos
+        )
+        pos += head_size
+        payload = buffer[pos : pos + payload_len]
+        pos += payload_len
+        ffor_count, n_exc = unpack_tail(buffer, pos)
+        pos += tail_size
+        if (
+            ffor_count != count
+            or width > 64
+            or payload_len != packed_size_bytes(count, width)
+            or len(payload) != payload_len
+        ):
+            raise ValueError(
+                f"ALP vector of {count} values has FFOR count "
+                f"{ffor_count} and a {payload_len}-byte payload of "
+                f"width {width}"
+            )
+        if n_exc:
+            if n_exc > count:
+                raise ValueError(
+                    f"{n_exc} exceptions in a vector of {count} values"
+                )
+            positions = np.frombuffer(
+                buffer, dtype=_LE_U16, count=n_exc, offset=pos
+            ).astype(np.uint16)
+            pos += 2 * n_exc
+            values = np.frombuffer(
+                buffer, dtype=_LE_F64, count=n_exc, offset=pos
+            ).astype(np.float64)
+            pos += 8 * n_exc
+            exc_counts.append((count, n_exc))
+            exc_positions.append(positions)
+        else:
+            positions, values = _NO_POSITIONS, _NO_VALUES
+        vectors.append(
+            AlpVector(
+                ffor=FforEncoded(
+                    payload=payload,
+                    reference=reference,
+                    bit_width=width,
+                    count=count,
+                ),
+                exponent=exponent,
+                factor=factor,
+                exc_values=values,
+                exc_positions=positions,
+                count=count,
+            )
+        )
+    if exc_positions:
+        counts, repeats = zip(*exc_counts)
+        limits = np.repeat(np.array(counts, dtype=np.int64), repeats)
+        if (np.concatenate(exc_positions) >= limits).any():
+            raise ValueError("exception position outside its vector")
+    return tuple(vectors), pos
+
+
+def _check_counts(counts: list[int], total: int) -> None:
+    """Reject vector counts a row-group of ``total`` values cannot have:
+    the layout :func:`~repro.encodings.bitpack.vector_grid` requires,
+    summing to ``total``."""
+    vector_grid(counts)
+    if sum(counts) != total:
+        raise ValueError(
+            f"vector counts sum to {sum(counts)}, row-group holds {total}"
+        )
 
 
 def _read_rd_vector(r: ByteReader) -> AlpRdVector:
@@ -297,7 +371,8 @@ def deserialize_rowgroup(
             ExponentFactor(r.u8(), r.u8()) for _ in range(n_candidates)
         )
         n_vectors = r.u16()
-        vectors = tuple(_read_alp_vector(r) for _ in range(n_vectors))
+        vectors, end = _read_alp_vectors(buffer, r.position, n_vectors)
+        _check_counts([v.count for v in vectors], count)
         alp = AlpRowGroup(vectors=vectors, candidates=candidates, count=count)
         rowgroup = CompressedRowGroup(
             alp=alp,
@@ -322,6 +397,8 @@ def deserialize_rowgroup(
         )
         n_vectors = r.u16()
         vectors = tuple(_read_rd_vector(r) for _ in range(n_vectors))
+        _check_counts([v.count for v in vectors], count)
+        end = r.position
         rd = AlpRdRowGroup(parameters=parameters, vectors=vectors, count=count)
         rowgroup = CompressedRowGroup(
             alp=None,
@@ -335,7 +412,7 @@ def deserialize_rowgroup(
         )
     else:
         raise ValueError(f"unknown scheme tag {scheme}")
-    return rowgroup, r.position - offset
+    return rowgroup, end - offset
 
 
 def empty_stats() -> CompressionStats:

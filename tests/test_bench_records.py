@@ -415,19 +415,25 @@ class TestKernelRecords:
 
         records = kernel_bench_records(repeats=1)
         # One pack + one ffor record per width, plus the ALP vector
-        # record, the two encoded-query records (q-sum, q-cmp), the
+        # record, the three encoded-query records (q-sum,
+        # q-sum-rowgroup, q-cmp), the
         # zone-map table-scan record (q-table), the cold-read I/O
         # record (kernels/io), the CRC32C record (kernels/crc32c) and
         # the row-group decode and encode records
         # (kernels/rowgroup-decode, kernels/rowgroup-encode) and the
         # sampler record (kernels/sampler).
-        assert len(records) == 2 * len(KERNEL_WIDTHS) + 9
+        assert len(records) == 2 * len(KERNEL_WIDTHS) + 10
         by_dataset = {r.dataset: r for r in records}
         for name, counter in (
             ("kernels/q-sum", "query.sum_speedup_vs_decode"),
             ("kernels/q-cmp", "query.cmp_speedup_vs_decode"),
             ("kernels/q-table", "table.scan_speedup_vs_decode"),
             ("kernels/crc32c", "crc.speedup_vs_reference"),
+            *(
+                ("kernels/q-sum-rowgroup", f"query.{name}_sum_speedup_vs_{arm}")
+                for name in ("NYC/29", "Food-prices")
+                for arm in ("vector", "decode")
+            ),
             *(
                 ("kernels/rowgroup-decode", f"rowgroup.{name}_speedup_vs_vector")
                 for name in ("City-Temp", "NYC/29", "POI-lat")
