@@ -59,6 +59,8 @@ A ``kernels/rowgroup-decode`` record times
 width, one ALP_rd unpack per stream) against the per-vector decode loop
 it replaced, on four row-groups each of City-Temp, NYC/29 and POI-lat;
 ``counters["rowgroup.<dataset>_speedup_vs_vector"]`` are floored.  A
+``kernels/deserialize`` record times the chunk parse every read pays
+(and the serializer) on four chunks each of the same three columns.  A
 ``kernels/rowgroup-encode`` record is its write-side mirror: the
 row-group encode (one ALP pass, one pack per bit width, one ALP_rd
 dictionary pass, batched int64 frames) against the per-vector encode
@@ -819,6 +821,69 @@ def _bench_rowgroup_decode(repeats: int, calibration: float) -> BenchRecord:
     )
 
 
+#: Chunks per column the ``kernels/deserialize`` record parses per call.
+DESERIALIZE_ROWGROUPS = 4
+
+
+def _bench_deserialize(repeats: int, calibration: float) -> BenchRecord:
+    """Chunk parse speed (``kernels/deserialize``).
+
+    :data:`DESERIALIZE_ROWGROUPS` full row-groups (100 vectors each) of
+    each of :data:`ROWGROUP_DECODE_DATASETS`, serialized once:
+    ``compress_mbps`` times :func:`~repro.storage.serializer.serialize_rowgroup`
+    and ``decompress_mbps``
+    :func:`~repro.storage.serializer.deserialize_rowgroup` over all
+    twelve chunks, both in MB/s of the float64 values the chunks hold.
+    Raises unless every parse consumes its whole chunk and serializes
+    back to the same bytes.
+    """
+    from repro.core.compressor import compress
+    from repro.core.constants import ROWGROUP_VECTORS
+    from repro.data import get_dataset
+    from repro.storage.serializer import (
+        deserialize_rowgroup,
+        serialize_rowgroup,
+    )
+
+    rowgroups = []
+    total_bits = total_values = 0
+    for name in ROWGROUP_DECODE_DATASETS:
+        rows = DESERIALIZE_ROWGROUPS * ROWGROUP_VECTORS
+        values = get_dataset(name, n=rows * KERNEL_VECTOR_SIZE)
+        column = compress(values)
+        rowgroups += column.rowgroups
+        total_bits += column.size_bits()
+        total_values += values.size
+    chunks = [serialize_rowgroup(rowgroup) for rowgroup in rowgroups]
+    for chunk in chunks:
+        parsed, consumed = deserialize_rowgroup(chunk)
+        if consumed != len(chunk) or serialize_rowgroup(parsed) != chunk:
+            raise AssertionError("deserialize_rowgroup does not round-trip")
+    nbytes = total_values * 8
+    serialize_mbps = _per_vector_mbps(
+        lambda: [serialize_rowgroup(rowgroup) for rowgroup in rowgroups],
+        nbytes,
+        repeats,
+    )
+    deserialize_mbps = _per_vector_mbps(
+        lambda: [deserialize_rowgroup(chunk) for chunk in chunks],
+        nbytes,
+        repeats,
+    )
+    bits_per_value = total_bits / total_values
+    return BenchRecord(
+        dataset="kernels/deserialize",
+        codec="serde",
+        n=total_values,
+        bits_per_value=bits_per_value,
+        compression_ratio=64.0 / bits_per_value,
+        compress_mbps=serialize_mbps,
+        decompress_mbps=deserialize_mbps,
+        compress_rel=serialize_mbps / calibration,
+        decompress_rel=deserialize_mbps / calibration,
+    )
+
+
 #: Columns the row-group encode kernel compresses: k' = 1, k' > 1
 #: (every Stocks-DE row-group keeps two candidates), ALP_rd, and an
 #: int64 timestamp column like the end-to-end benchmark's ``ts``.
@@ -1096,6 +1161,7 @@ def kernel_bench_records(repeats: int = 5) -> list[BenchRecord]:
         _bench_io,
         _bench_crc32c,
         _bench_rowgroup_decode,
+        _bench_deserialize,
         _bench_rowgroup_encode,
         _bench_sampler,
     ]

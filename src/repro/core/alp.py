@@ -45,7 +45,7 @@ from repro.encodings.ffor import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AlpVector:
     """One ALP-encoded vector.
 

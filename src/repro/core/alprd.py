@@ -60,7 +60,7 @@ class AlpRdParameters:
         return 8 + self.dictionary.size_bits()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AlpRdVector:
     """One ALP_rd-encoded vector (parameters live on the row-group)."""
 

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro import obs
-from repro.core.alp import AlpVector
+from repro.core.alp import AlpVector, _exception_sum
 from repro.core.constants import F10, IF10
 from repro.encodings.ffor import (
     ffor_filter_range,
@@ -211,13 +211,15 @@ def sum_range_vector(
         exclude = vector.exc_positions if vector.exception_count else None
         selected = ffor_sum_range(vector.ffor, d_low, d_high, exclude)
     d_sum, kept = selected
+    n_exc = 0
+    exc_sum = 0.0
     if vector.exception_count:
         exc_match = _exception_mask(vector, low, high)
         n_exc = int(exc_match.sum())
-        exc_sum = float(np.sum(vector.exc_values[exc_match])) if n_exc else 0.0
-    else:
-        n_exc = 0
-        exc_sum = 0.0
+        if n_exc:
+            # +inf and -inf exceptions sum to NaN, as after decoding.
+            with np.errstate(invalid="ignore", over="ignore"):
+                exc_sum = _exception_sum(vector.exc_values[exc_match])
     if kept == 0:
         # Empty integer selection: return the exception sum untouched so
         # an all-exception selection stays bit-identical to the decode

@@ -36,7 +36,7 @@ from repro.encodings.bitpack import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FforEncoded:
     """An FFOR-encoded integer vector (same storage layout as FOR).
 
@@ -173,7 +173,8 @@ def ffor_decode_rowgroup(
     :func:`~repro.encodings.bitpack.unpack_bits` call — a handful
     per row-group instead of one per vector — and the references are
     added in one broadcast pass over the ``(vectors, vector size)``
-    grid.  Output is identical to :func:`ffor_decode` per vector.
+    grid, at :data:`~repro.encodings.bitpack.UFUNC_BUFFER_ITEMS`.
+    Output is identical to :func:`ffor_decode` per vector.
     """
     target = out if out.dtype == np.uint64 else out.view(np.uint64)
     size, n_full = vector_grid([f.count for f in frames])
@@ -210,7 +211,9 @@ def ffor_decode_rowgroup(
                     payloads[at : at + UNPACK_PASS_ROWS], width, size
                 )
                 grid[part] = block.reshape(part.size, size)
-    grid += refs[:n_full, None]
+    with np.errstate():
+        np.setbufsize(UFUNC_BUFFER_ITEMS)  # restored as errstate exits
+        grid += refs[:n_full, None]
     if n_full < len(frames):
         tail = frames[-1]
         tail_out = target[n_full * size :]

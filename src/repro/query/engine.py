@@ -74,8 +74,9 @@ def aggregate(vectors: Iterable[np.ndarray], kind: str = "sum") -> float:
         raise ValueError(f"unknown aggregate {kind!r}")
     if kind == "sum":
         total = 0.0
-        for vector in vectors:
-            total += float(vector.sum())
+        with np.errstate(invalid="ignore", over="ignore"):
+            for vector in vectors:
+                total += float(vector.sum())
         return total
     if kind == "count":
         return float(sum(vector.size for vector in vectors))
@@ -127,13 +128,15 @@ def sum_query(source: ColumnSource) -> float:
         if _encoded(source):
             obs.counter_add("query.sum_encoded")
             terms: list[float] = []
-            for batch in getattr(source, "encoded_batches")(None):
-                if batch.alp is None:
-                    terms += [float(v.sum()) for v in batch.values if v.size]
-                    continue
-                vectors = batch.alp.vectors
-                d_sums = alp_exact_sums(vectors, batch.vectors)
-                with np.errstate(invalid="ignore", over="ignore"):
+            with np.errstate(invalid="ignore", over="ignore"):
+                for batch in getattr(source, "encoded_batches")(None):
+                    if batch.alp is None:
+                        terms += [
+                            float(v.sum()) for v in batch.values if v.size
+                        ]
+                        continue
+                    vectors = batch.alp.vectors
+                    d_sums = alp_exact_sums(vectors, batch.vectors)
                     for v, d_sum in zip(batch.vectors, d_sums, strict=True):
                         terms.append(alp_sum_vector(vectors[v], d_sum))
             result = fold_sum(terms)
@@ -162,11 +165,13 @@ def range_sum_query(
             count = 0
             for batch in getattr(source, "encoded_batches")((low, high)):
                 if batch.alp is None:
-                    for values in batch.values:
-                        selected = values[(values >= low) & (values <= high)]
-                        if selected.size:
-                            terms.append(float(selected.sum()))
-                            count += selected.size
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        for values in batch.values:
+                            keep = (values >= low) & (values <= high)
+                            selected = values[keep]
+                            if selected.size:
+                                terms.append(float(selected.sum()))
+                                count += selected.size
                     continue
                 vectors = batch.alp.vectors
                 members, sums, counts = range_selections(
@@ -193,10 +198,11 @@ def range_sum_query_decoded(
     """Decode-then-filter-then-sum: default path and test oracle."""
     total = 0.0
     count = 0
-    for vector in source.vectors():
-        selected = vector[(vector >= low) & (vector <= high)]
-        total += float(selected.sum())
-        count += selected.size
+    with np.errstate(invalid="ignore", over="ignore"):
+        for vector in source.vectors():
+            selected = vector[(vector >= low) & (vector <= high)]
+            total += float(selected.sum())
+            count += selected.size
     return total, count
 
 

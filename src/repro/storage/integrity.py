@@ -22,8 +22,14 @@ two tiers:
   ``s' = (s >> 8) ^ T0[(s ^ b) & 0xFF]`` is linear over GF(2), so the
   CRC of a 64-byte block from state 0 is the XOR of one table entry
   per byte, ``TT[i][b_i]``, where ``TT[i]`` is ``T0`` advanced by the
-  ``63 - i`` zero bytes that follow position ``i``.  A whole buffer of
-  blocks is one gather plus one XOR-reduce.  The block CRCs are then
+  ``63 - i`` zero bytes that follow position ``i``.  The tables sit
+  flat, entry ``TT[i][b]`` at offset ``(i << 8) | b``, so the gather
+  index is one uint16 per byte.  A slab of blocks is gathered
+  position-major: its bytes are copied, transposed, into the low bytes
+  of a ``(BLOCK_BYTES, slab)`` index whose high bytes hold the
+  positions, one ``take`` fetches every term, and an XOR-reduce over
+  axis 0 folds the 64 contiguous position rows into one CRC per
+  block.  The block CRCs are then
   merged in a tree: ``crc(0, a || b) = M(crc(0, a)) ^ crc(0, b)`` with
   ``M`` the operator that advances a state by ``len(b)`` zero bytes.
   Each tree level treats 16 CRC words (64 bytes) as one row and runs
@@ -36,7 +42,8 @@ two tiers:
   four bytes of the first block (``crc(s, D) == crc(0, D ^ s)`` for
   ``len(D) >= 4``, with ``s`` XORed in little-endian).  The gathers run
   over slabs of ``_SLAB_ROWS`` rows, so the temporaries stay under
-  ~0.5 MiB whatever the buffer size.
+  ~0.5 MiB whatever the buffer size, and each call allocates its own,
+  so concurrent calls share no buffer.
 
 Both tiers accept any C-contiguous buffer-protocol object —
 ``bytes``, ``bytearray``, ``memoryview`` (including slices of an
@@ -68,9 +75,10 @@ PARALLEL_MIN_BYTES = 256
 BLOCK_BYTES = 64
 _WORDS_PER_ROW = BLOCK_BYTES // 4
 
-#: Rows per gather slab.  Each row costs an intp index and a uint32
-#: entry per byte (12x the input), so a 512-row (32 KiB) slab keeps the
-#: temporaries near 384 KiB however large the buffer is.
+#: Rows per gather slab.  Each row costs a uint16 index, the intp copy
+#: ``take`` makes of it and a uint32 term per byte (14x the input), so a
+#: 512-row (32 KiB) slab keeps the temporaries near 450 KiB however
+#: large the buffer is.
 _SLAB_ROWS = 512
 
 
@@ -113,7 +121,7 @@ _BYTE_BASIS = np.arange(256, dtype=np.uint32) << (
 )
 #: Advance a state by one zero byte: ``s' = (s >> 8) ^ T0[s & 0xFF]``.
 _ZERO_BYTE = (_BYTE_BASIS >> 8) ^ _T0[_BYTE_BASIS & 0xFF]
-_POSITION_OFFSETS = np.arange(BLOCK_BYTES, dtype=np.intp) * 256
+_POSITIONS = np.arange(BLOCK_BYTES, dtype=np.uint8)
 
 
 def _position_tables(last: np.ndarray, step: np.ndarray) -> np.ndarray:
@@ -149,14 +157,27 @@ def _merge_tables(level: int) -> np.ndarray:
 
 
 def _fold_rows(rows: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    """CRC from state 0 of every ``BLOCK_BYTES``-byte row of ``rows``."""
-    out = np.empty(len(rows), dtype="<u4")
-    for start in range(0, len(rows), _SLAB_ROWS):
-        index = rows[start : start + _SLAB_ROWS].astype(np.intp)
-        index += _POSITION_OFFSETS
-        np.bitwise_xor.reduce(
-            tables.take(index), axis=1, out=out[start : start + _SLAB_ROWS]
-        )
+    """CRC from state 0 of every ``BLOCK_BYTES``-byte row of ``rows``.
+
+    ``index[p, r]`` is ``(p << 8) | rows[r, p]``: the slab's bytes,
+    transposed, fill the low bytes of each index pair and the positions,
+    set once per slab size, the high bytes.  Every index is below
+    ``len(tables)``, so ``mode="clip"`` only skips the bounds check.
+    """
+    n = len(rows)
+    out = np.empty(n, dtype="<u4")
+    count = 0
+    for start in range(0, n, _SLAB_ROWS):
+        slab = rows[start : start + _SLAB_ROWS]
+        if len(slab) != count:
+            count = len(slab)
+            pairs = np.empty((BLOCK_BYTES, count, 2), dtype=np.uint8)
+            pairs[:, :, 1] = _POSITIONS[:, None]
+            index = pairs.view("<u2")[:, :, 0]
+            terms = np.empty((BLOCK_BYTES, count), dtype=np.uint32)
+        pairs[:, :, 0] = slab.T
+        tables.take(index, out=terms, mode="clip")
+        np.bitwise_xor.reduce(terms, axis=0, out=out[start : start + count])
     return out
 
 

@@ -59,27 +59,11 @@ class ByteWriter:
     def u8(self, value: int) -> None:
         self._parts.append(struct.pack("<B", value))
 
-    def u16(self, value: int) -> None:
-        self._parts.append(struct.pack("<H", value))
-
     def u32(self, value: int) -> None:
         self._parts.append(struct.pack("<I", value))
 
-    def u64(self, value: int) -> None:
-        self._parts.append(struct.pack("<Q", value))
-
-    def i64(self, value: int) -> None:
-        self._parts.append(struct.pack("<q", value))
-
-    def f64(self, value: float) -> None:
-        self._parts.append(struct.pack("<d", value))
-
     def raw(self, data: bytes) -> None:
         self._parts.append(data)
-
-    def array(self, values: np.ndarray) -> None:
-        """Raw dump of a numpy array's little-endian bytes."""
-        self._parts.append(np.ascontiguousarray(values).tobytes())
 
     def getvalue(self) -> bytes:
         return b"".join(self._parts)
@@ -109,14 +93,8 @@ class ByteReader:
     def u32(self) -> int:
         return self._take("<I")
 
-    def u64(self) -> int:
-        return self._take("<Q")
-
     def i64(self) -> int:
         return self._take("<q")
-
-    def f64(self) -> float:
-        return self._take("<d")
 
     def unpack(self, layout: struct.Struct) -> tuple[Any, ...]:
         """Every field of one precompiled ``struct`` at once."""
@@ -182,8 +160,9 @@ def _read_ffor(r: ByteReader) -> FforEncoded:
     )
 
 
-#: The exception arrays of every exception-free vector: read-only, so
-#: sharing one pair across vectors is safe.
+#: The exception arrays of every exception-free vector (ALP_rd's
+#: values are uint16 like its positions): read-only, so sharing them
+#: across vectors is safe.
 _NO_POSITIONS = np.empty(0, dtype=np.uint16)
 _NO_VALUES = np.empty(0, dtype=np.float64)
 _NO_POSITIONS.flags.writeable = False
@@ -278,20 +257,55 @@ def _check_counts(counts: list[int], total: int) -> None:
         )
 
 
-def _read_rd_vector(r: ByteReader) -> AlpRdVector:
-    count, left_len = r.unpack(_RD_HEAD)
-    left = r.raw(left_len)
-    right = r.raw(r.u32())
-    n_exc = r.u16()
-    exc_positions = r.array(_LE_U16, n_exc)
-    exc_values = r.array(_LE_U16, n_exc)
-    return AlpRdVector(
-        left_payload=left,
-        right_payload=right,
-        exc_positions=exc_positions,
-        exc_values=exc_values,
-        count=count,
-    )
+def _read_rd_vectors(
+    buffer: Any, pos: int, n_vectors: int
+) -> tuple[tuple[AlpRdVector, ...], int]:
+    """``n_vectors`` ALP_rd vectors starting at ``pos``; returns them and
+    the position after the last.
+
+    The same local loop as :func:`_read_alp_vectors`: both payloads are
+    slices of ``buffer`` and the exception arrays are copied.  A payload
+    cut short by the buffer's end raises ``ValueError``.
+    """
+    unpack_head, head_size = _RD_HEAD.unpack_from, _RD_HEAD.size
+    unpack_u32, unpack_u16 = _U32.unpack_from, _U16.unpack_from
+    vectors = []
+    for _ in range(n_vectors):
+        count, left_len = unpack_head(buffer, pos)
+        pos += head_size
+        left = buffer[pos : pos + left_len]
+        pos += left_len
+        if len(left) != left_len:
+            raise ValueError("truncated buffer")
+        (right_len,) = unpack_u32(buffer, pos)
+        pos += _U32.size
+        right = buffer[pos : pos + right_len]
+        pos += right_len
+        if len(right) != right_len:
+            raise ValueError("truncated buffer")
+        (n_exc,) = unpack_u16(buffer, pos)
+        pos += _U16.size
+        if n_exc:
+            positions = np.frombuffer(
+                buffer, dtype=_LE_U16, count=n_exc, offset=pos
+            ).astype(np.uint16)
+            pos += 2 * n_exc
+            values = np.frombuffer(
+                buffer, dtype=_LE_U16, count=n_exc, offset=pos
+            ).astype(np.uint16)
+            pos += 2 * n_exc
+        else:
+            positions = values = _NO_POSITIONS
+        vectors.append(
+            AlpRdVector(
+                left_payload=left,
+                right_payload=right,
+                exc_positions=positions,
+                exc_values=values,
+                count=count,
+            )
+        )
+    return tuple(vectors), pos
 
 
 def serialize_rowgroup(rowgroup: CompressedRowGroup) -> bytes:
@@ -396,9 +410,8 @@ def deserialize_rowgroup(
             total_bits=total_bits,
         )
         n_vectors = r.u16()
-        vectors = tuple(_read_rd_vector(r) for _ in range(n_vectors))
+        vectors, end = _read_rd_vectors(buffer, r.position, n_vectors)
         _check_counts([v.count for v in vectors], count)
-        end = r.position
         rd = AlpRdRowGroup(parameters=parameters, vectors=vectors, count=count)
         rowgroup = CompressedRowGroup(
             alp=None,

@@ -418,11 +418,12 @@ class TestKernelRecords:
         # record, the three encoded-query records (q-sum,
         # q-sum-rowgroup, q-cmp), the
         # zone-map table-scan record (q-table), the cold-read I/O
-        # record (kernels/io), the CRC32C record (kernels/crc32c) and
-        # the row-group decode and encode records
-        # (kernels/rowgroup-decode, kernels/rowgroup-encode) and the
-        # sampler record (kernels/sampler).
-        assert len(records) == 2 * len(KERNEL_WIDTHS) + 10
+        # record (kernels/io), the CRC32C record (kernels/crc32c), the
+        # row-group decode, deserialize and encode records
+        # (kernels/rowgroup-decode, kernels/deserialize,
+        # kernels/rowgroup-encode) and the sampler record
+        # (kernels/sampler).
+        assert len(records) == 2 * len(KERNEL_WIDTHS) + 11
         by_dataset = {r.dataset: r for r in records}
         for name, counter in (
             ("kernels/q-sum", "query.sum_speedup_vs_decode"),

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import mmap
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.integrity import (
+    _SLAB_ROWS,
     BLOCK_BYTES,
     PARALLEL_MIN_BYTES,
     crc32c,
@@ -94,6 +97,60 @@ class TestBlockKernel:
             first = crc32c(data[:cut], seed)
             assert first == crc32c_reference(data[:cut], seed)
             assert crc32c(data[cut:], first) == crc32c_reference(data, seed)
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [_SLAB_ROWS - 1, _SLAB_ROWS, _SLAB_ROWS + 1, 2 * _SLAB_ROWS],
+    )
+    @pytest.mark.parametrize("tail", [0, 1, BLOCK_BYTES - 1])
+    def test_slab_edge_block_counts(self, blocks, tail):
+        data = _random_bytes(blocks * BLOCK_BYTES + tail, blocks + tail)
+        assert crc32c(data) == crc32c_reference(data)
+        assert crc32c(data, 0xDEADBEEF) == crc32c_reference(data, 0xDEADBEEF)
+
+    def test_chained_seed_across_a_slab_boundary(self):
+        data = _random_bytes(3 * _SLAB_ROWS * BLOCK_BYTES + 5, 21)
+        seed = 0x9E3779B9
+        for cut in (
+            _SLAB_ROWS * BLOCK_BYTES - 3,
+            _SLAB_ROWS * BLOCK_BYTES,
+            _SLAB_ROWS * BLOCK_BYTES + 7,
+        ):
+            first = crc32c(data[:cut], seed)
+            assert first == crc32c_reference(data[:cut], seed)
+            assert crc32c(data[cut:], first) == crc32c_reference(data, seed)
+
+    def test_concurrent_threads_share_no_state(self):
+        # The server's request threads verify chunks at once: each
+        # thread's CRC must not see the other's slab buffers.
+        buffers = [
+            _random_bytes(3 * _SLAB_ROWS * BLOCK_BYTES + 11, 31 + i)
+            for i in range(2)
+        ]
+        expected = [crc32c_reference(b) for b in buffers]
+        barrier = threading.Barrier(len(buffers))
+        wrong = [0] * len(buffers)
+
+        def work(i: int) -> None:
+            barrier.wait()
+            for _ in range(60):
+                if crc32c(buffers[i]) != expected[i]:
+                    wrong[i] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(i,))
+                for i in range(len(buffers))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == [0] * len(buffers)
 
     def test_all_zero_and_all_ones(self):
         for fill in (b"\x00", b"\xff"):

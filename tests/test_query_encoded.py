@@ -464,6 +464,68 @@ class TestEngineParity:
         assert count == exp_count
         assert math.isclose(total, exp_total, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("scheme", ["alp", "alprd"])
+    @pytest.mark.parametrize("kind", ["memory", "file"])
+    def test_opposite_infinities_in_one_vector(self, scheme, kind, tmp_path):
+        """+inf and -inf in one vector: SUM and range SUM are NaN bit for
+        bit as after decoding, range COUNT counts both, and nothing
+        warns (ALP keeps them as exceptions, ALP_rd decodes them)."""
+        from repro import api
+        from repro.core.compressor import compress
+        from repro.query.engine import (
+            range_count_query,
+            range_count_query_decoded,
+            range_sum_query,
+            range_sum_query_decoded,
+            sum_query,
+            sum_query_decoded,
+        )
+        from repro.query.sources import AlpSource, FileColumnSource
+
+        rng = np.random.default_rng(8)
+        if scheme == "alp":
+            values = np.round(rng.uniform(0, 100, 4_096), 2)
+        else:
+            values = rng.random(4_096) * 1e6
+        values[10] = math.inf
+        values[20] = -math.inf
+        column = compress(values)
+        assert (column.rowgroups[0].rd is not None) == (scheme == "alprd")
+        if kind == "memory":
+            source = AlpSource(column)
+        else:
+            api.write(tmp_path / "column.alpc", values)
+            source = FileColumnSource.open(tmp_path / "column.alpc")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                total = sum_query(source)
+                assert math.isnan(total)
+                assert np.float64(total).view(np.uint64) == np.float64(
+                    sum_query_decoded(source)
+                ).view(np.uint64)
+                for low, high in (
+                    (-math.inf, math.inf),
+                    (-math.inf, 50.0),
+                    (50.0, math.inf),
+                ):
+                    total, count = range_sum_query(source, low, high)
+                    oracle, oracle_count = range_sum_query_decoded(
+                        source, low, high
+                    )
+                    assert np.float64(total).view(np.uint64) == np.float64(
+                        oracle
+                    ).view(np.uint64)
+                    assert count == oracle_count
+                    expected = int(((values >= low) & (values <= high)).sum())
+                    assert range_count_query(source, low, high) == expected
+                    assert range_count_query_decoded(
+                        source, low, high
+                    ) == expected
+        finally:
+            if kind == "file":
+                source.reader.close()
+
     def test_file_source_end_to_end(self, tmp_path):
         from repro import api
         from repro.query.engine import (

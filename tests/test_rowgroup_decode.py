@@ -397,6 +397,18 @@ def test_rd_rowgroup_vector_counts_must_sum():
         alprd_decode(short, out=np.empty(rg.count))
 
 
+def test_decode_into_caller_buffer_allocates_nothing_large():
+    """Decoding a full NYC/29 row-group into the caller's buffer holds
+    no fresh ``LARGE_ALLOC_BYTES`` at once: the broadcast reference add
+    runs at the kernels' small ufunc buffer, not numpy's 64 KiB one."""
+    from repro.bench.harness import traced_large_allocs
+
+    (rg,) = compress(get_dataset("NYC/29", n=102_400)).rowgroups
+    assert rg.alp is not None and len(rg.alp.vectors) == 100
+    out = np.empty(rg.count)
+    assert traced_large_allocs(lambda: decode_rowgroup_into(rg, out)) == 0
+
+
 def test_alp_encode_vector_round_trip_unchanged():
     values = specials(1024, 9)
     vector = alp_encode_vector(values, 2, 0)
