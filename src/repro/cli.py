@@ -427,6 +427,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print("draining...", flush=True)
     handle.shutdown()
     print(f"cache: {json.dumps(cache.stats().as_dict())}")
+    print(f"parsed: {json.dumps(registry.parsed_stats())}")
     if pool is not None:
         print(f"pool: {json.dumps(pool.stats().as_dict())}")
     return 0
@@ -696,7 +697,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-mb",
         type=int,
         default=256,
-        help="decoded-vector cache budget in MiB",
+        help="decoded-vector cache budget in MiB; with --mmap, the "
+        "row-groups the served files keep parsed share a second budget "
+        "of the same size",
     )
     p.add_argument(
         "--pool-mb",

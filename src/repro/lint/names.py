@@ -115,6 +115,9 @@ COUNTER_NAMES: frozenset[str] = frozenset(
         "tablefile.chunks_quarantined",
         "tablefile.chunks_read",
         "tablefile.chunks_written",
+        "tablefile.parsed_hits",
+        "tablefile.parsed_misses",
+        "tablefile.parsed_refused",
         "tablefile.rowgroups_pruned",
         "tablefile.values_quarantined",
         "tablefile.vectors_decoded",
@@ -131,6 +134,7 @@ GAUGE_NAMES: frozenset[str] = frozenset(
         "pool.outstanding",
         "server.inflight",
         "shard.backends_healthy",
+        "tablefile.parsed_bytes",
     }
 )
 

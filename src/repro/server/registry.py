@@ -19,6 +19,12 @@ The registry also owns the serving tier's zero-copy knob: ``mmap=True``
 memory-maps every registered column file (payloads decode straight out
 of the page cache).  A scan response is the decoded row-group arrays
 themselves, never a copy of them (see docs/PERFORMANCE.md).
+
+Mapped readers also keep the row-groups they parse, so a chunk is
+parsed once per served file rather than once per request.  Every
+registered file charges one :class:`~repro.storage.tablefile.ParsedBudget`
+the size of the cache's byte budget: the parsed stores of all served
+files together hold at most that much, beside the decoded cache.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from repro.server.cache import DecodedVectorCache
 from repro.storage.dataset_dir import MANIFEST_NAME, DatasetReader
 from repro.storage.schema import FLOAT64, Column, Schema
 from repro.storage.tablefile import (
+    ParsedBudget,
     ScanReport,
     TableColumnReader,
     TableFileReader,
@@ -120,9 +127,10 @@ class ServedColumn:
         run the encoded-domain path, and a served sum must not change by
         a ulp depending on whether some row-group happened to be warm.
         Scan ops, whose decoded values are bit-identical either way, keep
-        using the cache through :meth:`scan_payload`.  ``rowgroups``
-        restricts the source to the half-open row-group range
-        (partition-scoped aggregates).
+        using the cache through :meth:`scan_payload`.  Sums do reuse the
+        reader's parsed row-groups: a stored chunk is the same parse, so
+        results are unchanged.  ``rowgroups`` restricts the source to the
+        half-open row-group range (partition-scoped aggregates).
         """
         from repro.query.sources import FileColumnSource
 
@@ -170,6 +178,14 @@ class DatasetRegistry:
         self._datasets: dict[str, dict[str, ServedColumn]] = {}
         #: dataset name -> schema (synthesized for dataset directories)
         self._schemas: dict[str, Schema] = {}
+        #: every registered file's reader (for parsed_stats)
+        self._files: list[TableFileReader | TableColumnReader] = []
+        #: shared by the parsed stores of every mapped reader
+        self._parsed_budget = (
+            ParsedBudget(cache.byte_budget)
+            if cache is not None and cache.byte_budget > 0
+            else None
+        )
 
     def register_file(
         self, path: str | os.PathLike, name: str | None = None
@@ -185,7 +201,12 @@ class DatasetRegistry:
         dataset = name or file_path.stem
         if dataset in self._datasets:
             raise ValueError(f"dataset {dataset!r} is already registered")
-        table = TableFileReader(file_path, degraded=self.degraded, mmap=self.mmap)
+        table = TableFileReader(
+            file_path,
+            degraded=self.degraded,
+            mmap=self.mmap,
+            parsed_budget=self._parsed_budget,
+        )
         served = {
             col.name: ServedColumn(
                 dataset=dataset,
@@ -205,6 +226,7 @@ class DatasetRegistry:
             )
         self._datasets[dataset] = served
         self._schemas[dataset] = table.schema
+        self._files.append(table)
         return dataset
 
     def register_dataset(
@@ -224,11 +246,15 @@ class DatasetRegistry:
                 column=column,
                 path=str(file_path),
                 reader=TableColumnReader.open(
-                    file_path, degraded=self.degraded, mmap=self.mmap
+                    file_path,
+                    degraded=self.degraded,
+                    mmap=self.mmap,
+                    parsed_budget=self._parsed_budget,
                 ),
                 cache=self.cache,
             )
         self._datasets[dataset] = columns
+        self._files.extend(served.reader for served in columns.values())
         self._schemas[dataset] = Schema(
             tuple(Column(name) for name in manifest.column_names)
         )
@@ -295,6 +321,24 @@ class DatasetRegistry:
                 f"have {sorted(columns)}"
             )
         return served
+
+    def parsed_stats(self) -> dict[str, int]:
+        """The parsed-store counters summed over every served file, and
+        the ``byte_budget`` they share."""
+        total = {
+            "hits": 0,
+            "misses": 0,
+            "refused": 0,
+            "entries": 0,
+            "bytes_used": 0,
+        }
+        for reader in self._files:
+            stats = reader.parsed_stats()
+            for key in total:
+                total[key] += stats[key]
+        budget = self._parsed_budget
+        total["byte_budget"] = 0 if budget is None else budget.byte_budget
+        return total
 
     def describe(self) -> dict[str, object]:
         """The ``datasets`` op body: everything served, with metadata."""

@@ -176,17 +176,17 @@ def _read_alp_vectors(
     the position after the last.
 
     One local loop over the precompiled head and tail structs.  Each
-    payload is a slice of ``buffer`` (zero-copy on an mmap view);
-    exception arrays are copied, so they never pin the buffer.  A
+    payload is a slice of ``buffer`` (zero-copy on an mmap view); the
+    exception arrays are gathered once per row-group
+    (:func:`_attach_exceptions`), so they never pin the buffer.  A
     vector whose header count, FFOR count, payload length, exception
     count or exception positions disagree raises ``ValueError``.
     """
     unpack_head, head_size = _ALP_HEAD.unpack_from, _ALP_HEAD.size
     unpack_tail, tail_size = _ALP_TAIL.unpack_from, _ALP_TAIL.size
     vectors = []
-    exc_counts = []
-    exc_positions = []
-    for _ in range(n_vectors):
+    spans = []
+    for i in range(n_vectors):
         exponent, factor, count, reference, width, payload_len = unpack_head(
             buffer, pos
         )
@@ -211,18 +211,8 @@ def _read_alp_vectors(
                 raise ValueError(
                     f"{n_exc} exceptions in a vector of {count} values"
                 )
-            positions = np.frombuffer(
-                buffer, dtype=_LE_U16, count=n_exc, offset=pos
-            ).astype(np.uint16)
-            pos += 2 * n_exc
-            values = np.frombuffer(
-                buffer, dtype=_LE_F64, count=n_exc, offset=pos
-            ).astype(np.float64)
-            pos += 8 * n_exc
-            exc_counts.append((count, n_exc))
-            exc_positions.append(positions)
-        else:
-            positions, values = _NO_POSITIONS, _NO_VALUES
+            spans.append((i, count, pos, n_exc))
+            pos += 10 * n_exc
         vectors.append(
             AlpVector(
                 ffor=FforEncoded(
@@ -233,17 +223,66 @@ def _read_alp_vectors(
                 ),
                 exponent=exponent,
                 factor=factor,
-                exc_values=values,
-                exc_positions=positions,
+                exc_values=_NO_VALUES,
+                exc_positions=_NO_POSITIONS,
                 count=count,
             )
         )
-    if exc_positions:
-        counts, repeats = zip(*exc_counts)
-        limits = np.repeat(np.array(counts, dtype=np.int64), repeats)
-        if (np.concatenate(exc_positions) >= limits).any():
+    if spans:
+        positions, limits = _attach_exceptions(
+            vectors, buffer, spans, pos, _LE_F64
+        )
+        if (positions >= limits).any():
             raise ValueError("exception position outside its vector")
     return tuple(vectors), pos
+
+
+def _attach_exceptions(
+    vectors: list[Any],
+    buffer: Any,
+    spans: list[tuple[int, int, int, int]],
+    end: int,
+    value_dtype: np.dtype,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Give every vector of ``spans`` its exception arrays.
+
+    A span is ``(vector index, vector count, offset, n_exc)``: ``n_exc``
+    u16 positions start at ``offset`` and ``n_exc`` values of
+    ``value_dtype`` follow them; ``end`` is where the last block ends.
+    The row-group's positions and values are each joined into one
+    ``bytes`` copy, so they never pin the buffer and are read-only; each
+    vector's arrays are slices of them, so one stored row-group can be
+    shared.  A buffer that ends inside the blocks raises
+    ``ValueError``.  Returns every position and, for each, its vector's
+    count.
+    """
+    if end > len(buffer):
+        raise ValueError("truncated buffer")
+    size = value_dtype.itemsize
+    position_parts = []
+    value_parts = []
+    for _, _, offset, n_exc in spans:
+        middle = offset + 2 * n_exc
+        position_parts.append(buffer[offset:middle])
+        value_parts.append(buffer[middle : middle + size * n_exc])
+    # Views of the joined bytes on a little-endian host, copies elsewhere.
+    positions = np.frombuffer(b"".join(position_parts), dtype=_LE_U16).astype(
+        np.uint16, copy=False
+    )
+    values = np.frombuffer(b"".join(value_parts), dtype=value_dtype).astype(
+        value_dtype.newbyteorder("="), copy=False
+    )
+    positions.flags.writeable = False
+    values.flags.writeable = False
+    start = 0
+    for i, _, _, n_exc in spans:
+        stop = start + n_exc
+        vector = vectors[i]
+        vector.exc_positions = positions[start:stop]
+        vector.exc_values = values[start:stop]
+        start = stop
+    _, counts, _, n_excs = zip(*spans)
+    return positions, np.repeat(np.array(counts, dtype=np.int64), n_excs)
 
 
 def _check_counts(counts: list[int], total: int) -> None:
@@ -264,13 +303,16 @@ def _read_rd_vectors(
     the position after the last.
 
     The same local loop as :func:`_read_alp_vectors`: both payloads are
-    slices of ``buffer`` and the exception arrays are copied.  A payload
-    cut short by the buffer's end raises ``ValueError``.
+    slices of ``buffer`` and the exception arrays are gathered once per
+    row-group.  A payload or exception block cut short by the buffer's
+    end raises ``ValueError``; exception positions are checked when the
+    row-group decodes.
     """
     unpack_head, head_size = _RD_HEAD.unpack_from, _RD_HEAD.size
     unpack_u32, unpack_u16 = _U32.unpack_from, _U16.unpack_from
     vectors = []
-    for _ in range(n_vectors):
+    spans = []
+    for i in range(n_vectors):
         count, left_len = unpack_head(buffer, pos)
         pos += head_size
         left = buffer[pos : pos + left_len]
@@ -286,25 +328,19 @@ def _read_rd_vectors(
         (n_exc,) = unpack_u16(buffer, pos)
         pos += _U16.size
         if n_exc:
-            positions = np.frombuffer(
-                buffer, dtype=_LE_U16, count=n_exc, offset=pos
-            ).astype(np.uint16)
-            pos += 2 * n_exc
-            values = np.frombuffer(
-                buffer, dtype=_LE_U16, count=n_exc, offset=pos
-            ).astype(np.uint16)
-            pos += 2 * n_exc
-        else:
-            positions = values = _NO_POSITIONS
+            spans.append((i, count, pos, n_exc))
+            pos += 4 * n_exc
         vectors.append(
             AlpRdVector(
                 left_payload=left,
                 right_payload=right,
-                exc_positions=positions,
-                exc_values=values,
+                exc_positions=_NO_POSITIONS,
+                exc_values=_NO_POSITIONS,
                 count=count,
             )
         )
+    if spans:
+        _attach_exceptions(vectors, buffer, spans, pos, _LE_U16)
     return tuple(vectors), pos
 
 
@@ -426,6 +462,35 @@ def deserialize_rowgroup(
     else:
         raise ValueError(f"unknown scheme tag {scheme}")
     return rowgroup, end - offset
+
+
+#: Heap one parsed vector holds (its records and payload views, and its
+#: share of the row-group's), and the headers of one vector's two
+#: exception arrays.  Fitted with ``tracemalloc`` on row-groups of 100
+#: vectors parsed from memory-mapped files (CPython 3.11, 64-bit):
+#: within 25% of the measurement for ALP and ALP_rd, with and without
+#: exceptions.
+_HEAP_VECTOR = 440
+_HEAP_EXCEPTIONS = 300
+
+
+def parsed_heap_bytes(rowgroup: CompressedRowGroup) -> int:
+    """The estimated heap bytes a :func:`deserialize_rowgroup` result
+    over a memory-mapped buffer holds: a constant per vector plus each
+    vector's exception arrays.  Payloads are views of the map and cost
+    nothing more."""
+    part = rowgroup.alp if rowgroup.alp is not None else rowgroup.rd
+    if part is None:
+        raise ValueError("row-group has neither ALP nor ALP_rd payload")
+    total = _HEAP_VECTOR * len(part.vectors)
+    for vector in part.vectors:
+        if vector.exc_positions.size:
+            total += (
+                _HEAP_EXCEPTIONS
+                + vector.exc_positions.nbytes
+                + vector.exc_values.nbytes
+            )
+    return total
 
 
 def empty_stats() -> CompressionStats:

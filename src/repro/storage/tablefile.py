@@ -38,6 +38,7 @@ import math
 import mmap as _mmaplib
 import os
 import struct
+import traceback
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -98,6 +99,7 @@ from repro.storage.serializer import (
     _read_ffor,
     deserialize_rowgroup,
     empty_stats,
+    parsed_heap_bytes,
     serialize_rowgroup,
 )
 
@@ -1001,6 +1003,42 @@ class _ParsedChunk:
     payload_length: int
 
 
+class ParsedBudget:
+    """One byte budget for the parsed stores of any number of readers.
+
+    A mapped :class:`TableFileReader` opened with this budget charges
+    each float row-group it keeps by its estimated heap
+    (:func:`~repro.storage.serializer.parsed_heap_bytes`) and gives the
+    bytes back when it drops them, so all the readers sharing one budget
+    together never keep more than ``byte_budget``.  The
+    ``tablefile.parsed_bytes`` gauge is the charged total.
+    """
+
+    def __init__(self, byte_budget: int) -> None:
+        if byte_budget < 0:
+            raise ValueError(f"byte_budget must be >= 0, got {byte_budget}")
+        self.byte_budget = byte_budget
+        self._used = 0
+        self._lock = create_lock("ParsedBudget._lock")
+
+    def charge(self, size: int) -> bool:
+        """Charge ``size`` bytes if they fit; False charges nothing."""
+        with self._lock:
+            if self._used + size > self.byte_budget:
+                return False
+            self._used += size
+            used = self._used
+        obs.gauge_set("tablefile.parsed_bytes", used)
+        return True
+
+    def release(self, size: int) -> None:
+        """Give back bytes an earlier :meth:`charge` took."""
+        with self._lock:
+            self._used -= size
+            used = self._used
+        obs.gauge_set("tablefile.parsed_bytes", used)
+
+
 class TableFileReader:
     """Random-access reader over any ALPC file (format v2, v3 or v4).
 
@@ -1023,6 +1061,17 @@ class TableFileReader:
     Mapped readers have an explicit lifetime: :meth:`close` refuses
     with a typed :class:`BufferLifetimeError` while payload views are
     still alive, and every later access raises ``ValueError``.
+
+    A mapped reader given a ``parsed_budget`` (:class:`ParsedBudget`)
+    also keeps the float row-groups it parses, so repeated reads through
+    one long-lived handle (the serving layer's) parse each chunk once.
+    The store is keep-first: chunks are kept while the budget can take
+    their estimated heap, and later chunks parse per read, as with no
+    store.  Only chunks that verified and parsed are kept; :meth:`close`
+    drops the store, and gives its bytes back to the budget, before it
+    releases the map.  A buffered reader keeps nothing: its payloads are
+    copies of the chunk bytes, so a kept row-group would hold the chunk
+    twice.
     """
 
     def __init__(
@@ -1031,6 +1080,7 @@ class TableFileReader:
         *,
         degraded: bool = False,
         mmap: bool = False,
+        parsed_budget: ParsedBudget | None = None,
     ) -> None:
         self._path = os.fspath(path)
         self._degraded = degraded
@@ -1043,6 +1093,17 @@ class TableFileReader:
         self._integrity_lock = create_lock("TableFileReader._integrity_lock")
         self._quarantined: dict[tuple[int, int], CorruptRowGroupError] = {}
         self._checked: dict[tuple[int, int], "CorruptRowGroupError | None"] = {}
+        # Parsed float row-groups, shared by every read of this handle
+        # (and guarded by the same lock); kept by mapped readers only.
+        self._parsed_budget: ParsedBudget | None = None
+        #: (row-group, column) -> (parsed row-group, its charged bytes)
+        self._parsed: dict[
+            tuple[int, int], tuple[CompressedRowGroup, int]
+        ] = {}
+        self._parsed_bytes = 0
+        self._parsed_hits = 0
+        self._parsed_misses = 0
+        self._parsed_refused = 0
         with obs.span("tablefile.open"):
             if mmap and self._mmap_eligible():
                 with open(self._path, "rb") as f:
@@ -1052,6 +1113,7 @@ class TableFileReader:
                 # The reader owns this view; close() refuses while
                 # exported slices are live.  # reprolint: ignore[RL10]
                 self._data: "bytes | memoryview" = memoryview(self._mmap)
+                self._parsed_budget = parsed_budget
                 if obs.ENABLED:
                     obs.metrics.counter_add(
                         "tablefile.bytes_mapped", len(self._data)
@@ -1113,6 +1175,19 @@ class TableFileReader:
         """
         if self._closed:
             return
+        # Stored row-groups hold payload views of the map, and so may
+        # the frames a stored verdict was raised through: drop them
+        # first, or the map below refuses to close.
+        with self._integrity_lock:
+            self._parsed.clear()
+            held, self._parsed_bytes = self._parsed_bytes, 0
+            for verdict in (*self._checked.values(), *self._quarantined.values()):
+                exc: BaseException | None = verdict
+                while exc is not None:
+                    traceback.clear_frames(exc.__traceback__)
+                    exc = exc.__cause__ or exc.__context__
+        if held and self._parsed_budget is not None:
+            self._parsed_budget.release(held)
         data, self._data = self._data, b""
         if isinstance(data, memoryview):
             data.release()
@@ -1409,6 +1484,13 @@ class TableFileReader:
         if record:
             with self._integrity_lock:
                 self._checked[(rowgroup, ci)] = err
+                # A chunk that parsed but failed to decode leaves the
+                # store: every later read raises the verdict anyway.
+                entry = self._parsed.pop((rowgroup, ci), None)
+                if entry is not None:
+                    self._parsed_bytes -= entry[1]
+            if entry is not None and self._parsed_budget is not None:
+                self._parsed_budget.release(entry[1])
         return err
 
     def _quarantine(self, rowgroup: int, ci: int, err: CorruptRowGroupError) -> None:
@@ -1596,6 +1678,14 @@ class TableFileReader:
     def _decode_float_rowgroup(
         self, rowgroup: int, ci: int, parsed: _ParsedChunk
     ) -> CompressedRowGroup:
+        if self._parsed_budget is not None:
+            with self._integrity_lock:
+                entry = self._parsed.get((rowgroup, ci))
+                if entry is not None:
+                    self._parsed_hits += 1
+            if entry is not None:
+                obs.counter_add("tablefile.parsed_hits")
+                return entry[0]
         if parsed.codec != CODEC_FLOAT_ROWGROUP:
             raise self._chunk_error(
                 rowgroup, ci, f"codec tag {parsed.codec} is not a float row-group"
@@ -1622,7 +1712,53 @@ class TableFileReader:
                 f"payload holds {rg.count} values, "
                 f"footer says {self._rows[rowgroup]}",
             )
+        if self._parsed_budget is not None:
+            return self._keep_parsed(self._parsed_budget, (rowgroup, ci), rg)
         return rg
+
+    def _keep_parsed(
+        self,
+        budget: ParsedBudget,
+        key: tuple[int, int],
+        rowgroup: CompressedRowGroup,
+    ) -> CompressedRowGroup:
+        """Store a freshly parsed chunk if ``budget`` has room; returns
+        the stored row-group (the first of two racing parses wins)."""
+        size = parsed_heap_bytes(rowgroup)
+        obs.counter_add("tablefile.parsed_misses")
+        # Charged before the reader lock is taken: the two locks never
+        # nest.
+        kept = budget.charge(size)
+        with self._integrity_lock:
+            self._parsed_misses += 1
+            entry = self._parsed.get(key)
+            if entry is None:
+                if kept:
+                    self._parsed[key] = (rowgroup, size)
+                    self._parsed_bytes += size
+                else:
+                    self._parsed_refused += 1
+        if entry is not None:
+            if kept:
+                budget.release(size)
+            return entry[0]
+        if not kept:
+            obs.counter_add("tablefile.parsed_refused")
+        return rowgroup
+
+    def parsed_stats(self) -> dict[str, int]:
+        """The parsed store's counters: ``hits`` (reads served without
+        a parse), ``misses`` (parses with the store on), ``refused``
+        (parses the full budget did not keep), ``entries`` and
+        ``bytes_used`` (this reader's share of its budget)."""
+        with self._integrity_lock:
+            return {
+                "hits": self._parsed_hits,
+                "misses": self._parsed_misses,
+                "refused": self._parsed_refused,
+                "entries": len(self._parsed),
+                "bytes_used": self._parsed_bytes,
+            }
 
     def _decompress_rowgroup(
         self,
@@ -2027,13 +2163,17 @@ class TableColumnReader:
         *,
         degraded: bool = False,
         mmap: bool = False,
+        parsed_budget: ParsedBudget | None = None,
     ) -> "TableColumnReader":
         """Open a file whose schema is one non-nullable float64 column.
 
         That covers every v2/v3 file and the v4 files :func:`repro.api.write`
         produces; multi-column tables raise ``ValueError``.
+        ``parsed_budget`` is :class:`TableFileReader`'s.
         """
-        table = TableFileReader(path, degraded=degraded, mmap=mmap)
+        table = TableFileReader(
+            path, degraded=degraded, mmap=mmap, parsed_budget=parsed_budget
+        )
         try:
             schema = table.schema
             if len(schema) != 1:
@@ -2096,6 +2236,11 @@ class TableColumnReader:
     def close(self) -> None:
         """Close the underlying table reader (all column views share it)."""
         self._parent.close()
+
+    def parsed_stats(self) -> dict[str, int]:
+        """The underlying table reader's parsed-store counters (shared
+        by all its column views)."""
+        return self._parent.parsed_stats()
 
     def __enter__(self) -> "TableColumnReader":
         return self

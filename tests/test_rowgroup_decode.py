@@ -12,12 +12,12 @@ never write into a neighbour vector.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from repro import api
 from repro.alputil.bits import bits_to_double
 from repro.core.alp import AlpVector, alp_decode_vector, alp_encode_vector
 from repro.core.alprd import AlpRdRowGroup, alprd_decode, decode_vector_bits
@@ -34,10 +34,13 @@ from repro.encodings.bitpack import pack_bits, unpack_bits
 from repro.encodings.ffor import ffor_encode
 from repro.storage.errors import CorruptRowGroupError
 from repro.storage.schema import Column, Schema
+from repro.storage import tablefile
 from repro.storage.serializer import serialize_rowgroup
 from repro.storage.tablefile import (
     CODEC_FLOAT_ROWGROUP,
     ChunkMeta,
+    ParsedBudget,
+    TableColumnReader,
     TableFileWriter,
     _chunk_zone,
     _vector_zones_typed,
@@ -343,7 +346,9 @@ def test_damaged_rowgroup_raises_from_decompress(damage):
 
 
 @pytest.mark.parametrize("damage", sorted(DAMAGES))
-def test_damaged_rowgroup_file_raises_corrupt_rowgroup(damage, tmp_path):
+def test_damaged_rowgroup_file_raises_corrupt_rowgroup(
+    damage, tmp_path, monkeypatch
+):
     rg = DAMAGES[damage]()
     intact = alp_source() if damage.startswith("alp") else rd_source()
     values = per_vector(intact)
@@ -359,8 +364,17 @@ def test_damaged_rowgroup_file_raises_corrupt_rowgroup(damage, tmp_path):
         # can find the damage.
         frame = chunk_frame(CODEC_FLOAT_ROWGROUP, serialize_rowgroup(rg))
         writer.append_chunks(rg.count, [(frame, meta)])
-    for mmap in (False, True):
-        with api.open(path, mmap=mmap) as reader:
+    # A mapped reader with a parsed store keeps an ALP_rd chunk whose
+    # framing parses; the failed decode must take it out again.  The
+    # file is small: map it anyway.
+    monkeypatch.setattr(tablefile, "MMAP_MIN_BYTES", 0)
+    for mmap, budget in itertools.product((False, True), (None, 1 << 20)):
+        with TableColumnReader.open(
+            path,
+            mmap=mmap,
+            parsed_budget=None if budget is None else ParsedBudget(budget),
+        ) as reader:
+            assert reader.mapped == mmap
             if damage.startswith("alp"):
                 # ALP payload lengths and exception positions are
                 # checked as the vectors deserialize.
@@ -368,10 +382,14 @@ def test_damaged_rowgroup_file_raises_corrupt_rowgroup(damage, tmp_path):
                     reader.read_rowgroup_compressed(0)
             else:
                 reader.read_rowgroup_compressed(0)  # the framing parses
+                stored = mmap and budget is not None
+                assert reader.parsed_stats()["entries"] == int(stored)
             with pytest.raises(CorruptRowGroupError):
                 reader.read_rowgroup(0)
             with pytest.raises(CorruptRowGroupError):
                 reader.read_all()
+            assert reader.parsed_stats()["entries"] == 0
+            assert reader.parsed_stats()["bytes_used"] == 0
 
 
 def test_irregular_vector_counts_raise():
